@@ -52,6 +52,37 @@ std::string golden_trace_text() {
   return trace::to_text(sink.events());
 }
 
+/// The pinned fault scenario: two bootstraps keep MGPS in its LLP regime;
+/// a worker fail-stops mid-loop (chunk reassignment to the master) and later
+/// a loop master does (abandoned loop); the DMA oracle fails transfers
+/// (worker-fetch and task-DMA retries); scripted bit-flips on one SPE trip
+/// CRC detection and quarantine; and every result is re-executed and
+/// compared.  Covers the recovery paths of the off-load chain that the clean
+/// scenario above never reaches.
+std::string fault_golden_trace_text() {
+  task::SyntheticConfig scfg;
+  scfg.tasks_per_bootstrap = 30;
+  const task::Workload wl = task::make_synthetic(2, scfg);
+  RunConfig cfg;
+  cfg.fault_script = {
+      {sim::Time::us(1000.0), sim::FaultKind::FailStop, 3, 1.0},
+      {sim::Time::us(500.0), sim::FaultKind::BitFlip, 1, 1.0},
+      {sim::Time::us(700.0), sim::FaultKind::BitFlip, 1, 1.0},
+      {sim::Time::us(2000.0), sim::FaultKind::FailStop, 5, 1.0},
+  };
+  cfg.fault.seed = 77;
+  cfg.fault.dma_fail_rate = 0.05;
+  cfg.fault.result_corrupt_rate = 0.05;
+  cfg.integrity.crc_framing = true;
+  cfg.integrity.verify_fraction = 1.0;
+  cfg.integrity.quarantine_threshold = 2;
+  trace::TraceSink sink;
+  cfg.trace = &sink;
+  MgpsPolicy mgps;
+  run_workload(wl, mgps, cfg);
+  return trace::to_text(sink.events());
+}
+
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream ss;
@@ -75,9 +106,10 @@ TEST_F(TraceGoldenTest, SameSeedSameConfigIsBitIdentical) {
   EXPECT_EQ(a, b);
 }
 
-TEST_F(TraceGoldenTest, MatchesCheckedInFixture) {
-  const std::string path = std::string(CBE_GOLDEN_DIR) + "/mgps_small.trace";
-  const std::string got = golden_trace_text();
+/// Pins `got` against tests/golden/<name>, or rewrites the fixture when
+/// CBE_REGEN_GOLDEN is set.
+void expect_matches_fixture(const std::string& name, const std::string& got) {
+  const std::string path = std::string(CBE_GOLDEN_DIR) + "/" + name;
   if (std::getenv("CBE_REGEN_GOLDEN") != nullptr) {
     ASSERT_TRUE(trace::write_file(path, got));
     GTEST_SKIP() << "regenerated " << path << "; commit it and re-run";
@@ -103,6 +135,25 @@ TEST_F(TraceGoldenTest, MatchesCheckedInFixture) {
     }
     ASSERT_EQ(gl, wl) << "trace diverges from " << path << " at line "
                       << line;
+  }
+}
+
+TEST_F(TraceGoldenTest, MatchesCheckedInFixture) {
+  expect_matches_fixture("mgps_small.trace", golden_trace_text());
+}
+
+TEST_F(TraceGoldenTest, FaultScenarioMatchesCheckedInFixture) {
+  const std::string got = fault_golden_trace_text();
+  EXPECT_EQ(got, fault_golden_trace_text());
+  expect_matches_fixture("mgps_faults.trace", got);
+}
+
+TEST_F(TraceGoldenTest, FaultScenarioExercisesEveryRecoveryPath) {
+  const std::string text = fault_golden_trace_text();
+  for (const char* kind :
+       {" loop_fork ", " fault_failstop ", " chunk_reassign ", " dma_fault ",
+        " dma_corrupt ", " result_corrupt ", " quarantine ", " reoffload "}) {
+    EXPECT_NE(text.find(kind), std::string::npos) << kind;
   }
 }
 
