@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "trace/trace.hpp"
@@ -10,9 +12,13 @@ namespace cbe::cell {
 
 CellMachine::CellMachine(sim::Engine& eng, CellParams params,
                          const task::ModuleRegistry& modules)
-    : eng_(eng), params_(params), modules_(&modules), mfc_(params) {
+    : eng_(eng), params_(params), modules_(&modules), mfc_(params),
+      tallies_(static_cast<std::size_t>(params_.num_cells)) {
+  spes_.reserve(static_cast<std::size_t>(params_.total_spes()));
   for (int i = 0; i < params_.total_spes(); ++i) {
-    spes_.emplace_back(i, params_.cell_of_spe(i), params_.local_store_bytes);
+    const int cell = params_.cell_of_spe(i);
+    spes_.emplace_back(i, cell, params_.local_store_bytes,
+                       &tallies_.at(static_cast<std::size_t>(cell)));
   }
   Ppe::Config pc;
   pc.contexts = params_.contexts_per_ppe;
@@ -25,35 +31,36 @@ CellMachine::CellMachine(sim::Engine& eng, CellParams params,
   }
 }
 
-std::vector<int> CellMachine::idle_spes(int preferred_cell) const {
-  std::vector<int> out;
-  for (const auto& s : spes_) {
-    if (s.idle() && s.usable() && s.cell() == preferred_cell) {
-      out.push_back(s.id());
+void CellMachine::idle_spes(int preferred_cell, std::vector<int>& out) const {
+  out.clear();
+  // SPEs are numbered Cell by Cell; a Cell without an idle SPE is skipped
+  // unscanned (the common case once the pool is saturated).
+  const auto scan = [&](int cell) {
+    if (tallies_[static_cast<std::size_t>(cell)].idle == 0) return;
+    const int first = cell * params_.spes_per_cell;
+    for (int i = first; i < first + params_.spes_per_cell; ++i) {
+      const Spe& s = spes_[static_cast<std::size_t>(i)];
+      if (s.idle() && s.usable()) out.push_back(i);
     }
+  };
+  if (preferred_cell >= 0 && preferred_cell < num_cells()) {
+    scan(preferred_cell);
   }
-  for (const auto& s : spes_) {
-    if (s.idle() && s.usable() && s.cell() != preferred_cell) {
-      out.push_back(s.id());
-    }
+  for (int c = 0; c < num_cells(); ++c) {
+    if (c != preferred_cell) scan(c);
   }
-  return out;
 }
 
 int CellMachine::count_idle_spes() const noexcept {
   int n = 0;
-  for (const auto& s : spes_) n += (s.idle() && s.usable()) ? 1 : 0;
-  return n;
-}
-
-int CellMachine::healthy_spes() const noexcept {
-  int n = 0;
-  for (const auto& s : spes_) n += s.usable() ? 1 : 0;
+  for (const auto& t : tallies_) n += t.idle;
   return n;
 }
 
 int CellMachine::failed_spes() const noexcept {
-  return num_spes() - healthy_spes();
+  int n = 0;
+  for (const auto& t : tallies_) n += t.failed;
+  return n;
 }
 
 void CellMachine::install_faults(const sim::FaultPlan& plan) {
@@ -79,12 +86,20 @@ void CellMachine::install_faults(const sim::FaultPlan& plan) {
   }
 }
 
+void CellMachine::require_faults(const char* what) const {
+  if (fault_plan_ == nullptr) {
+    throw std::logic_error(std::string("CellMachine::") + what +
+                           ": no fault plan installed");
+  }
+}
+
 void CellMachine::cancel_pending_faults() noexcept {
   for (const auto& id : fault_events_) eng_.cancel(id);
   fault_events_.clear();
 }
 
 void CellMachine::fail_spe(int spe_id) {
+  require_faults("fail_spe");
   Spe& s = spe(spe_id);
   if (!s.usable()) return;
   CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::FaultFailStop,
@@ -104,6 +119,7 @@ void CellMachine::degrade_spe(int spe_id, double factor) {
 }
 
 void CellMachine::quarantine_spe(int spe_id, int strikes, int threshold) {
+  require_faults("quarantine_spe");
   Spe& s = spe(spe_id);
   if (!s.usable()) return;
   CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::Quarantine,
@@ -156,25 +172,37 @@ void CellMachine::ensure_module(int spe_id, std::uint16_t module,
       MfcRules::list_entries(bytes, params_), std::move(done));
 }
 
+namespace {
+
+// Hands a DMA completion the verdicts its flavour asks for.
+void complete(CellMachine::Fn& done, bool, bool) { done(); }
+void complete(CellMachine::DmaFn& done, bool ok, bool) { done(ok); }
+void complete(CellMachine::VerifiedDmaFn& done, bool ok, bool corrupt) {
+  done(ok, corrupt);
+}
+
+}  // namespace
+
 void CellMachine::spe_compute(int spe_id, double cycles, Fn done) {
   // A degraded SPE silently computes at a fraction of the nominal clock; a
   // fail-stop during the burst suppresses the completion (the work is lost
   // and the runtime's watchdog must recover it).
   const double factor = spe(spe_id).speed_factor();
-  eng_.schedule_after(
-      sim::cycles_to_time(cycles / factor, params_.clock_ghz),
-      [this, spe_id, cb = std::move(done)] {
-        if (!spe(spe_id).usable()) return;
-        cb();
-      });
+  auto fire = [this, spe_id, cb = std::move(done)]() mutable {
+    if (!spe(spe_id).usable()) return;
+    cb();
+  };
+  static_assert(sim::SmallFn::fits_inline<decltype(fire)>);
+  eng_.schedule_after(sim::cycles_to_time(cycles / factor, params_.clock_ghz),
+                      std::move(fire));
 }
 
 void CellMachine::dma(int spe_id, double bytes, int chunks, Fn done) {
   // Unchecked transfers (code loads, legacy callers) are not subject to the
   // transient-failure oracle; only dma_checked consumes oracle draws, so a
   // caller mix cannot perturb the deterministic failure sequence.
-  start_dma(spe_id, bytes, chunks, /*ok=*/true,
-            [cb = std::move(done)](bool) { cb(); });
+  start_dma(spe_id, bytes, chunks, /*ok=*/true, /*corrupt=*/false,
+            std::move(done));
 }
 
 void CellMachine::dma_checked(int spe_id, double bytes, int chunks,
@@ -190,7 +218,7 @@ void CellMachine::dma_checked(int spe_id, double bytes, int chunks,
                     spe_id, static_cast<std::int32_t>(dma_seq_ - 1),
                     std::llround(bytes), 0);
   }
-  start_dma(spe_id, bytes, chunks, ok, std::move(done));
+  start_dma(spe_id, bytes, chunks, ok, /*corrupt=*/false, std::move(done));
 }
 
 void CellMachine::dma_verified(int spe_id, double bytes, int chunks,
@@ -225,26 +253,23 @@ void CellMachine::dma_verified(int spe_id, double bytes, int chunks,
       corrupt = false;
     }
   }
-  start_dma(spe_id, bytes, chunks, ok,
-            [corrupt, cb = std::move(done)](bool ok2) { cb(ok2, corrupt); });
+  start_dma(spe_id, bytes, chunks, ok, corrupt, std::move(done));
 }
 
+template <typename Done>
 void CellMachine::start_dma(int spe_id, double bytes, int chunks, bool ok,
-                            DmaFn done) {
+                            bool corrupt, Done done) {
   if (bytes <= 0.0) {
-    done(true);
+    complete(done, true, false);
     return;
   }
   ++active_dma_;
   dma_bytes_ += bytes;
   // Each Cell has its own XDR memory (512 MB per processor on the blade),
-  // so DMA congestion is per-Cell: count busy SPEs of this SPE's Cell.
+  // so DMA congestion is per-Cell: the busy SPEs of this SPE's Cell.
   const int cell = spe(spe_id).cell();
-  int busy_in_cell = 0;
-  for (const auto& s : spes_) {
-    if (s.cell() == cell && !s.idle()) ++busy_in_cell;
-  }
-  const int congestion = std::max(busy_in_cell, 1);
+  const int congestion =
+      std::max(tallies_[static_cast<std::size_t>(cell)].busy, 1);
   const sim::Time t = mfc_.transfer_time(bytes, chunks, congestion,
                                          /*cross_cell=*/false);
 #if CBE_TRACE_ENABLED
@@ -260,21 +285,24 @@ void CellMachine::start_dma(int spe_id, double bytes, int chunks, bool ok,
                       spe_id, id, congestion, (t - solo).nanoseconds());
     }
   }
-  eng_.schedule_after(t, [this, spe_id, id, ok, cb = std::move(done)] {
+  auto retire = [this, spe_id, id, ok, corrupt,
+                 cb = std::move(done)]() mutable {
     --active_dma_;
     CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::DmaRetire,
                     spe_id, id, ok ? 1 : 0,
                     spe(spe_id).usable() ? 1 : 0);
     if (!spe(spe_id).usable()) return;
-    cb(ok);
-  });
+    complete(cb, ok, corrupt);
+  };
 #else
-  eng_.schedule_after(t, [this, spe_id, ok, cb = std::move(done)] {
+  auto retire = [this, spe_id, ok, corrupt, cb = std::move(done)]() mutable {
     --active_dma_;
     if (!spe(spe_id).usable()) return;
-    cb(ok);
-  });
+    complete(cb, ok, corrupt);
+  };
 #endif
+  static_assert(sim::SmallFn::fits_inline<decltype(retire)>);
+  eng_.schedule_after(t, std::move(retire));
 }
 
 sim::Time CellMachine::signal_latency(int spe_id) const noexcept {
@@ -291,11 +319,12 @@ sim::Time CellMachine::pass_latency(int from, int to) const noexcept {
 void CellMachine::signal(int spe_id, Fn done) {
   CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::MailboxSignal,
                   spe_id, -1, signal_latency(spe_id).nanoseconds(), 0);
-  eng_.schedule_after(signal_latency(spe_id),
-                      [this, spe_id, cb = std::move(done)] {
-                        if (!spe(spe_id).usable()) return;
-                        cb();
-                      });
+  auto fire = [this, spe_id, cb = std::move(done)]() mutable {
+    if (!spe(spe_id).usable()) return;
+    cb();
+  };
+  static_assert(sim::SmallFn::fits_inline<decltype(fire)>);
+  eng_.schedule_after(signal_latency(spe_id), std::move(fire));
 }
 
 sim::Time CellMachine::solo_dma_time(double bytes,

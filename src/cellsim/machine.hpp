@@ -29,11 +29,12 @@ struct FaultStats {
 
 class CellMachine {
  public:
-  using Fn = std::function<void()>;
-  using DmaFn = std::function<void(bool ok)>;
+  using Fn = sim::InlineFn<void(), sim::kContinuationBytes>;
+  using DmaFn = sim::InlineFn<void(bool ok), sim::kContinuationBytes>;
   /// `ok` is the transport's verdict; `corrupt` reports a silent payload
   /// bit-flip the transport did NOT see (only an end-to-end check can).
-  using VerifiedDmaFn = std::function<void(bool ok, bool corrupt)>;
+  using VerifiedDmaFn =
+      sim::InlineFn<void(bool ok, bool corrupt), sim::kContinuationBytes>;
   using FaultObserver = std::function<void(int spe)>;
 
   CellMachine(sim::Engine& eng, CellParams params,
@@ -49,12 +50,16 @@ class CellMachine {
   const Spe& spe(int i) const { return spes_.at(static_cast<std::size_t>(i)); }
   Ppe& ppe(int cell = 0) { return *ppes_.at(static_cast<std::size_t>(cell)); }
 
-  /// Idle SPE ids, preferring the given cell first (locality).  Failed SPEs
-  /// are never offered.
-  std::vector<int> idle_spes(int preferred_cell = 0) const;
+  /// Fills `out` with the idle SPE ids, preferring the given cell first
+  /// (locality), each cell in ascending id order.  Failed SPEs are never
+  /// offered.  `out` is the caller's buffer: dispatch reuses one, so the
+  /// scan never allocates once it has grown to the pool size.
+  void idle_spes(int preferred_cell, std::vector<int>& out) const;
+  /// Counts below are maintained by the SPEs on every state change (see
+  /// SpeTally), so they cost O(cells), not a pool scan.
   int count_idle_spes() const noexcept;
   /// SPEs that have not fail-stopped (healthy or degraded).
-  int healthy_spes() const noexcept;
+  int healthy_spes() const noexcept { return num_spes() - failed_spes(); }
   int failed_spes() const noexcept;
 
   // -- Fault injection -----------------------------------------------------
@@ -62,11 +67,15 @@ class CellMachine {
   /// The plan must outlive the machine's use of it.  Scheduled events keep
   /// the engine alive; call cancel_pending_faults() once the workload drains.
   void install_faults(const sim::FaultPlan& plan);
+  /// True once a plan is installed.  Only such a machine fails SPEs
+  /// (fail_spe and quarantine_spe require one), so components register
+  /// fault observers only when this holds.
+  bool faults_installed() const noexcept { return fault_plan_ != nullptr; }
   /// Cancels fault events that have not fired yet (end of workload).
   void cancel_pending_faults() noexcept;
   /// Applies a fail-stop now: marks the SPE dead, clears its occupancy and
   /// notifies observers.  In-flight completion callbacks on this SPE are
-  /// suppressed when they fire.
+  /// suppressed when they fire.  Throws std::logic_error without a plan.
   void fail_spe(int spe);
   /// Applies straggler derating now.
   void degrade_spe(int spe, double factor);
@@ -134,12 +143,19 @@ class CellMachine {
 
  private:
   void notify_fault_observers(int spe);
-  void start_dma(int spe, double bytes, int chunks, bool ok, DmaFn done);
+  void require_faults(const char* what) const;
+  /// One transfer for every DMA flavour: `done` is an Fn, DmaFn or
+  /// VerifiedDmaFn and receives the verdicts it asks for, so no flavour
+  /// wraps another's continuation.
+  template <typename Done>
+  void start_dma(int spe, double bytes, int chunks, bool ok, bool corrupt,
+                 Done done);
 
   sim::Engine& eng_;
   CellParams params_;
   const task::ModuleRegistry* modules_;
   Mfc mfc_;
+  std::vector<SpeTally> tallies_;  ///< per Cell; sized before spes_ exists
   std::vector<Spe> spes_;
   std::vector<std::unique_ptr<Ppe>> ppes_;
   int active_dma_ = 0;

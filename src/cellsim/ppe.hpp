@@ -15,11 +15,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/fifo.hpp"
 
 namespace cbe::cell {
 
@@ -37,6 +36,9 @@ class Ppe {
     sim::Time resume_penalty = sim::Time::us(9.0);
   };
 
+  /// Continuation type of every PPE mechanism (see sim/callback.hpp).
+  using Fn = sim::InlineFn<void(), sim::kContinuationBytes>;
+
   Ppe(sim::Engine& eng, Config cfg);
 
   /// Registers a logical process.  `pinned_context` >= 0 restricts it to one
@@ -48,15 +50,15 @@ class Ppe {
 
   /// Requests a context.  `on_granted` fires (possibly immediately) once the
   /// process holds one.  A process must not request while holding.
-  void request(int pid, std::function<void()> on_granted);
+  void request(int pid, Fn on_granted);
 
   /// Runs `cycles` of PPE work for `pid` (which must hold a context); `done`
   /// fires on completion.
-  void compute(int pid, double cycles, std::function<void()> done);
+  void compute(int pid, double cycles, Fn done);
 
   /// Occupies the context for wall time `t` without progress (spin-wait on a
   /// completion mailbox, as the Linux-scheduled MPI processes do).
-  void spin(int pid, sim::Time t, std::function<void()> done);
+  void spin(int pid, sim::Time t, Fn done);
 
   /// Releases the context.  The head waiter (pinned queue of that context
   /// first-come-first-served with the global queue) is granted next.
@@ -79,14 +81,14 @@ class Ppe {
     sim::Time grant_time;
   };
   struct Waiter {
-    int pid;
-    std::uint64_t seq;
-    std::function<void()> on_granted;
+    int pid = -1;
+    std::uint64_t seq = 0;
+    Fn on_granted;
   };
   struct Context {
     int holder = -1;
     int last_holder = -1;
-    std::deque<Waiter> pinned_queue;
+    sim::Fifo<Waiter> pinned_queue;
   };
 
   void grant(int ctx, Waiter w);
@@ -97,7 +99,7 @@ class Ppe {
   Config cfg_;
   std::vector<Proc> procs_;
   std::vector<Context> contexts_;
-  std::deque<Waiter> global_queue_;
+  sim::Fifo<Waiter> global_queue_;
   std::uint64_t wait_seq_ = 0;
   std::uint64_t switches_ = 0;
   sim::Time busy_acc_;

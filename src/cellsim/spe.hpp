@@ -46,10 +46,23 @@ class LocalStore {
   std::size_t code_ = 0;
 };
 
+/// Occupancy counts of a group of SPEs (one Cell), kept current by the SPEs
+/// themselves on every reserve/release/fail so schedulers and the DMA
+/// congestion model never scan the pool.
+struct SpeTally {
+  int busy = 0;    ///< reserved (allocated to a task or loop chunk)
+  int idle = 0;    ///< neither reserved nor failed
+  int failed = 0;  ///< fail-stopped
+};
+
 class Spe {
  public:
-  Spe(int id, int cell, std::size_t ls_bytes)
-      : id_(id), cell_(cell), ls_(ls_bytes) {}
+  /// `tally`, when given, must outlive the SPE; it starts counting this SPE
+  /// as idle.
+  Spe(int id, int cell, std::size_t ls_bytes, SpeTally* tally = nullptr)
+      : id_(id), cell_(cell), ls_(ls_bytes), tally_(tally) {
+    if (tally_ != nullptr) ++tally_->idle;
+  }
 
   int id() const noexcept { return id_; }
   int cell() const noexcept { return cell_; }
@@ -62,6 +75,10 @@ class Spe {
   void reserve(sim::Time now) {
     if (busy_) throw std::logic_error("Spe::reserve: already busy");
     busy_ = true;
+    if (tally_ != nullptr) {
+      ++tally_->busy;
+      if (usable()) --tally_->idle;
+    }
     last_change_ = now;
     CBE_TRACE_EVENT(now.nanoseconds(), trace::EventKind::SpeBusy, id_, -1,
                     0, 0);
@@ -69,6 +86,10 @@ class Spe {
   void release(sim::Time now) {
     if (!busy_) throw std::logic_error("Spe::release: not busy");
     busy_ = false;
+    if (tally_ != nullptr) {
+      --tally_->busy;
+      if (usable()) ++tally_->idle;
+    }
     busy_acc_ += now - last_change_;
     last_change_ = now;
     ++tasks_served_;
@@ -87,6 +108,10 @@ class Spe {
   /// not leak a reservation the runtime can never release.
   void fail(sim::Time now) noexcept {
     if (health_ == SpeHealth::Failed) return;
+    if (tally_ != nullptr) {
+      --(busy_ ? tally_->busy : tally_->idle);
+      ++tally_->failed;
+    }
     if (busy_) {
       busy_ = false;
       busy_acc_ += now - last_change_;
@@ -131,6 +156,7 @@ class Spe {
   int id_;
   int cell_;
   LocalStore ls_;
+  SpeTally* tally_;
   bool busy_ = false;
   SpeHealth health_ = SpeHealth::Healthy;
   double speed_ = 1.0;

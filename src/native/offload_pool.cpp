@@ -301,12 +301,12 @@ void OffloadPool::watchdog_loop() {
         if (!d.state->done) {
           d.state->expired = true;
           missed = true;
+          // Counted under the token lock, before the failing try_commit
+          // can let the task's future complete.
+          deadline_misses_.fetch_add(1, std::memory_order_relaxed);
         }
       }
-      if (missed) {
-        deadline_misses_.fetch_add(1, std::memory_order_relaxed);
-        if (d.on_timeout) d.on_timeout();
-      }
+      if (missed && d.on_timeout) d.on_timeout();
       lock.lock();
     }
   }
@@ -376,9 +376,11 @@ void OffloadPool::worker_loop(int index) {
           trace::EventKind::TaskDispatch, index, task_id);
     }
 #endif
+    // Counted before the body runs: the body completes the caller's future,
+    // and a caller that waited on it must read a count that includes it.
+    tasks_executed_.fetch_add(1, std::memory_order_relaxed);
     job->fn();
     delete job;
-    tasks_executed_.fetch_add(1, std::memory_order_relaxed);
 #if CBE_TRACE_ENABLED
     const auto t1 = std::chrono::steady_clock::now();
     if (buf != nullptr) {

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <set>
 #include <stdexcept>
 
 #include "cellsim/mfc.hpp"
@@ -34,11 +31,12 @@ void LoopBalancer::observe(double master_idle_us, double worker_wait_us,
   bias_ = std::clamp(bias_ * (1.0 + step), 0.5, 3.0);
 }
 
-namespace {
-
-/// Shared per-invocation state of one work-shared loop.  Lives until the
-/// last completion callback (or abandonment after a master fail-stop).
-struct LoopState {
+/// Per-invocation state of one work-shared loop.  A pooled record: every
+/// pending callback of the loop holds a Ref, and the record returns to the
+/// executor's pool after the last one (or after abandonment, once the dead
+/// loop's stragglers drain).  Per-SPE arrays are indexed by SPE id and keep
+/// their capacity across reuse.
+struct LoopState : sim::Pooled<LoopState> {
   cell::CellMachine* m = nullptr;
   sim::Engine* eng = nullptr;
   LoopBalancer* bal = nullptr;
@@ -49,11 +47,25 @@ struct LoopState {
   double bytes_in_per_iter = 0.0;
   double join_cycles_per_worker = 0.0;
   double clock = 1.0;
+  double send_us = 0.0;
   int max_dma_retries = 0;
   std::uint64_t* reassigned_ctr = nullptr;
   std::uint64_t* retry_ctr = nullptr;
   trace::Histogram* imbalance_hist = nullptr;
-  std::function<void()> release_hook;  ///< fires on dead-loop SPE releases
+  /// Fires on dead-loop SPE releases (the executor's hook).
+  const std::function<void()>* release_hook = nullptr;
+
+  std::uint32_t master_iters = 0;
+  std::vector<int> workers;          ///< in Pass-send order
+  std::vector<std::uint32_t> share;  ///< per SPE: the worker's iterations
+  /// Per SPE: a worker whose result has not been computed yet; cleared at
+  /// chunk-compute completion, so a later worker death cannot reassign work
+  /// whose Pass is already in flight.
+  std::vector<bool> pending;
+  /// Per SPE: workers whose fetch chain has started; they release
+  /// themselves even if the master dies.  Unstarted workers are freed by
+  /// the master-death hook.
+  std::vector<bool> launched;
 
   int remaining = 0;       ///< worker results not yet arrived or reassigned
   bool master_done = false;
@@ -62,26 +74,31 @@ struct LoopState {
   bool faulted = false;      ///< any fault touched this loop (skip balancer)
   bool finished = false;
   std::uint32_t extra_iters = 0;  ///< iterations awaiting master re-execution
-  /// worker -> iterations whose result has not been computed yet; erased at
-  /// chunk-compute completion, so a later worker death cannot reassign work
-  /// whose Pass is already in flight.
-  std::map<int, std::uint32_t> pending;
-  /// Workers whose fetch chain has started; they release themselves even if
-  /// the master dies.  Unstarted workers are freed by the master-death hook.
-  std::set<int> launched;
   int observer = -1;
 
   sim::Time start;
   sim::Time master_end;
   sim::Time last_arrival;
-  std::function<void()> done;
+  LoopExecutor::Done done;
+
+  void recycle() noexcept { done = nullptr; }
 };
 
-void loop_finish_check(const std::shared_ptr<LoopState>& st);
+namespace {
+
+using LoopRef = sim::Ref<LoopState>;
+
+/// A dead loop's SPE releases happen outside any driver callback; the
+/// executor's hook tells the driver that capacity is back.
+void notify_dead_release(const LoopState& st) {
+  if (st.dead && *st.release_hook) (*st.release_hook)();
+}
+
+void loop_finish_check(const LoopRef& st);
 
 /// After its own chunk, the master absorbs iterations reassigned from lost
 /// workers, one batch per pass (more may accumulate while it computes).
-void loop_master_drain(const std::shared_ptr<LoopState>& st) {
+void loop_master_drain(const LoopRef& st) {
   if (st->dead || st->finished) return;
   if (!st->master_done || st->master_busy) return;
   if (st->extra_iters == 0) {
@@ -98,7 +115,7 @@ void loop_master_drain(const std::shared_ptr<LoopState>& st) {
   });
 }
 
-void loop_finish_check(const std::shared_ptr<LoopState>& st) {
+void loop_finish_check(const LoopRef& st) {
   if (st->dead || st->finished) return;
   if (!st->master_done || st->master_busy || st->extra_iters != 0 ||
       st->remaining != 0) {
@@ -154,11 +171,11 @@ void loop_finish_check(const std::shared_ptr<LoopState>& st) {
 
 /// Moves a lost worker's outstanding iterations to the master.  No-op when
 /// the worker has no pending chunk (already computed, or not ours).
-void loop_reassign(const std::shared_ptr<LoopState>& st, int w) {
-  auto it = st->pending.find(w);
-  if (it == st->pending.end()) return;
-  const std::uint32_t iters = it->second;
-  st->pending.erase(it);
+void loop_reassign(const LoopRef& st, int w) {
+  const auto ix = static_cast<std::size_t>(w);
+  if (ix >= st->pending.size() || !st->pending[ix]) return;
+  const std::uint32_t iters = st->share[ix];
+  st->pending[ix] = false;
   if (st->dead) return;  // abandoned loop: the driver watchdog re-runs it
   st->faulted = true;
   st->extra_iters += iters;
@@ -172,17 +189,19 @@ void loop_reassign(const std::shared_ptr<LoopState>& st, int w) {
 
 /// Worker data fetch through the checked DMA path, retried on transient
 /// failure; on retry exhaustion the chunk is reassigned to the master and
-/// the worker freed.
-void loop_worker_fetch(const std::shared_ptr<LoopState>& st, int w,
-                       std::uint32_t iters, double bytes, int chunks,
-                       int attempt) {
-  st->m->dma_checked(w, bytes, chunks, [st, w, iters, bytes, chunks,
-                                        attempt](bool ok) {
+/// the worker freed.  The transfer size is recomputed from the worker's
+/// share on every try, which keeps the continuation to `{state, w, try}`.
+void loop_worker_fetch(const LoopRef& st, int w, int attempt) {
+  const std::uint32_t iters = st->share[static_cast<std::size_t>(w)];
+  const double bytes = st->bytes_in_per_iter * static_cast<double>(iters);
+  const int chunks = cell::MfcRules::list_entries(
+      static_cast<std::size_t>(bytes), st->m->params());
+  st->m->dma_checked(w, bytes, chunks, [st, w, attempt](bool ok) {
     if (!ok) {
       st->faulted = true;
       if (attempt < st->max_dma_retries) {
         ++*st->retry_ctr;
-        loop_worker_fetch(st, w, iters, bytes, chunks, attempt + 1);
+        loop_worker_fetch(st, w, attempt + 1);
         return;
       }
       // The completion only fires on a usable SPE, so the worker is alive
@@ -190,14 +209,16 @@ void loop_worker_fetch(const std::shared_ptr<LoopState>& st, int w,
       // re-execute the chunk.
       st->m->spe(w).release(st->eng->now());
       loop_reassign(st, w);
-      if (st->dead && st->release_hook) st->release_hook();
+      notify_dead_release(*st);
       return;
     }
-    const double cycles = st->cycles_per_iter * static_cast<double>(iters);
+    const double cycles =
+        st->cycles_per_iter *
+        static_cast<double>(st->share[static_cast<std::size_t>(w)]);
     st->m->spe_compute(w, cycles, [st, w] {
-      st->pending.erase(w);
+      st->pending[static_cast<std::size_t>(w)] = false;
       st->m->spe(w).release(st->eng->now());
-      if (st->dead && st->release_hook) st->release_hook();
+      notify_dead_release(*st);
       st->eng->schedule_after(st->m->pass_latency(w, st->master), [st] {
         if (st->dead || st->finished) return;
         st->last_arrival = st->eng->now();
@@ -209,28 +230,79 @@ void loop_worker_fetch(const std::shared_ptr<LoopState>& st, int w,
 }
 
 /// Worker-side chain, entered when the Pass structure lands in its LS.
-void loop_launch_worker(const std::shared_ptr<LoopState>& st, int w,
-                        std::uint32_t iters) {
+void loop_launch_worker(const LoopRef& st, int w) {
   // A master fail-stop already freed this worker's reservation (see the
   // fault hook); the stale Pass delivery must not touch the SPE, which may
   // have been handed to another task by now.
   if (st->dead) return;
-  st->launched.insert(w);
+  st->launched[static_cast<std::size_t>(w)] = true;
   st->m->ensure_module(w, st->module_id, cell::ModuleVariant::Parallel,
-                       [st, w, iters] {
-    const double bytes =
-        st->bytes_in_per_iter * static_cast<double>(iters);
-    const int chunks = cell::MfcRules::list_entries(
-        static_cast<std::size_t>(bytes), st->m->params());
-    loop_worker_fetch(st, w, iters, bytes, chunks, 0);
+                       [st, w] { loop_worker_fetch(st, w, 0); });
+}
+
+/// Master-side chain after the fork: serialized Pass sends (each occupying
+/// the master for send_us), then its own chunk, then join (in
+/// loop_finish_check).  Send completions are at deterministic offsets, so
+/// they are scheduled directly instead of chained.
+void loop_start_sends(const LoopRef& st) {
+  const std::size_t nw = st->workers.size();
+  for (std::size_t k = 0; k < nw; ++k) {
+    const double depart_us = st->send_us * static_cast<double>(k + 1);
+    st->eng->schedule_after(sim::Time::us(depart_us),
+                            [st, w = st->workers[k]] {
+      st->eng->schedule_after(st->m->pass_latency(st->master, w),
+                              [st, w] { loop_launch_worker(st, w); });
+    });
+  }
+  const double busy_us = st->send_us * static_cast<double>(nw);
+  st->eng->schedule_after(sim::Time::us(busy_us), [st] {
+    const double cycles =
+        st->cycles_per_iter * static_cast<double>(st->master_iters);
+    st->m->spe_compute(st->master, cycles, [st] {
+      st->master_end = st->eng->now();
+      st->master_done = true;
+      loop_master_drain(st);
+    });
   });
+}
+
+/// Fail-stop hook: a lost worker's chunk moves to the master; a lost master
+/// kills the loop (the runtime driver's watchdog recovers the whole task).
+void loop_on_failure(const LoopRef& st, int spe) {
+  if (st->finished || st->dead) return;
+  if (spe != st->master) {
+    loop_reassign(st, spe);
+    return;
+  }
+  st->dead = true;
+  if (st->observer >= 0) {
+    st->m->remove_fault_observer(st->observer);
+    st->observer = -1;
+  }
+  // Free workers whose fetch chain never started (their Pass send was cut
+  // off with the master); started workers release themselves.
+  for (std::size_t w = 0; w < st->pending.size(); ++w) {
+    if (!st->pending[w] || st->launched[w]) continue;
+    cell::Spe& s = st->m->spe(static_cast<int>(w));
+    if (s.usable() && !s.idle()) s.release(st->eng->now());
+    st->pending[w] = false;
+  }
+  // The driver's failure observer ran before this one (it registered first)
+  // and may have queued the re-dispatch while these workers were still
+  // reserved; tell it capacity is back.
+  if (*st->release_hook) (*st->release_hook)();
 }
 
 }  // namespace
 
-void LoopExecutor::run(int master, std::vector<int> workers,
+LoopExecutor::LoopExecutor(cell::CellMachine& machine, LoopParams params)
+    : machine_(&machine), params_(params) {}
+
+LoopExecutor::~LoopExecutor() = default;
+
+void LoopExecutor::run(int master, const std::vector<int>& workers,
                        const task::TaskDesc& task, LoopBalancer& balancer,
-                       std::function<void()> done) {
+                       Done done) {
   cell::CellMachine* m = machine_;
   sim::Engine* eng = &m->engine();
   const int d = static_cast<int>(workers.size()) + 1;
@@ -244,6 +316,7 @@ void LoopExecutor::run(int master, std::vector<int> workers,
   CBE_TRACE_EVENT(eng->now().nanoseconds(), trace::EventKind::LoopFork,
                   master, -1, d, static_cast<std::int64_t>(loop.iterations));
 
+  const LoopRef st = states_.acquire();
   // Iteration split: master takes a (possibly biased) share, workers split
   // the remainder evenly with the first workers absorbing the remainder.
   const double frac = balancer.master_fraction(d);
@@ -253,10 +326,18 @@ void LoopExecutor::run(int master, std::vector<int> workers,
       m_iters, 1, loop.iterations - static_cast<std::uint32_t>(d - 1));
   const std::uint32_t rest = loop.iterations - m_iters;
   const auto nw = static_cast<std::uint32_t>(workers.size());
-  std::vector<std::uint32_t> w_iters(workers.size(), rest / nw);
-  for (std::uint32_t k = 0; k < rest % nw; ++k) ++w_iters[k];
+  const auto spes = static_cast<std::size_t>(m->num_spes());
+  st->master_iters = m_iters;
+  st->workers.assign(workers.begin(), workers.end());
+  st->share.assign(spes, 0);
+  st->pending.assign(spes, false);
+  st->launched.assign(spes, false);
+  for (std::uint32_t k = 0; k < nw; ++k) {
+    const auto w = static_cast<std::size_t>(workers[k]);
+    st->share[w] = rest / nw + (k < rest % nw ? 1 : 0);
+    st->pending[w] = true;
+  }
 
-  auto st = std::make_shared<LoopState>();
   st->m = m;
   st->eng = eng;
   st->bal = &balancer;
@@ -268,80 +349,35 @@ void LoopExecutor::run(int master, std::vector<int> workers,
   st->clock = m->params().clock_ghz;
   st->join_cycles_per_worker = params_.join_per_worker_us * st->clock * 1e3 +
                                loop.reduction_cycles_per_worker;
+  st->send_us = params_.send_per_worker_us;
   st->max_dma_retries = params_.max_dma_retries;
   st->reassigned_ctr = &reassigned_chunks_;
   st->retry_ctr = &dma_retries_;
   st->imbalance_hist = imbalance_hist_;
-  st->release_hook = release_hook_;
+  st->release_hook = &release_hook_;
   st->remaining = static_cast<int>(workers.size());
+  st->master_done = false;
+  st->master_busy = false;
+  st->dead = false;
+  st->faulted = false;
+  st->finished = false;
+  st->extra_iters = 0;
+  st->observer = -1;
   st->start = eng->now();
+  st->master_end = sim::Time();
+  st->last_arrival = sim::Time();
   st->done = std::move(done);
-  for (std::size_t k = 0; k < workers.size(); ++k) {
-    st->pending.emplace(workers[k], w_iters[k]);
+  // Only a machine with a fault plan fails SPEs, so fault-free runs skip
+  // the observer (and its registration) entirely.
+  if (m->faults_installed()) {
+    st->observer =
+        m->add_fault_observer([st](int spe) { loop_on_failure(st, spe); });
   }
-  // Fail-stop hook: a lost worker's chunk moves to the master; a lost master
-  // kills the loop (the runtime driver's watchdog recovers the whole task).
-  st->observer = m->add_fault_observer([st](int spe) {
-    if (st->finished || st->dead) return;
-    if (spe == st->master) {
-      st->dead = true;
-      if (st->observer >= 0) {
-        st->m->remove_fault_observer(st->observer);
-        st->observer = -1;
-      }
-      // Free workers whose fetch chain never started (their Pass send was
-      // cut off with the master); started workers release themselves.
-      for (auto it = st->pending.begin(); it != st->pending.end();) {
-        const int w = it->first;
-        if (st->launched.count(w) != 0) {
-          ++it;
-          continue;
-        }
-        if (st->m->spe(w).usable() && !st->m->spe(w).idle()) {
-          st->m->spe(w).release(st->eng->now());
-        }
-        it = st->pending.erase(it);
-      }
-      // The driver's failure observer ran before this one (it registered
-      // first) and may have queued the re-dispatch while these workers were
-      // still reserved; tell it capacity is back.
-      if (st->release_hook) st->release_hook();
-      return;
-    }
-    loop_reassign(st, spe);
-  });
 
-  // Master-side chain: non-loop prologue, fork, serialized Pass sends (each
-  // occupying the master for send_per_worker_us), own chunk, then join (in
-  // loop_finish_check).  Send completions are at deterministic offsets, so
-  // they are scheduled directly instead of chained.
-  const double send_us = params_.send_per_worker_us;
-  const double fork_us = params_.fork_us;
-  auto start_sends = [st, workers, w_iters, m_iters, send_us] {
-    for (std::size_t k = 0; k < workers.size(); ++k) {
-      const double depart_us = send_us * static_cast<double>(k + 1);
-      st->eng->schedule_after(sim::Time::us(depart_us),
-                              [st, w = workers[k], iters = w_iters[k]] {
-        st->eng->schedule_after(st->m->pass_latency(st->master, w),
-                                [st, w, iters] {
-          loop_launch_worker(st, w, iters);
-        });
-      });
-    }
-    const double busy_us = send_us * static_cast<double>(workers.size());
-    st->eng->schedule_after(sim::Time::us(busy_us), [st, m_iters] {
-      const double cycles =
-          st->cycles_per_iter * static_cast<double>(m_iters);
-      st->m->spe_compute(st->master, cycles, [st] {
-        st->master_end = st->eng->now();
-        st->master_done = true;
-        loop_master_drain(st);
-      });
-    });
-  };
-
-  m->spe_compute(master, task.spe_cycles_nonloop, [st, start_sends, fork_us] {
-    st->eng->schedule_after(sim::Time::us(fork_us), start_sends);
+  // Master-side chain: non-loop prologue, fork, then the sends.
+  m->spe_compute(master, task.spe_cycles_nonloop,
+                 [st, fork = sim::Time::us(params_.fork_us)] {
+    st->eng->schedule_after(fork, [st] { loop_start_sends(st); });
   });
 }
 

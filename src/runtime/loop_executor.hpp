@@ -26,6 +26,8 @@
 #include <vector>
 
 #include "cellsim/machine.hpp"
+#include "sim/callback.hpp"
+#include "sim/pool.hpp"
 #include "task/task.hpp"
 
 namespace cbe::trace {
@@ -67,10 +69,16 @@ struct LoopParams {
   int max_dma_retries = 3;          ///< worker-fetch retries before reassign
 };
 
+/// Per-invocation state of one work-shared loop (loop_executor.cpp).
+struct LoopState;
+
 class LoopExecutor {
  public:
-  LoopExecutor(cell::CellMachine& machine, LoopParams params)
-      : machine_(&machine), params_(params) {}
+  /// Loop-completion continuation (see sim/callback.hpp for the contract).
+  using Done = sim::InlineFn<void(), sim::kContinuationBytes>;
+
+  LoopExecutor(cell::CellMachine& machine, LoopParams params);
+  ~LoopExecutor();
 
   /// Executes `task`'s loop across `master` plus `workers` (all already
   /// reserved by the caller).  Worker SPEs are released as their chunks
@@ -78,8 +86,8 @@ class LoopExecutor {
   /// the reduction are complete on the master (before result commit).
   /// If the master fail-stops mid-loop, `done` never fires and the caller's
   /// watchdog must recover.
-  void run(int master, std::vector<int> workers, const task::TaskDesc& task,
-           LoopBalancer& balancer, std::function<void()> done);
+  void run(int master, const std::vector<int>& workers,
+           const task::TaskDesc& task, LoopBalancer& balancer, Done done);
 
   const LoopParams& params() const noexcept { return params_; }
 
@@ -111,6 +119,7 @@ class LoopExecutor {
   std::uint64_t dma_retries_ = 0;
   std::function<void()> release_hook_;
   trace::Histogram* imbalance_hist_ = nullptr;
+  sim::RecordPool<LoopState> states_;
 };
 
 }  // namespace cbe::rt

@@ -18,7 +18,8 @@
 // holding the wrong variant (the paper's "code replacement" cost).
 #pragma once
 
-#include <set>
+#include <cstdint>
+#include <vector>
 
 #include "runtime/policy.hpp"
 #include "trace/trace.hpp"
@@ -60,21 +61,20 @@ class MgpsPolicy final : public SchedulerPolicy {
     min_chunk_cycles_ = c;
   }
 
-  void on_offload(const RuntimeView&, int pid) override {
-    window_pids_.insert(pid);
-  }
+  void on_offload(const RuntimeView&, int pid) override { note_pid(pid); }
 
   void on_departure(const RuntimeView& view, int pid) override {
-    window_pids_.insert(pid);
+    note_pid(pid);
     if (++departures_ % history_window_ != 0) return;
-    evaluate(view, static_cast<int>(window_pids_.size()));
-    window_pids_.clear();
+    evaluate(view, window_distinct_);
+    std::fill(window_pids_.begin(), window_pids_.end(), 0);
+    window_distinct_ = 0;
   }
 
   void on_timer(const RuntimeView& view) override {
     // Low off-load rates never fill the window; re-evaluate from whatever
     // history exists, treating the live process count as the TLP degree.
-    const int u = std::max(static_cast<int>(window_pids_.size()),
+    const int u = std::max(window_distinct_,
                            std::min(view.active_processes, view.total_spes));
     evaluate(view, u);
   }
@@ -82,6 +82,16 @@ class MgpsPolicy final : public SchedulerPolicy {
   int current_degree() const noexcept { return current_degree_; }
 
  private:
+  /// Adds `pid` to the window's distinct-process set.
+  void note_pid(int pid) {
+    const auto word = static_cast<std::size_t>(pid) / 64;
+    const std::uint64_t bit = std::uint64_t{1} << (pid % 64);
+    if (word >= window_pids_.size()) window_pids_.resize(word + 1, 0);
+    if ((window_pids_[word] & bit) != 0) return;
+    window_pids_[word] |= bit;
+    ++window_distinct_;
+  }
+
   void evaluate(const RuntimeView& view, int u) {
     const int prev_degree = current_degree_;
     // Fail-stopped SPEs are gone for good: every decision is made against
@@ -119,7 +129,10 @@ class MgpsPolicy final : public SchedulerPolicy {
   std::uint64_t min_chunk_cycles_ = 20000;  // ~6 us at 3.2 GHz
   int current_degree_ = 1;
   std::uint64_t departures_ = 0;
-  std::set<int> window_pids_;
+  /// The window's distinct off-loading processes: a pid bitmap plus its
+  /// population count (U).
+  std::vector<std::uint64_t> window_pids_;
+  int window_distinct_ = 0;
 };
 
 }  // namespace cbe::rt

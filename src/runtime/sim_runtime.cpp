@@ -11,6 +11,8 @@
 #include "cellsim/machine.hpp"
 #include "cellsim/mfc.hpp"
 #include "sim/engine.hpp"
+#include "sim/fifo.hpp"
+#include "sim/pool.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 #include "util/crc32.hpp"
@@ -32,6 +34,15 @@ std::uint64_t task_result_hash(int bootstrap, std::size_t pc) noexcept {
   return util::splitmix64(s);
 }
 
+/// Every continuation of the off-load chain captures `{this, record}`; this
+/// pins that it fits the machine's inline buffer, so no stage allocates.
+template <typename F>
+F inline_cont(F f) {
+  static_assert(cell::CellMachine::Fn::fits_inline<F>,
+                "off-load continuation exceeds the machine's inline buffer");
+  return f;
+}
+
 class Driver {
  public:
   Driver(const task::Workload& wl, SchedulerPolicy& policy,
@@ -51,17 +62,34 @@ class Driver {
   RunResult run();
 
  private:
-  /// Shared bookkeeping for one off-load attempt; completion chains and the
+  /// The record of one off-load attempt: everything its continuation chain
+  /// needs, so each stage captures only `{this, ref}`.  Under faults the
   /// recovery paths (watchdog, fail-stop observer, DMA-retry exhaustion)
   /// coordinate through it so the attempt is torn down exactly once.
-  struct Attempt {
+  /// Pooled: a superseded attempt keeps its record until its last callback
+  /// drops, and a recycled record keeps its worker list's capacity.
+  struct Attempt : sim::Pooled<Attempt> {
+    int pid = -1;
+    std::uint64_t id = 0;    ///< attempt generation (always 0 without faults)
+    std::uint64_t span = 0;  ///< causal span shared by dispatch and completion
+    const task::TaskDesc* task = nullptr;  ///< the workload outlives the run
+    std::size_t kind = 0;
+    int master = -1;
+    std::vector<int> workers;  ///< reserved loop participants
+    int degree = 1;
+    cell::ModuleVariant variant = cell::ModuleVariant::Sequential;
+    int chunks_in = 0;
+    int chunks_out = 0;
+    bool output = false;        ///< the task transfer in flight is the output
+    int tries = 0;              ///< retries of the task transfer in flight
     bool closed = false;        ///< outstanding_tasks_ released / decremented
     bool loop_started = false;  ///< loop_exec_.run was invoked
     bool dma_poison = false;    ///< silent payload corruption went unframed
     bool res_poison = false;    ///< result corruption injected this attempt
-    int master = -1;
-    std::vector<int> workers;   ///< reserved loop participants
+
+    void recycle() noexcept {}
   };
+  using AttemptRef = sim::Ref<Attempt>;
 
   struct Proc {
     int pid = -1;
@@ -75,7 +103,7 @@ class Driver {
     std::uint64_t attempt = 0;  ///< generation: stale completions compare it
     int retries = 0;            ///< recovery re-offloads of the current task
     sim::EventId watchdog;
-    std::shared_ptr<Attempt> att;  ///< current (latest) attempt, if any
+    AttemptRef att;  ///< current (latest) attempt, under faults only
   };
   // Granularity accounting (Section 5.2): the first few off-loads of each
   // kernel class are profiled against the t_spe + t_code + 2 t_comm < t_ppe
@@ -128,6 +156,15 @@ class Driver {
   void run_segment(int pid);
   void dispatch(int pid);
   void begin_offload(int pid, const std::vector<int>& idle, bool from_queue);
+  // -- The off-load chain, one member per stage (see begin_offload) --------
+  void load_code(const AttemptRef& a);
+  void start_transfer(const AttemptRef& a, bool output);
+  void task_dma(const AttemptRef& a);
+  void on_task_dma(const AttemptRef& a, bool ok, bool corrupt);
+  void run_task(const AttemptRef& a);
+  void post_compute(const AttemptRef& a);
+  void after_verify(const AttemptRef& a);
+  void output_done(const AttemptRef& a);
   void on_task_done(int pid, std::uint64_t attempt_id);
   void after_ppe_task(int pid);
   void resume(int pid);
@@ -139,14 +176,10 @@ class Driver {
   void setup_faults();
   void on_spe_failure(int spe);
   void on_watchdog(int pid, std::uint64_t attempt_id);
-  void abandon_attempt(int pid, std::uint64_t attempt_id,
-                       const std::shared_ptr<Attempt>& att);
+  void abandon_attempt(const AttemptRef& att);
   void redispatch(int pid);
   void ppe_recover(int pid);
   void rescue_wait_queue();
-  void task_dma(int pid, std::uint64_t attempt_id,
-                const std::shared_ptr<Attempt>& att, int spe, double bytes,
-                int chunks, int tries, std::function<void()> done);
   void mark_recovered(int bootstrap) {
     recovered_.at(static_cast<std::size_t>(bootstrap)) = 1;
   }
@@ -164,6 +197,9 @@ class Driver {
   const task::Workload& wl_;
   SchedulerPolicy& policy_;
   RunConfig cfg_;
+  /// Declared before the engine and the machine so it outlives every
+  /// callback that still holds a record when the run is torn down.
+  sim::RecordPool<Attempt> attempts_;
   sim::Engine eng_;
   task::ModuleRegistry modules_;
   cell::CellMachine machine_;
@@ -173,7 +209,8 @@ class Driver {
 
   std::vector<Proc> procs_;
   std::deque<int> bootstrap_queue_;
-  std::deque<int> wait_queue_;
+  sim::Fifo<int> wait_queue_;
+  std::vector<int> idle_;  ///< idle-SPE scan buffer, reused by every dispatch
   int active_processes_ = 0;
   int outstanding_tasks_ = 0;
   sim::EventId timer_event_;
@@ -396,8 +433,8 @@ void Driver::dispatch(int pid) {
     return;
   }
 
-  std::vector<int> idle = machine_.idle_spes(p.cell);
-  if (idle.empty()) {
+  machine_.idle_spes(p.cell, idle_);
+  if (idle_.empty()) {
     CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::TaskQueued,
                     -1, pid, p.bootstrap, 0);
     wait_queue_.push_back(pid);
@@ -405,8 +442,8 @@ void Driver::dispatch(int pid) {
     // Spin-wait policies keep the context while queued.
     return;
   }
-  prefer_affine_spe(p, idle);
-  begin_offload(pid, idle, /*from_queue=*/false);
+  prefer_affine_spe(p, idle_);
+  begin_offload(pid, idle_, /*from_queue=*/false);
 }
 
 void Driver::begin_offload(int pid, const std::vector<int>& idle,
@@ -444,11 +481,13 @@ void Driver::begin_offload(int pid, const std::vector<int>& idle,
 
   const int master = idle[0];
   p.last_spe = master;
+  const AttemptRef a = attempts_.acquire();
   // Loop work-sharing stays within the master's Cell: the Pass protocol
   // relies on local-EIB SPE-to-SPE puts (Section 5.3.1), and splitting a
   // loop across the blade's Cells would stream chunks over the slow
   // inter-Cell path.
-  std::vector<int> workers;
+  std::vector<int>& workers = a->workers;
+  workers.clear();
   for (auto it = idle.begin() + 1;
        it != idle.end() && static_cast<int>(workers.size()) < d - 1; ++it) {
     if (machine_.spe(*it).cell() == machine_.spe(master).cell()) {
@@ -511,16 +550,24 @@ void Driver::begin_offload(int pid, const std::vector<int>& idle,
                 static_cast<std::size_t>(t.dma_out_bytes), cfg_.cell)
           : cell::MfcRules::naive_chunks(
                 static_cast<std::size_t>(t.dma_out_bytes));
-  const task::TaskDesc* tp = &t;  // workload outlives the run
-
-  std::shared_ptr<Attempt> att;
-  std::uint64_t attempt_id = 0;
+  a->pid = pid;
+  a->id = 0;
+  a->span = span_id;
+  a->task = &t;
+  a->kind = kind;
+  a->master = master;
+  a->degree = d;
+  a->variant = variant;
+  a->chunks_in = chunks_in;
+  a->chunks_out = chunks_out;
+  a->closed = false;
+  a->loop_started = false;
+  a->dma_poison = false;
+  a->res_poison = false;
   if (faults_on_) {
-    att = std::make_shared<Attempt>();
-    att->master = master;
-    att->workers = workers;
-    p.att = att;
-    attempt_id = ++p.attempt;
+    p.att = a;
+    const std::uint64_t attempt_id = ++p.attempt;
+    a->id = attempt_id;
     // Deadline: a generous multiple of the intrinsic off-load cost — the
     // same quantities the granularity test reasons about.  A straggling or
     // silently stuck attempt past this point is superseded and re-issued.
@@ -537,86 +584,156 @@ void Driver::begin_offload(int pid, const std::vector<int>& idle,
     });
   }
 
-  auto after_compute = [this, pid, master, tp, chunks_out, att, attempt_id] {
-    task_dma(pid, attempt_id, att, master, tp->dma_out_bytes, chunks_out, 0,
-             [this, pid, master, att, attempt_id] {
-      machine_.spe(master).release(eng_.now());
-      --outstanding_tasks_;
-      if (att) att->closed = true;
-      machine_.signal(master, [this, pid, attempt_id] {
-        on_task_done(pid, attempt_id);
-      });
-    });
-  };
-
-  // Integrity stage between compute and the output transfer: the seeded
-  // oracle may flip the declared result, and the sampled redundant-execution
-  // check re-runs the task and compares — the only detector that can see a
-  // wrong-but-well-framed result (DESIGN.md §11).
-  auto post_compute = [this, pid, master, tp, att, attempt_id, span_id,
-                       after_compute] {
-    trace::ScopedSpan span(span_id);
-    if (!faults_on_ && !cfg_.integrity.enabled()) {
-      after_compute();
-      return;
-    }
-    const std::uint64_t tix = task_seq_++;
-    if (faults_on_ && fault_plan_.result_corrupts(tix)) {
-      ++res_.corrupt_injected;
-      CBE_TRACE_EVENT(eng_.now().nanoseconds(),
-                      trace::EventKind::ResultCorrupt, master, pid, 1,
-                      static_cast<std::int64_t>(tix));
-      if (att) att->res_poison = true;
-    }
-    if (!sim::verify_sampled(cfg_.fault.seed, tix,
-                             cfg_.integrity.verify_fraction)) {
-      after_compute();
-      return;
-    }
-    ++res_.verify_reexecs;
-    machine_.spe_compute(
-        master, tp->spe_cycles_total(),
-        [this, pid, master, att, attempt_id, span_id, after_compute] {
-          trace::ScopedSpan span(span_id);
-          if (att && att->res_poison && !att->closed) {
-            ++res_.corrupt_detected;
-            CBE_TRACE_EVENT(eng_.now().nanoseconds(),
-                            trace::EventKind::ResultCorrupt, master, pid, 2,
-                            0);
-            note_strike(master);
-            // Quarantine (inside note_strike) may already have torn the
-            // attempt down and re-issued the task via the observer path.
-            abandon_attempt(pid, attempt_id, att);
-            return;
-          }
-          after_compute();
-        });
-  };
-
-  machine_.signal(master, [this, master, tp, variant, chunks_in, d, pid,
-                           workers = std::move(workers), post_compute,
-                           kind, att, attempt_id]() mutable {
-    machine_.ensure_module(master, tp->module_id, variant,
-                           [this, master, tp, chunks_in, d, pid,
-                            workers = std::move(workers), post_compute,
-                            kind, att, attempt_id]() mutable {
-      task_dma(pid, attempt_id, att, master, tp->dma_in_bytes, chunks_in, 0,
-               [this, master, tp, d, workers = std::move(workers),
-                post_compute, kind, att]() mutable {
-        if (d == 1) {
-          machine_.spe_compute(master, tp->spe_cycles_total(),
-                               post_compute);
-        } else {
-          if (att) att->loop_started = true;
-          loop_exec_.run(master, std::move(workers), *tp, balancers_[kind],
-                         post_compute);
-        }
-      });
-    });
-  });
+  // The chain: dispatch signal -> code load -> input transfer -> compute or
+  // loop -> integrity stage -> output transfer -> release + completion
+  // signal -> on_task_done.
+  machine_.signal(master, inline_cont([this, a] { load_code(a); }));
 
   if (!from_queue && policy_.yield_on_offload()) ppe(p).yield(p.ppe_pid);
   // Spin-wait policies keep the context until on_task_done resumes them.
+}
+
+void Driver::load_code(const AttemptRef& a) {
+  machine_.ensure_module(a->master, a->task->module_id, a->variant,
+                         inline_cont([this, a] { start_transfer(a, false); }));
+}
+
+void Driver::start_transfer(const AttemptRef& a, bool output) {
+  a->output = output;
+  a->tries = 0;
+  task_dma(a);
+}
+
+void Driver::task_dma(const AttemptRef& a) {
+  const double bytes =
+      a->output ? a->task->dma_out_bytes : a->task->dma_in_bytes;
+  const int chunks = a->output ? a->chunks_out : a->chunks_in;
+  // dma_verified shares dma_checked's transient stream, so fault replay is
+  // unchanged; it additionally reports the silent-corruption channel.
+  machine_.dma_verified(a->master, bytes, chunks,
+                        inline_cont([this, a](bool ok, bool corrupt) {
+                          on_task_dma(a, ok, corrupt);
+                        }));
+}
+
+void Driver::on_task_dma(const AttemptRef& a, bool ok, bool corrupt) {
+  if (ok && corrupt) {
+    if (cfg_.integrity.crc_framing) {
+      // The consumer's end-to-end CRC check rejects the poisoned payload;
+      // the transfer is retried like a transport failure, but attributed
+      // to the Corruption cause (counters + quarantine strikes).
+      ++res_.corrupt_detected;
+      note_strike(a->master);
+      if (a->closed) {
+        // Quarantine tore the attempt down and re-issued the task.
+        serve_wait_queue();
+        return;
+      }
+      if (a->tries < cfg_.loop.max_dma_retries) {
+        ++res_.integrity_retries;
+        ++a->tries;
+        task_dma(a);
+        return;
+      }
+      abandon_attempt(a);
+      return;
+    }
+    // Without framing the bit-flip sails through and poisons whatever
+    // this attempt commits.
+    a->dma_poison = true;
+  }
+  if (ok) {
+    const double bytes =
+        a->output ? a->task->dma_out_bytes : a->task->dma_in_bytes;
+    auto next = inline_cont([this, a] {
+      if (a->output) {
+        output_done(a);
+      } else {
+        run_task(a);
+      }
+    });
+    if (cfg_.integrity.crc_framing && bytes > 0.0) {
+      // Modeled cost of computing/verifying the frame CRC at the consumer.
+      eng_.schedule_after(
+          sim::cycles_to_time(bytes * cfg_.integrity.crc_cycles_per_byte,
+                              clock()),
+          std::move(next));
+      return;
+    }
+    next();
+    return;
+  }
+  if (a->tries < cfg_.loop.max_dma_retries) {
+    ++res_.dma_retries;
+    ++a->tries;
+    task_dma(a);
+    return;
+  }
+  // Transfer permanently lost: tear the attempt down and recover.
+  abandon_attempt(a);
+}
+
+void Driver::run_task(const AttemptRef& a) {
+  auto done = inline_cont([this, a] { post_compute(a); });
+  if (a->degree == 1) {
+    machine_.spe_compute(a->master, a->task->spe_cycles_total(),
+                         std::move(done));
+    return;
+  }
+  a->loop_started = true;
+  loop_exec_.run(a->master, a->workers, *a->task, balancers_[a->kind],
+                 std::move(done));
+}
+
+// Integrity stage between compute and the output transfer: the seeded
+// oracle may flip the declared result, and the sampled redundant-execution
+// check re-runs the task and compares — the only detector that can see a
+// wrong-but-well-framed result (DESIGN.md §11).
+void Driver::post_compute(const AttemptRef& a) {
+  trace::ScopedSpan span(a->span);
+  if (!faults_on_ && !cfg_.integrity.enabled()) {
+    start_transfer(a, /*output=*/true);
+    return;
+  }
+  const std::uint64_t tix = task_seq_++;
+  if (faults_on_ && fault_plan_.result_corrupts(tix)) {
+    ++res_.corrupt_injected;
+    CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::ResultCorrupt,
+                    a->master, a->pid, 1, static_cast<std::int64_t>(tix));
+    a->res_poison = true;
+  }
+  if (!sim::verify_sampled(cfg_.fault.seed, tix,
+                           cfg_.integrity.verify_fraction)) {
+    start_transfer(a, /*output=*/true);
+    return;
+  }
+  ++res_.verify_reexecs;
+  machine_.spe_compute(a->master, a->task->spe_cycles_total(),
+                       inline_cont([this, a] { after_verify(a); }));
+}
+
+void Driver::after_verify(const AttemptRef& a) {
+  trace::ScopedSpan span(a->span);
+  if (a->res_poison && !a->closed) {
+    ++res_.corrupt_detected;
+    CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::ResultCorrupt,
+                    a->master, a->pid, 2, 0);
+    note_strike(a->master);
+    // Quarantine (inside note_strike) may already have torn the attempt
+    // down and re-issued the task via the observer path.
+    abandon_attempt(a);
+    return;
+  }
+  start_transfer(a, /*output=*/true);
+}
+
+void Driver::output_done(const AttemptRef& a) {
+  machine_.spe(a->master).release(eng_.now());
+  --outstanding_tasks_;
+  a->closed = true;
+  machine_.signal(a->master, inline_cont([this, a] {
+                    on_task_done(a->pid, a->id);
+                  }));
 }
 
 void Driver::on_task_done(int pid, std::uint64_t attempt_id) {
@@ -687,11 +804,11 @@ void Driver::serve_wait_queue() {
   while (!wait_queue_.empty()) {
     const int pid = wait_queue_.front();
     Proc& p = procs_[static_cast<std::size_t>(pid)];
-    std::vector<int> idle = machine_.idle_spes(p.cell);
-    if (idle.empty()) break;
+    machine_.idle_spes(p.cell, idle_);
+    if (idle_.empty()) break;
     wait_queue_.pop_front();
-    prefer_affine_spe(p, idle);
-    begin_offload(pid, idle, /*from_queue=*/true);
+    prefer_affine_spe(p, idle_);
+    begin_offload(pid, idle_, /*from_queue=*/true);
   }
 }
 
@@ -702,64 +819,6 @@ void Driver::prefer_affine_spe(const Proc& p, std::vector<int>& idle) {
   if (p.last_spe < 0) return;
   auto it = std::find(idle.begin(), idle.end(), p.last_spe);
   if (it != idle.end() && it != idle.begin()) std::iter_swap(idle.begin(), it);
-}
-
-void Driver::task_dma(int pid, std::uint64_t attempt_id,
-                      const std::shared_ptr<Attempt>& att, int spe,
-                      double bytes, int chunks, int tries,
-                      std::function<void()> done) {
-  // dma_verified shares dma_checked's transient stream, so fault replay is
-  // unchanged; it additionally reports the silent-corruption channel.
-  machine_.dma_verified(spe, bytes, chunks,
-                        [this, pid, attempt_id, att, spe, bytes, chunks,
-                         tries, done = std::move(done)](bool ok,
-                                                        bool corrupt) mutable {
-    if (ok && corrupt) {
-      if (cfg_.integrity.crc_framing) {
-        // The consumer's end-to-end CRC check rejects the poisoned payload;
-        // the transfer is retried like a transport failure, but attributed
-        // to the Corruption cause (counters + quarantine strikes).
-        ++res_.corrupt_detected;
-        note_strike(spe);
-        if (att && att->closed) {
-          // Quarantine tore the attempt down and re-issued the task.
-          serve_wait_queue();
-          return;
-        }
-        if (tries < cfg_.loop.max_dma_retries) {
-          ++res_.integrity_retries;
-          task_dma(pid, attempt_id, att, spe, bytes, chunks, tries + 1,
-                   std::move(done));
-          return;
-        }
-        abandon_attempt(pid, attempt_id, att);
-        return;
-      }
-      // Without framing the bit-flip sails through and poisons whatever
-      // this attempt commits.
-      if (att) att->dma_poison = true;
-    }
-    if (ok) {
-      if (cfg_.integrity.crc_framing && bytes > 0.0) {
-        // Modeled cost of computing/verifying the frame CRC at the consumer.
-        eng_.schedule_after(
-            sim::cycles_to_time(bytes * cfg_.integrity.crc_cycles_per_byte,
-                                clock()),
-            std::move(done));
-        return;
-      }
-      done();
-      return;
-    }
-    if (tries < cfg_.loop.max_dma_retries) {
-      ++res_.dma_retries;
-      task_dma(pid, attempt_id, att, spe, bytes, chunks, tries + 1,
-               std::move(done));
-      return;
-    }
-    // Transfer permanently lost: tear the attempt down and recover.
-    abandon_attempt(pid, attempt_id, att);
-  });
 }
 
 void Driver::note_strike(int spe) {
@@ -787,10 +846,10 @@ void Driver::commit_result(int pid, bool poisoned) {
   dg = util::crc32(&h, sizeof h, dg);
 }
 
-void Driver::abandon_attempt(int pid, std::uint64_t attempt_id,
-                             const std::shared_ptr<Attempt>& att) {
-  Proc& p = procs_[static_cast<std::size_t>(pid)];
-  if (!att || att->closed) return;
+void Driver::abandon_attempt(const AttemptRef& att) {
+  Proc& p = procs_[static_cast<std::size_t>(att->pid)];
+  const std::uint64_t attempt_id = att->id;
+  if (att->closed) return;
   att->closed = true;
   --outstanding_tasks_;
   if (machine_.spe(att->master).usable() &&
@@ -817,7 +876,7 @@ void Driver::abandon_attempt(int pid, std::uint64_t attempt_id,
   mark_recovered(p.bootstrap);
   ++p.attempt;
   ++p.retries;
-  redispatch(pid);
+  redispatch(att->pid);
   serve_wait_queue();
 }
 
@@ -831,7 +890,7 @@ void Driver::on_watchdog(int pid, std::uint64_t attempt_id) {
                   static_cast<std::int64_t>(attempt_id), 0);
   res_.wasted_cycles += segment(p).task.spe_cycles_total();
   mark_recovered(p.bootstrap);
-  std::shared_ptr<Attempt> att = p.att;
+  const AttemptRef att = p.att;
   if (!machine_.spe(att->master).usable() && !att->closed) {
     // Master fail-stop the observer did not tear down; do it here.
     att->closed = true;
@@ -858,7 +917,7 @@ void Driver::on_spe_failure(int spe) {
     if (p.finished || !p.att || p.att->closed || p.att->master != spe) {
       continue;
     }
-    std::shared_ptr<Attempt> att = p.att;
+    const AttemptRef att = p.att;
     att->closed = true;
     --outstanding_tasks_;
     if (!att->loop_started) {
@@ -889,15 +948,15 @@ void Driver::redispatch(int pid) {
     ppe_recover(pid);
     return;
   }
-  std::vector<int> idle = machine_.idle_spes(p.cell);
-  if (idle.empty()) {
+  machine_.idle_spes(p.cell, idle_);
+  if (idle_.empty()) {
     CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::TaskQueued,
                     -1, pid, p.bootstrap, 1);
     wait_queue_.push_back(pid);
     return;
   }
-  prefer_affine_spe(p, idle);
-  begin_offload(pid, idle, /*from_queue=*/true);
+  prefer_affine_spe(p, idle_);
+  begin_offload(pid, idle_, /*from_queue=*/true);
 }
 
 void Driver::ppe_recover(int pid) {

@@ -29,7 +29,8 @@ TEST_F(MachineTest, TopologyBlade) {
 
 TEST_F(MachineTest, IdleSpesPreferRequestedCell) {
   CellMachine m(eng, CellParams::blade(), modules);
-  const auto pref1 = m.idle_spes(1);
+  std::vector<int> pref1;
+  m.idle_spes(1, pref1);
   ASSERT_EQ(pref1.size(), 16u);
   EXPECT_EQ(m.spe(pref1.front()).cell(), 1);
   EXPECT_EQ(m.spe(pref1.back()).cell(), 0);
@@ -39,12 +40,35 @@ TEST_F(MachineTest, IdleSpesSkipBusy) {
   CellMachine m(eng, params, modules);
   m.spe(0).reserve(eng.now());
   m.spe(3).reserve(eng.now());
-  const auto idle = m.idle_spes(0);
+  std::vector<int> idle = {42};  // the buffer is overwritten, not appended
+  m.idle_spes(0, idle);
   EXPECT_EQ(idle.size(), 6u);
   for (int s : idle) {
     EXPECT_NE(s, 0);
     EXPECT_NE(s, 3);
   }
+  EXPECT_EQ(m.count_idle_spes(), 6);
+}
+
+TEST_F(MachineTest, MaintainedCountsTrackReserveReleaseAndFailure) {
+  CellMachine m(eng, CellParams::blade(), modules);
+  const sim::FaultPlan plan;
+  m.spe(1).reserve(eng.now());
+  m.spe(9).reserve(eng.now());
+  EXPECT_EQ(m.count_idle_spes(), 14);
+  EXPECT_THROW(m.fail_spe(2), std::logic_error);  // no plan installed
+  m.install_faults(plan);
+  m.fail_spe(1);  // busy SPE: its reservation goes with it
+  m.fail_spe(2);  // idle SPE
+  m.fail_spe(2);  // already failed: no double count
+  EXPECT_EQ(m.failed_spes(), 2);
+  EXPECT_EQ(m.healthy_spes(), 14);
+  EXPECT_EQ(m.count_idle_spes(), 13);
+  m.spe(9).release(eng.now());
+  EXPECT_EQ(m.count_idle_spes(), 14);
+  std::vector<int> idle;
+  m.idle_spes(0, idle);
+  EXPECT_EQ(static_cast<int>(idle.size()), m.count_idle_spes());
 }
 
 TEST_F(MachineTest, EnsureModuleLoadsOnceThenFree) {

@@ -43,16 +43,28 @@ TEST(PoolStress, ManyExternalProducers) {
     for (auto& f : fs) f.get();
   }
   EXPECT_EQ(ran.load(), kProducers * kTasksPerProducer);
-  // tasks_executed() is bumped after the job body (which fulfils the
-  // future), so the bookkeeping may trail the futures by a moment.
-  const auto target =
-      static_cast<std::uint64_t>(kProducers * kTasksPerProducer);
-  const auto deadline = std::chrono::steady_clock::now() + 5s;
-  while (pool.tasks_executed() < target &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::yield();
+  // The counter is published before a job's future completes, so it is
+  // exact the moment the last future resolves.
+  EXPECT_EQ(pool.tasks_executed(),
+            static_cast<std::uint64_t>(kProducers * kTasksPerProducer));
+}
+
+TEST(PoolStress, CountersAreExactOnceFuturesResolve) {
+  // Regression for a counter published after the job body had already
+  // completed the caller's future: a caller reading tasks_executed() right
+  // after its last future resolved could see one task short.  Spinning on
+  // the futures reads the counter within nanoseconds of completion, which
+  // is the window that race needs.
+  for (int round = 0; round < 200; ++round) {
+    OffloadPool pool(2);
+    std::vector<std::future<void>> futs;
+    for (int i = 0; i < 20; ++i) futs.push_back(pool.offload([] {}));
+    for (auto& f : futs) {
+      while (f.wait_for(0s) != std::future_status::ready) {
+      }
+    }
+    ASSERT_EQ(pool.tasks_executed(), 20u) << "round " << round;
   }
-  EXPECT_GE(pool.tasks_executed(), target);
 }
 
 TEST(PoolStress, BlockedSpawnerForcesStealing) {
