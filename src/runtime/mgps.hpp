@@ -18,6 +18,7 @@
 // holding the wrong variant (the paper's "code replacement" cost).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 

@@ -155,6 +155,16 @@ TEST_F(TraceGoldenTest, FaultScenarioExercisesEveryRecoveryPath) {
         " dma_corrupt ", " result_corrupt ", " quarantine ", " reoffload "}) {
     EXPECT_NE(text.find(kind), std::string::npos) << kind;
   }
+  // The master fail-stop abandons a loop: one fork never joins.
+  const auto count = [&text](const std::string& kind) {
+    std::size_t n = 0;
+    for (auto at = text.find(kind); at != std::string::npos;
+         at = text.find(kind, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_GT(count(" loop_fork "), count(" loop_join "));
 }
 
 TEST_F(TraceGoldenTest, RecoveryMachineryAppearsInTheStream) {
