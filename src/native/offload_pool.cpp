@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "trace/metrics.hpp"
+#include "trace/recorder.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
 
@@ -38,11 +39,11 @@ OffloadPool::OffloadPool(int workers) {
   }
 }
 
-void OffloadPool::set_trace(trace::ConcurrentTraceSink* sink) noexcept {
+void OffloadPool::set_trace(trace::FlightRecorder* rec) noexcept {
 #if CBE_TRACE_ENABLED
-  trace_sink_.store(sink, std::memory_order_release);
+  trace_rec_.store(rec, std::memory_order_release);
 #else
-  (void)sink;
+  (void)rec;
 #endif
 }
 
@@ -314,12 +315,6 @@ void OffloadPool::watchdog_loop() {
 
 void OffloadPool::worker_loop(int index) {
   tls_worker = WorkerTls{this, index};
-#if CBE_TRACE_ENABLED
-  // Lazily (re-)attach this worker's single-writer buffer when a sink is
-  // installed; the buffer pointer is thread-private from then on.
-  trace::ConcurrentTraceSink* attached_to = nullptr;
-  trace::ConcurrentTraceSink::Buffer* buf = nullptr;
-#endif
   WorkStealingDeque<Job>& own = *deques_[static_cast<std::size_t>(index)];
   for (;;) {
     // Own deque (LIFO, lock-free) -> injection queue -> steal (FIFO).
@@ -360,17 +355,12 @@ void OffloadPool::worker_loop(int index) {
     // both trace records below and any nested enqueue() inherit it.
     trace::ScopedSpan span(job->span);
 #if CBE_TRACE_ENABLED
-    trace::ConcurrentTraceSink* sink =
-        trace_sink_.load(std::memory_order_acquire);
-    if (sink != attached_to) {
-      attached_to = sink;
-      buf = sink != nullptr ? sink->attach() : nullptr;
-    }
+    trace::FlightRecorder* rec = trace_rec_.load(std::memory_order_acquire);
     const auto task_id = static_cast<std::int32_t>(
         next_task_id_.fetch_add(1, std::memory_order_relaxed));
     const auto t0 = std::chrono::steady_clock::now();
-    if (buf != nullptr) {
-      buf->record(
+    if (rec != nullptr) {
+      rec->record(
           std::chrono::duration_cast<std::chrono::nanoseconds>(t0 - epoch_)
               .count(),
           trace::EventKind::TaskDispatch, index, task_id);
@@ -383,8 +373,8 @@ void OffloadPool::worker_loop(int index) {
     delete job;
 #if CBE_TRACE_ENABLED
     const auto t1 = std::chrono::steady_clock::now();
-    if (buf != nullptr) {
-      buf->record(
+    if (rec != nullptr) {
+      rec->record(
           std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - epoch_)
               .count(),
           trace::EventKind::TaskComplete, index, task_id);

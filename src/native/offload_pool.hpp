@@ -37,7 +37,7 @@
 #include "native/work_deque.hpp"
 
 namespace cbe::trace {
-class ConcurrentTraceSink;
+class FlightRecorder;
 class Histogram;
 class MetricsRegistry;
 }  // namespace cbe::trace
@@ -210,11 +210,14 @@ class OffloadPool {
     return integrity_mismatches_.load(std::memory_order_relaxed);
   }
 
-  /// Streams per-task dispatch/complete events into `sink` (timestamps are
+  /// Streams per-task dispatch/complete events into `rec` (timestamps are
   /// steady-clock ns since pool construction; spe=worker index).  Each
-  /// worker writes its own single-writer buffer, so recording is lock-free.
-  /// Pass nullptr to detach.  A no-op with CBE_TRACE=OFF.
-  void set_trace(trace::ConcurrentTraceSink* sink) noexcept;
+  /// worker records into its own ring of `rec`, so recording is lock-free;
+  /// size the ring for the events to keep.  Pass nullptr to detach.  A task
+  /// that started while `rec` was installed still records its completion
+  /// into it, so `rec` must outlive every such task.  A no-op with
+  /// CBE_TRACE=OFF.
+  void set_trace(trace::FlightRecorder* rec) noexcept;
   /// Records per-task latency into `m`'s "native.task_us" histogram.
   /// Pass nullptr to detach.  A no-op with CBE_TRACE=OFF.
   void set_metrics(trace::MetricsRegistry* m);
@@ -273,7 +276,7 @@ class OffloadPool {
   // Observability (see set_trace / set_metrics).
   const std::chrono::steady_clock::time_point epoch_ =
       std::chrono::steady_clock::now();
-  std::atomic<trace::ConcurrentTraceSink*> trace_sink_{nullptr};
+  std::atomic<trace::FlightRecorder*> trace_rec_{nullptr};
   std::atomic<trace::Histogram*> task_hist_{nullptr};
   std::atomic<std::uint64_t> next_task_id_{0};
 

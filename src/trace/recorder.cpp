@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <memory>
 #include <mutex>
+#include <type_traits>
 
 #include "trace/export.hpp"
 #include "util/log.hpp"
@@ -11,11 +13,44 @@
 namespace cbe::trace {
 
 // One single-writer ring.  `head` counts every record by the owning thread;
-// slot i of event n lives at n % capacity.  The writer stores the slot, then
-// release-stores head; readers acquire head and copy only published slots.
+// event n lives in slot n % slots, and the ring has one slot more than the
+// capacity so the slot being written never holds an event tail() may keep.
+// Slots are stored as atomic words: a reader copying the oldest slot while
+// the writer overwrites it must not race, only lose that event.  The writer
+// release-stores every word and then the head; readers acquire both, so
+// reading any word of a newer event proves the head has moved past it.
 struct FlightRecorder::Ring {
-  explicit Ring(std::size_t capacity) : slots(capacity) {}
-  std::vector<Event> slots;
+  static constexpr std::size_t kWords = sizeof(Event) / sizeof(std::uint64_t);
+  static_assert(sizeof(Event) % sizeof(std::uint64_t) == 0 &&
+                std::is_trivially_copyable_v<Event>);
+  struct Slot {
+    std::atomic<std::uint64_t> w[kWords];
+  };
+
+  explicit Ring(std::size_t capacity)
+      : n_slots(capacity + 1), slots(new Slot[n_slots]) {}
+
+  void store(std::uint64_t n, const Event& e) {
+    std::uint64_t w[kWords];
+    std::memcpy(w, &e, sizeof e);
+    Slot& s = slots[static_cast<std::size_t>(n % n_slots)];
+    for (std::size_t k = 0; k < kWords; ++k) {
+      s.w[k].store(w[k], std::memory_order_release);
+    }
+  }
+  Event load(std::uint64_t n) const {
+    std::uint64_t w[kWords];
+    const Slot& s = slots[static_cast<std::size_t>(n % n_slots)];
+    for (std::size_t k = 0; k < kWords; ++k) {
+      w[k] = s.w[k].load(std::memory_order_acquire);
+    }
+    Event e;
+    std::memcpy(&e, w, sizeof e);
+    return e;
+  }
+
+  const std::size_t n_slots;
+  const std::unique_ptr<Slot[]> slots;
   std::atomic<std::uint64_t> head{0};
 };
 
@@ -25,11 +60,12 @@ struct FlightRecorder::Impl {
 };
 
 // Thread-local attach cache: one ring per (thread, recorder) pair.  Keyed by
-// the recorder pointer so a thread recording into a second recorder (tests)
-// re-attaches instead of writing into the wrong ring.  Nested inside the
-// class via this struct so it can name the private Ring type.
+// the recorder's process-unique id, not its address: a recorder built where
+// a destroyed one lived must not inherit the dead recorder's ring from a
+// thread that outlived it.  Nested inside the class via this struct so it
+// can name the private Ring type.
 struct FlightRecorder::TlsAttach {
-  const void* owner = nullptr;
+  std::uint64_t owner = 0;  ///< 0 = none; ids start at 1
   Ring* ring = nullptr;
   static TlsAttach& self() {
     thread_local TlsAttach tls;
@@ -37,12 +73,16 @@ struct FlightRecorder::TlsAttach {
   }
 };
 
+namespace {
+std::atomic<std::uint64_t> g_next_recorder_id{1};
+}  // namespace
+
 FlightRecorder::FlightRecorder(std::size_t capacity)
-    : capacity_(capacity < 16 ? 16 : capacity), impl_(new Impl) {}
+    : capacity_(capacity < 16 ? 16 : capacity),
+      id_(g_next_recorder_id.fetch_add(1, std::memory_order_relaxed)),
+      impl_(new Impl) {}
 
 FlightRecorder::~FlightRecorder() {
-  TlsAttach& tls = TlsAttach::self();
-  if (tls.owner == this) tls = TlsAttach{};
   if (installed_flight_recorder() == this) {
     install_flight_recorder(nullptr, "");
   }
@@ -51,10 +91,10 @@ FlightRecorder::~FlightRecorder() {
 
 FlightRecorder::Ring* FlightRecorder::ring_for_this_thread() {
   TlsAttach& tls = TlsAttach::self();
-  if (tls.owner == this) return tls.ring;
+  if (tls.owner == id_) return tls.ring;
   std::lock_guard lock(impl_->mu);
   impl_->rings.push_back(std::make_unique<Ring>(capacity_));
-  tls = TlsAttach{this, impl_->rings.back().get()};
+  tls = TlsAttach{id_, impl_->rings.back().get()};
   return tls.ring;
 }
 
@@ -62,9 +102,8 @@ void FlightRecorder::record(std::int64_t t_ns, EventKind kind, int spe,
                             int pid, std::int64_t a, std::int64_t b) {
   Ring* r = ring_for_this_thread();
   const std::uint64_t h = r->head.load(std::memory_order_relaxed);
-  r->slots[static_cast<std::size_t>(h % capacity_)] =
-      Event{t_ns, a, b, pid, static_cast<std::int16_t>(spe), kind,
-            current_span()};
+  r->store(h, Event{t_ns, a, b, pid, static_cast<std::int16_t>(spe), kind,
+                    current_span()});
   r->head.store(h + 1, std::memory_order_release);
 }
 
@@ -74,11 +113,17 @@ std::vector<Event> FlightRecorder::tail() const {
     std::lock_guard lock(impl_->mu);
     for (const auto& r : impl_->rings) {
       const std::uint64_t h = r->head.load(std::memory_order_acquire);
-      const std::uint64_t n =
-          h < capacity_ ? h : static_cast<std::uint64_t>(capacity_);
-      out.reserve(out.size() + n);
-      for (std::uint64_t i = h - n; i < h; ++i) {
-        out.push_back(r->slots[static_cast<std::size_t>(i % capacity_)]);
+      const std::uint64_t first = h > capacity_ ? h - capacity_ : 0;
+      const std::size_t at = out.size();
+      out.reserve(at + (h - first));
+      for (std::uint64_t i = first; i < h; ++i) out.push_back(r->load(i));
+      // A writer still recording may have overwritten the oldest copied
+      // slots; keep only the events the ring holds after the copy.
+      const std::uint64_t h2 = r->head.load(std::memory_order_acquire);
+      if (h2 > first + capacity_) {
+        const std::uint64_t lost = std::min(h2 - capacity_, h) - first;
+        out.erase(out.begin() + static_cast<std::ptrdiff_t>(at),
+                  out.begin() + static_cast<std::ptrdiff_t>(at + lost));
       }
     }
   }

@@ -2,7 +2,7 @@
 //
 // A FlightRecorder is a TraceSink whose storage is a set of bounded,
 // per-thread ring buffers instead of an unbounded vector: the record path is
-// one thread-local lookup, one array store, and one release store of the
+// one thread-local lookup, one slot store, and one release store of the
 // ring head — no locks, no allocation after attach — so it is cheap enough
 // to leave installed for the whole life of a long-running service.  When a
 // ring fills, the oldest events are overwritten (never the newest): the
@@ -14,10 +14,11 @@
 //     writer stores the slot first, then publishes with a release store of
 //     the head counter;
 //   - tail() acquires every head once and copies only published slots, so a
-//     quiescent-writer snapshot is race-free and per-thread order-exact;
-//   - a snapshot taken while writers are still recording (the crash path)
-//     may observe a slot mid-overwrite — a torn *oldest* event, never a torn
-//     newest one, and never a crash.  Crash dumps accept that bargain.
+//     quiescent-writer snapshot is exact and per-thread order-preserving;
+//   - slots are atomic words and tail() re-reads each head after copying,
+//     so a snapshot taken while writers are still recording (the crash
+//     path) is race-free too: it drops the oldest events a writer
+//     overwrote during the copy and never returns a torn one.
 //
 // Dumping: install_flight_recorder() registers a process-wide recorder plus
 // a dump path; dump_flight_recorder(reason) writes the merged tail as a
@@ -49,8 +50,8 @@ class FlightRecorder final : public TraceSink {
 
   /// Merged snapshot of every thread's surviving events, sorted by
   /// timestamp (stable across rings in attach order).  Exact when writers
-  /// are quiescent; best-effort (possibly one torn oldest event per ring)
-  /// when taken mid-flight, as a crash dump is.
+  /// are quiescent; taken mid-flight, as a crash dump is, it may miss the
+  /// oldest events a writer overwrote while they were being copied.
   std::vector<Event> tail() const;
 
   std::size_t capacity() const noexcept { return capacity_; }
@@ -66,6 +67,7 @@ class FlightRecorder final : public TraceSink {
   Ring* ring_for_this_thread();
 
   const std::size_t capacity_;
+  const std::uint64_t id_;  ///< never reused; keys the per-thread attach cache
   struct Impl;
   Impl* impl_;
 };

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -104,11 +105,48 @@ TEST(FlightRecorderTest, PerThreadRingsMergeByTimestamp) {
   EXPECT_EQ(rec.threads_attached(), static_cast<std::size_t>(kThreads));
 }
 
+// A thread that outlives a recorder must not carry the dead recorder's ring
+// into a new recorder built at the same address: B gets a ring of its own
+// and holds exactly what was recorded into it.
+TEST(FlightRecorderTest, NewRecorderAtADestroyedRecordersAddress) {
+  std::optional<trace::FlightRecorder> slot;
+  slot.emplace(64);
+  const trace::FlightRecorder* a = &*slot;
+  std::atomic<int> step{0};
+  auto await = [&step](int s) {
+    while (step.load(std::memory_order_acquire) != s) std::this_thread::yield();
+  };
+  std::thread writer([&] {
+    slot->record(1, EventKind::TaskDispatch, 0, 1);  // recorder A
+    step.store(1, std::memory_order_release);
+    await(2);
+    slot->record(2, EventKind::TaskComplete, 0, 2);  // recorder B
+    step.store(3, std::memory_order_release);
+  });
+
+  await(1);
+  EXPECT_EQ(slot->recorded(), 1u);
+  slot.reset();
+  slot.emplace(64);
+  ASSERT_EQ(&*slot, a);  // B occupies A's storage
+  step.store(2, std::memory_order_release);
+  await(3);
+  writer.join();
+
+  EXPECT_EQ(slot->recorded(), 1u);
+  EXPECT_EQ(slot->threads_attached(), 1u);
+  const std::vector<trace::Event> tail = slot->tail();
+  ASSERT_EQ(tail.size(), 1u);
+  EXPECT_EQ(tail[0].t_ns, 2);
+  EXPECT_EQ(tail[0].kind, EventKind::TaskComplete);
+}
+
 // TSan stress: writers hammer their rings while a reader snapshots
 // concurrently.  The memory-model contract (slot store, then release-store
 // of the head; tail() acquires heads) must hold race-free, and every
 // mid-flight snapshot must stay well-formed: bounded size, monotone
-// timestamps, and only values a writer could have produced.
+// timestamps, and only whole events a writer produced (every field of one
+// event derives from the same (writer, i), so a torn slot shows).
 TEST(FlightRecorderStressTest, ConcurrentRecordAndTail) {
   static constexpr int kWriters = 4;
   static constexpr int kEvents = 20000;
@@ -134,6 +172,9 @@ TEST(FlightRecorderStressTest, ConcurrentRecordAndTail) {
         EXPECT_LT(e.t_ns, kEvents);
         EXPECT_GE(e.spe, 0);
         EXPECT_LT(e.spe, kWriters);
+        EXPECT_EQ(e.a, e.spe);
+        EXPECT_EQ(e.pid, e.t_ns);
+        EXPECT_EQ(e.b, e.t_ns);
       }
     }
   });

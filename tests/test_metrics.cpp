@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <limits>
+#include <optional>
+#include <thread>
 #include <vector>
 
 #include "native/offload_pool.hpp"
+#include "trace/recorder.hpp"
 #include "trace/trace.hpp"
 
 namespace cbe::trace {
@@ -183,22 +187,40 @@ TEST(MetricsRegistry, ThreadSafeUnderNativePool) {
 }
 
 #if CBE_TRACE_ENABLED
-TEST(OffloadPoolTrace, WorkersRecordDispatchCompletePairs) {
-  ConcurrentTraceSink sink;
-  MetricsRegistry reg;
-  native::OffloadPool pool(3);
-  pool.set_trace(&sink);
-  pool.set_metrics(&reg);
-  constexpr int kTasks = 40;
+// Runs `n` empty tasks on `pool` and waits for their futures.
+void offload_empty_tasks(native::OffloadPool& pool, int n) {
   std::vector<std::future<void>> futs;
-  futs.reserve(kTasks);
-  for (int t = 0; t < kTasks; ++t) {
-    futs.push_back(pool.offload([] {}));
-  }
+  futs.reserve(static_cast<std::size_t>(n));
+  for (int t = 0; t < n; ++t) futs.push_back(pool.offload([] {}));
   for (auto& f : futs) f.get();
-  pool.set_trace(nullptr);  // writers quiescent; safe to drain
+}
 
-  const std::vector<Event> events = sink.drain();
+// A task's future completes before its worker records TaskComplete and
+// observes native.task_us.  The histogram's lock orders that observation
+// after the record, so once it counts `n` tasks every one of them has
+// finished writing into the recorder.
+bool wait_for_task_hist(MetricsRegistry& reg, std::uint64_t n) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (reg.histogram("native.task_us").count() < n) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(OffloadPoolTrace, WorkersRecordDispatchCompletePairs) {
+  constexpr int kTasks = 40;
+  FlightRecorder rec(1024);
+  MetricsRegistry reg;
+  {
+    native::OffloadPool pool(3);
+    pool.set_trace(&rec);
+    pool.set_metrics(&reg);
+    offload_empty_tasks(pool, kTasks);
+  }  // joining the workers makes every record visible
+
+  const std::vector<Event> events = rec.tail();
   std::uint64_t dispatch = 0;
   std::uint64_t complete = 0;
   for (const Event& e : events) {
@@ -209,14 +231,48 @@ TEST(OffloadPoolTrace, WorkersRecordDispatchCompletePairs) {
   }
   EXPECT_EQ(dispatch, static_cast<std::uint64_t>(kTasks));
   EXPECT_EQ(complete, static_cast<std::uint64_t>(kTasks));
-  // drain() sorts by timestamp.
+  // tail() sorts by timestamp.
   for (std::size_t i = 1; i < events.size(); ++i) {
     EXPECT_LE(events[i - 1].t_ns, events[i].t_ns);
   }
-  EXPECT_GE(sink.threads_attached(), 1u);
-  EXPECT_LE(sink.threads_attached(), 3u);
+  EXPECT_GE(rec.threads_attached(), 1u);
+  EXPECT_LE(rec.threads_attached(), 3u);
   EXPECT_EQ(reg.histogram("native.task_us").count(),
             static_cast<std::uint64_t>(kTasks));
+}
+
+// Workers outlive the recorders handed to set_trace.  A recorder built in
+// the storage of a destroyed one must get rings of its own, not the dead
+// recorder's rings cached by the workers that recorded into it.
+TEST(OffloadPoolTrace, RecorderReusingADestroyedRecordersStorage) {
+  constexpr int kTasks = 40;
+  MetricsRegistry reg;
+  native::OffloadPool pool(3);
+  pool.set_metrics(&reg);
+  std::optional<FlightRecorder> slot;
+
+  slot.emplace(1024);
+  pool.set_trace(&*slot);
+  offload_empty_tasks(pool, kTasks);
+  pool.set_trace(nullptr);
+  ASSERT_TRUE(wait_for_task_hist(reg, kTasks));
+  EXPECT_EQ(slot->recorded(), 2u * kTasks);
+  slot.reset();
+
+  slot.emplace(1024);
+  pool.set_trace(&*slot);
+  offload_empty_tasks(pool, kTasks);
+  pool.set_trace(nullptr);
+  ASSERT_TRUE(wait_for_task_hist(reg, 2u * kTasks));
+  EXPECT_EQ(slot->recorded(), 2u * kTasks);
+  std::uint64_t dispatch = 0;
+  std::uint64_t complete = 0;
+  for (const Event& e : slot->tail()) {
+    if (e.kind == EventKind::TaskDispatch) ++dispatch;
+    if (e.kind == EventKind::TaskComplete) ++complete;
+  }
+  EXPECT_EQ(dispatch, static_cast<std::uint64_t>(kTasks));
+  EXPECT_EQ(complete, static_cast<std::uint64_t>(kTasks));
 }
 #endif  // CBE_TRACE_ENABLED
 
