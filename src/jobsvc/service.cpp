@@ -234,38 +234,39 @@ class ServiceRun {
     return t + sim::Time::sec(cfg_.dispatch_cost_s);
   }
 
+  /// Key shared by the per-step oracles: a seed from (fault seed, oracle
+  /// salt, job) and an index from (attempt, step), so each oracle's draws
+  /// are a pure function of where the job is and replay bit-identically.
+  struct StepKey {
+    std::uint64_t seed;
+    std::uint64_t index;
+  };
+  StepKey step_key(const Rec& rec, std::uint64_t salt) const {
+    std::uint64_t seed = cfg_.fault.seed ^ (salt + rec.spec.id);
+    return {util::splitmix64(seed),
+            (static_cast<std::uint64_t>(rec.attempts) << 24) ^
+                static_cast<std::uint64_t>(rec.live.steps_done)};
+  }
+
   bool step_fails(const Rec& rec) const {
     if (cfg_.step_fail_rate <= 0.0) return false;
-    std::uint64_t seed = cfg_.fault.seed ^ (kStepFailSalt + rec.spec.id);
-    const std::uint64_t salt =
-        (static_cast<std::uint64_t>(rec.attempts) << 24) ^
-        static_cast<std::uint64_t>(rec.live.steps_done);
-    return sim::fault_hash01(util::splitmix64(seed), salt) <
-           cfg_.step_fail_rate;
+    const StepKey k = step_key(rec, kStepFailSalt);
+    return sim::fault_hash01(k.seed, k.index) < cfg_.step_fail_rate;
   }
 
   /// Silent-corruption oracle, keyed like step_fails but on its own salt so
   /// the two fault streams stay independent.
   bool step_corrupts(const Rec& rec) const {
     if (cfg_.step_corrupt_rate <= 0.0) return false;
-    std::uint64_t seed = cfg_.fault.seed ^ (kStepCorrSalt + rec.spec.id);
-    const std::uint64_t salt =
-        (static_cast<std::uint64_t>(rec.attempts) << 24) ^
-        static_cast<std::uint64_t>(rec.live.steps_done);
-    return sim::fault_hash01(util::splitmix64(seed), salt) <
-           cfg_.step_corrupt_rate;
+    const StepKey k = step_key(rec, kStepCorrSalt);
+    return sim::fault_hash01(k.seed, k.index) < cfg_.step_corrupt_rate;
   }
 
   /// Deterministic sample of steps that get a redundant verification
-  /// execution.  Pure function of (seed, job, attempt, step), so a run's
-  /// verify schedule replays bit-identically.
+  /// execution.
   bool step_verified(const Rec& rec) const {
-    const std::uint64_t salt =
-        (static_cast<std::uint64_t>(rec.attempts) << 24) ^
-        static_cast<std::uint64_t>(rec.live.steps_done);
-    std::uint64_t seed = cfg_.fault.seed ^ (kStepVerSalt + rec.spec.id);
-    return sim::verify_sampled(util::splitmix64(seed), salt,
-                               cfg_.verify_fraction);
+    const StepKey k = step_key(rec, kStepVerSalt);
+    return sim::verify_sampled(k.seed, k.index, cfg_.verify_fraction);
   }
 
   /// Exponential backoff with deterministic per-(job, failure) jitter.

@@ -12,9 +12,7 @@ void AdaptiveGovernor::on_offload(int stream_id) {
 void AdaptiveGovernor::on_departure(int stream_id, int live_streams) {
   std::lock_guard lock(mu_);
   window_streams_.insert(stream_id);
-  if (++departures_ % static_cast<std::uint64_t>(history_window_) != 0) {
-    return;
-  }
+  if (++departures_ % kHistoryWindow != 0) return;
   evaluate(live_streams);
   window_streams_.clear();
 }

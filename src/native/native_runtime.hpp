@@ -17,14 +17,16 @@ namespace cbe::native {
 /// Thread-safe port of the MGPS policy (Section 5.4) for host pools.
 class AdaptiveGovernor {
  public:
-  AdaptiveGovernor(int pool_size, int history_window = 8)
-      : pool_size_(pool_size),
-        history_window_(history_window > 0 ? history_window : 8) {}
+  /// Departures per U window: the loop degree is re-evaluated every
+  /// kHistoryWindow completions (the paper's history window).
+  static constexpr int kHistoryWindow = 8;
+
+  explicit AdaptiveGovernor(int pool_size) : pool_size_(pool_size) {}
 
   /// Record an off-load request from logical stream `stream_id`.
   void on_offload(int stream_id);
-  /// Record a completion; every `history_window` departures re-evaluates
-  /// the loop degree from the observed TLP degree U.
+  /// Record a completion; every kHistoryWindow departures re-evaluates the
+  /// loop degree from the observed TLP degree U.
   void on_departure(int stream_id, int live_streams);
 
   /// Current recommended work-sharing degree (>= 1).
@@ -34,7 +36,6 @@ class AdaptiveGovernor {
   void evaluate(int live_streams);
 
   const int pool_size_;
-  const int history_window_;
   mutable std::mutex mu_;
   std::set<int> window_streams_;
   std::uint64_t departures_ = 0;
@@ -51,7 +52,9 @@ class NativeRuntime {
   OffloadPool& pool() noexcept { return pool_; }
   const AdaptiveGovernor& governor() const noexcept { return governor_; }
 
-  /// Off-loads `task` on behalf of `stream_id`, driving the governor.
+  /// Off-loads `task` on behalf of `stream_id`, driving the governor.  The
+  /// departure is recorded whether the task returns or throws, and before
+  /// its future resolves.
   template <typename F>
   auto offload(int stream_id, F&& task, int live_streams)
       -> std::future<std::invoke_result_t<F>> {
@@ -59,14 +62,12 @@ class NativeRuntime {
     return pool_.offload_result(
         [this, stream_id, live_streams,
          fn = std::forward<F>(task)]() mutable {
-          if constexpr (std::is_void_v<std::invoke_result_t<F>>) {
-            fn();
-            governor_.on_departure(stream_id, live_streams);
-          } else {
-            auto r = fn();
-            governor_.on_departure(stream_id, live_streams);
-            return r;
-          }
+          struct Depart {
+            AdaptiveGovernor& gov;
+            int stream_id, live_streams;
+            ~Depart() { gov.on_departure(stream_id, live_streams); }
+          } depart{governor_, stream_id, live_streams};
+          return fn();
         });
   }
 

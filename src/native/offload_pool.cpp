@@ -5,7 +5,6 @@
 #include "trace/metrics.hpp"
 #include "trace/recorder.hpp"
 #include "trace/trace.hpp"
-#include "util/rng.hpp"
 
 namespace cbe::native {
 
@@ -58,12 +57,6 @@ void OffloadPool::set_metrics(trace::MetricsRegistry* m) {
 
 OffloadPool::~OffloadPool() {
   {
-    std::lock_guard lock(wd_mu_);
-    wd_stop_ = true;
-  }
-  wd_cv_.notify_all();
-  if (wd_thread_.joinable()) wd_thread_.join();
-  {
     std::lock_guard lock(mu_);
     stop_ = true;
     ++work_epoch_;
@@ -76,10 +69,6 @@ OffloadPool::~OffloadPool() {
   for (auto& d : deques_) {
     while (Job* j = d->pop()) delete j;
   }
-}
-
-int OffloadPool::idle_workers() const noexcept {
-  return workers() - busy_.load(std::memory_order_relaxed);
 }
 
 void OffloadPool::wake_one() {
@@ -137,182 +126,6 @@ std::future<void> OffloadPool::offload(std::function<void()> task) {
   return offload_result([task = std::move(task)] { task(); });
 }
 
-std::future<void> OffloadPool::offload_with_retry(
-    std::function<void()> task, int max_retries,
-    std::chrono::microseconds base_backoff) {
-  auto prom = std::make_shared<std::promise<void>>();
-  std::future<void> fut = prom->get_future();
-  enqueue([this, prom, task = std::move(task), max_retries, base_backoff] {
-    std::chrono::microseconds backoff = base_backoff;
-    for (int attempt = 0;; ++attempt) {
-      try {
-        task();
-        prom->set_value();
-        return;
-      } catch (...) {
-        if (attempt >= max_retries) {
-          prom->set_exception(std::current_exception());
-          return;
-        }
-        retries_.fetch_add(1, std::memory_order_relaxed);
-        if (backoff.count() > 0) std::this_thread::sleep_for(backoff);
-        backoff *= 2;
-      }
-    }
-  });
-  return fut;
-}
-
-void OffloadPool::set_verify_fraction(double fraction,
-                                      std::uint64_t seed) noexcept {
-  verify_fraction_.store(fraction, std::memory_order_relaxed);
-  verify_seed_.store(seed, std::memory_order_relaxed);
-}
-
-std::future<std::uint64_t> OffloadPool::offload_checked(
-    std::function<std::uint64_t()> task, int max_retries) {
-  auto prom = std::make_shared<std::promise<std::uint64_t>>();
-  std::future<std::uint64_t> fut = prom->get_future();
-  // The sample is drawn at submission so the verify schedule depends only on
-  // (seed, submission index), not on which worker runs the task or when.
-  const std::uint64_t ix = checked_seq_.fetch_add(1, std::memory_order_relaxed);
-  const double fraction = verify_fraction_.load(std::memory_order_relaxed);
-  bool sampled = fraction >= 1.0;
-  if (!sampled && fraction > 0.0) {
-    std::uint64_t state = verify_seed_.load(std::memory_order_relaxed) ^
-                          (ix * 0x9e3779b97f4a7c15ull + 1);
-    sampled = static_cast<double>(util::splitmix64(state) >> 11) * 0x1.0p-53 <
-              fraction;
-  }
-  enqueue([this, prom, task = std::move(task), sampled, max_retries] {
-    try {
-      for (int attempt = 0;; ++attempt) {
-        const std::uint64_t r = task();
-        if (!sampled) {
-          prom->set_value(r);
-          return;
-        }
-        verified_reexecs_.fetch_add(1, std::memory_order_relaxed);
-        if (task() == r) {
-          prom->set_value(r);
-          return;
-        }
-        integrity_mismatches_.fetch_add(1, std::memory_order_relaxed);
-        if (attempt >= max_retries) {
-          // Fail closed: agreement was never reached, so no checksum is
-          // trustworthy enough to hand back.
-          prom->set_exception(std::make_exception_ptr(IntegrityError(
-              "offload_checked: redundant executions kept disagreeing")));
-          return;
-        }
-        retries_.fetch_add(1, std::memory_order_relaxed);
-      }
-    } catch (...) {
-      prom->set_exception(std::current_exception());
-    }
-  });
-  return fut;
-}
-
-bool DeadlineToken::expired() const {
-  std::lock_guard lock(state_->mu);
-  return state_->expired;
-}
-
-bool DeadlineToken::try_commit(const std::function<void()>& commit) const {
-  // One lock serializes commit against the watchdog's expiry declaration:
-  // either the commit runs first (and the watchdog then sees done), or the
-  // expiry lands first (and the commit is refused).  There is no window in
-  // which the task writes while the caller believes it was abandoned.
-  std::lock_guard lock(state_->mu);
-  if (state_->expired) return false;
-  commit();
-  state_->done = true;
-  return true;
-}
-
-std::shared_ptr<DeadlineToken::State> OffloadPool::arm_deadline(
-    std::chrono::microseconds deadline, std::function<void()> on_timeout) {
-  auto state = std::make_shared<DeadlineToken::State>();
-  const auto at = std::chrono::steady_clock::now() + deadline;
-  {
-    std::lock_guard lock(wd_mu_);
-    if (!wd_thread_.joinable()) {
-      wd_thread_ = std::thread([this] { watchdog_loop(); });
-    }
-    deadlines_.push({at, state, std::move(on_timeout)});
-  }
-  wd_cv_.notify_one();
-  return state;
-}
-
-std::future<void> OffloadPool::offload_with_deadline(
-    std::function<void()> task, std::chrono::microseconds deadline,
-    std::function<void()> on_timeout) {
-  auto state = arm_deadline(deadline, std::move(on_timeout));
-  return offload_result([task = std::move(task), state] {
-    // Mark completion even on a throwing task: the future already carries
-    // the failure, a deadline miss on top would be noise.
-    struct Mark {
-      std::shared_ptr<DeadlineToken::State> s;
-      ~Mark() {
-        std::lock_guard lock(s->mu);
-        s->done = true;
-      }
-    } mark{state};
-    task();
-  });
-}
-
-std::future<void> OffloadPool::offload_with_deadline(
-    std::function<void(const DeadlineToken&)> task,
-    std::chrono::microseconds deadline, std::function<void()> on_timeout) {
-  auto state = arm_deadline(deadline, std::move(on_timeout));
-  return offload_result([task = std::move(task), state] {
-    task(DeadlineToken(state));
-    // Deliberately no unconditional done-marking here: a task that never
-    // committed is still outstanding from the watchdog's point of view.
-  });
-}
-
-void OffloadPool::watchdog_loop() {
-  std::unique_lock lock(wd_mu_);
-  while (!wd_stop_) {
-    if (deadlines_.empty()) {
-      wd_cv_.wait(lock, [this] { return wd_stop_ || !deadlines_.empty(); });
-      continue;
-    }
-    const auto next = deadlines_.top().at;
-    const bool woken = wd_cv_.wait_until(lock, next, [this, next] {
-      return wd_stop_ ||
-             (!deadlines_.empty() && deadlines_.top().at < next);
-    });
-    if (woken) continue;  // stopping, or an earlier deadline arrived
-    const auto now = std::chrono::steady_clock::now();
-    while (!deadlines_.empty() && deadlines_.top().at <= now) {
-      Deadline d = deadlines_.top();
-      deadlines_.pop();
-      lock.unlock();
-      bool missed = false;
-      {
-        // Declare expiry under the token lock: after this block no
-        // try_commit can succeed, so on_timeout (and the caller once it
-        // observes the miss) owns the result storage exclusively.
-        std::lock_guard token_lock(d.state->mu);
-        if (!d.state->done) {
-          d.state->expired = true;
-          missed = true;
-          // Counted under the token lock, before the failing try_commit
-          // can let the task's future complete.
-          deadline_misses_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      if (missed && d.on_timeout) d.on_timeout();
-      lock.lock();
-    }
-  }
-}
-
 void OffloadPool::worker_loop(int index) {
   tls_worker = WorkerTls{this, index};
   WorkStealingDeque<Job>& own = *deques_[static_cast<std::size_t>(index)];
@@ -350,7 +163,6 @@ void OffloadPool::worker_loop(int index) {
       continue;
     }
 
-    busy_.fetch_add(1, std::memory_order_relaxed);
     // Re-install the submitter's span for the task's whole execution, so
     // both trace records below and any nested enqueue() inherit it.
     trace::ScopedSpan span(job->span);
@@ -383,7 +195,6 @@ void OffloadPool::worker_loop(int index) {
       h->observe(std::chrono::duration<double, std::micro>(t1 - t0).count());
     }
 #endif
-    busy_.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 

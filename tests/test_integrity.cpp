@@ -1,21 +1,15 @@
 // End-to-end data integrity (DESIGN.md section 11): seeded silent-corruption
 // injection, CRC-framing + sampled-redundant-execution detection, and
-// recovery/quarantine — across the simulated runtime, the job service, and
-// the native offload pool.
+// recovery/quarantine — across the simulated runtime and the job service.
 //
 // The acceptance property under test, in several forms: under any seeded
 // bit-flip plan with recovery enabled, final results are bit-identical to
 // the fault-free run, or the run fails closed — never silently wrong.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
-#include <future>
-#include <memory>
 #include <set>
 
 #include "jobsvc/service.hpp"
-#include "native/offload_pool.hpp"
 #include "runtime/mgps.hpp"
 #include "runtime/sim_runtime.hpp"
 #include "sim/fault.hpp"
@@ -301,56 +295,6 @@ TEST(JobsvcIntegrity, RepeatedCorruptionQuarantinesBlades) {
       jobsvc::Service(cfg).run(jobsvc_mix(48));
   EXPECT_EQ(again.quarantined_blades, rep.quarantined_blades);
   EXPECT_EQ(again.to_text(), rep.to_text());
-}
-
-// -- native pool: checked off-loads ------------------------------------------
-
-TEST(PoolIntegrity, CheckedOffloadAgreesAndReturns) {
-  native::OffloadPool pool(2);
-  pool.set_verify_fraction(1.0, /*seed=*/9);
-  auto fut = pool.offload_checked([] { return std::uint64_t{0xabcdefull}; });
-  EXPECT_EQ(fut.get(), 0xabcdefull);
-  EXPECT_GE(pool.verified_reexecs(), 1u);
-  EXPECT_EQ(pool.integrity_mismatches(), 0u);
-}
-
-TEST(PoolIntegrity, DisagreeingTaskFailsClosed) {
-  native::OffloadPool pool(2);
-  pool.set_verify_fraction(1.0, /*seed=*/9);
-  // A "checksum" that never repeats: every verification must disagree.
-  auto counter = std::make_shared<std::atomic<std::uint64_t>>(0);
-  auto fut = pool.offload_checked(
-      [counter] { return counter->fetch_add(1); }, /*max_retries=*/2);
-  EXPECT_THROW(fut.get(), native::IntegrityError);
-  EXPECT_GT(pool.integrity_mismatches(), 0u);
-}
-
-TEST(PoolIntegrity, UnsampledOffloadsSkipVerification) {
-  native::OffloadPool pool(2);
-  pool.set_verify_fraction(0.0);
-  auto counter = std::make_shared<std::atomic<std::uint64_t>>(0);
-  auto fut = pool.offload_checked([counter] { return counter->fetch_add(1); });
-  EXPECT_EQ(fut.get(), 0u) << "unsampled: runs once, no comparison";
-  EXPECT_EQ(pool.verified_reexecs(), 0u);
-}
-
-TEST(PoolIntegrity, SampleScheduleIsDeterministicPerSeed) {
-  // The sample is drawn by submission index from the seed, so two pools
-  // configured identically verify the same subset.
-  std::vector<bool> first, second;
-  for (int round = 0; round < 2; ++round) {
-    native::OffloadPool pool(2);
-    pool.set_verify_fraction(0.5, /*seed=*/1234);
-    std::vector<bool>& out = round == 0 ? first : second;
-    for (int i = 0; i < 32; ++i) {
-      const std::uint64_t before = pool.verified_reexecs();
-      pool.offload_checked([] { return std::uint64_t{1}; }).get();
-      out.push_back(pool.verified_reexecs() > before);
-    }
-  }
-  EXPECT_EQ(first, second);
-  EXPECT_NE(std::count(first.begin(), first.end(), true), 0);
-  EXPECT_NE(std::count(first.begin(), first.end(), false), 0);
 }
 
 }  // namespace

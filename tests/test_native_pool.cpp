@@ -4,9 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <memory>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -139,142 +136,6 @@ TEST(OffloadPool, ParallelForExceptionWithOversubscribedDegree) {
       std::logic_error);
 }
 
-TEST(OffloadPool, OffloadWithRetrySucceedsAfterTransientFailures) {
-  OffloadPool pool(2);
-  std::atomic<int> attempts{0};
-  auto f = pool.offload_with_retry(
-      [&attempts] {
-        if (attempts.fetch_add(1) < 2) throw std::runtime_error("transient");
-      },
-      /*max_retries=*/3, std::chrono::microseconds(1));
-  EXPECT_NO_THROW(f.get());
-  EXPECT_EQ(attempts.load(), 3);
-  EXPECT_EQ(pool.retries(), 2u);
-}
-
-TEST(OffloadPool, OffloadWithRetryGivesUpAndCarriesLastError) {
-  OffloadPool pool(1);
-  std::atomic<int> attempts{0};
-  auto f = pool.offload_with_retry(
-      [&attempts] {
-        ++attempts;
-        throw std::runtime_error("permanent");
-      },
-      /*max_retries=*/2, std::chrono::microseconds(1));
-  EXPECT_THROW(f.get(), std::runtime_error);
-  EXPECT_EQ(attempts.load(), 3);  // 1 try + 2 retries
-  EXPECT_EQ(pool.retries(), 2u);
-}
-
-TEST(OffloadPool, DeadlineWatchdogFiresOnSlowTask) {
-  OffloadPool pool(1);
-  std::atomic<bool> timed_out{false};
-  // The task outlives its deadline by construction: it blocks until the
-  // watchdog has fired (with a generous escape hatch against a wedged
-  // watchdog, which the assertion below would then report).
-  auto f = pool.offload_with_deadline(
-      [&timed_out] {
-        for (int i = 0; i < 2000 && !timed_out.load(); ++i) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-      },
-      std::chrono::microseconds(2000),
-      [&timed_out] { timed_out = true; });
-  f.get();
-  EXPECT_TRUE(timed_out.load());
-  EXPECT_EQ(pool.deadline_misses(), 1u);
-}
-
-TEST(OffloadPool, DeadlineWatchdogQuietOnFastTask) {
-  OffloadPool pool(1);
-  std::atomic<bool> timed_out{false};
-  auto f = pool.offload_with_deadline(
-      [] {}, std::chrono::milliseconds(500),
-      [&timed_out] { timed_out = true; });
-  f.get();
-  EXPECT_FALSE(timed_out.load());
-  EXPECT_EQ(pool.deadline_misses(), 0u);
-}
-
-// Regression: an abandoned deadline-expired task must not be able to write
-// into result storage its caller reclaimed after observing the timeout.
-// The caller frees the buffer inside on_timeout; the straggler's
-// try_commit must refuse to touch it.
-TEST(OffloadPool, AbandonedDeadlineTaskCannotTouchFreedResults) {
-  OffloadPool pool(1);
-  // Heap storage so a use-after-free would be visible to sanitizers, not
-  // just to the assertions below.
-  auto results = std::make_unique<std::vector<double>>(16, 0.0);
-  std::atomic<bool> timed_out{false};
-  std::atomic<bool> committed{false};
-  auto f = pool.offload_with_deadline(
-      [&](const DeadlineToken& token) {
-        // Straggle until the watchdog has definitely fired.
-        for (int i = 0; i < 2000 && !timed_out.load(); ++i) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        committed = token.try_commit([&] { (*results)[0] = 42.0; });
-      },
-      std::chrono::microseconds(2000),
-      [&] {
-        // Deadline declared expired: the caller now owns the storage
-        // exclusively and may free it.
-        results.reset();
-        timed_out = true;
-      });
-  f.get();
-  EXPECT_TRUE(timed_out.load());
-  EXPECT_FALSE(committed.load())
-      << "task committed into storage freed by the timeout handler";
-  EXPECT_EQ(pool.deadline_misses(), 1u);
-}
-
-TEST(OffloadPool, DeadlineTokenCommitsBeforeExpiry) {
-  OffloadPool pool(1);
-  std::vector<double> results(1, 0.0);
-  std::atomic<bool> timed_out{false};
-  std::atomic<bool> committed{false};
-  auto f = pool.offload_with_deadline(
-      [&](const DeadlineToken& token) {
-        EXPECT_FALSE(token.expired());
-        committed = token.try_commit([&] { results[0] = 7.0; });
-      },
-      std::chrono::milliseconds(500), [&] { timed_out = true; });
-  f.get();
-  EXPECT_TRUE(committed.load());
-  EXPECT_EQ(results[0], 7.0);
-  EXPECT_FALSE(timed_out.load());
-  EXPECT_EQ(pool.deadline_misses(), 0u);
-}
-
-// Commit-vs-expiry is decided under one lock: whichever side wins, exactly
-// one of {committed, timed_out} holds afterwards.  Run many racy rounds
-// with the deadline aimed at "right now" to hammer the window.
-TEST(OffloadPool, DeadlineCommitAndExpiryAreMutuallyExclusive) {
-  OffloadPool pool(2);
-  for (int round = 0; round < 50; ++round) {
-    auto results = std::make_shared<std::vector<double>>(1, 0.0);
-    std::atomic<bool> timed_out{false};
-    std::atomic<bool> committed{false};
-    auto f = pool.offload_with_deadline(
-        [&, results](const DeadlineToken& token) {
-          committed = token.try_commit([&] { (*results)[0] = 1.0; });
-        },
-        std::chrono::microseconds(50), [&] { timed_out = true; });
-    f.get();
-    // Let a late watchdog firing land before judging the round.
-    for (int i = 0; i < 1000 && !committed.load() && !timed_out.load();
-         ++i) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-    EXPECT_NE(committed.load(), timed_out.load()) << "round " << round;
-    // A refused commit must have left the storage untouched.
-    if (!committed.load()) {
-      EXPECT_EQ((*results)[0], 0.0);
-    }
-  }
-}
-
 TEST(OffloadPool, ManySmallTasksStress) {
   OffloadPool pool(4);
   std::atomic<int> count{0};
@@ -306,7 +167,7 @@ TEST(Governor, SplitsPoolAcrossTwoStreams) {
 }
 
 TEST(Governor, ReEvaluatesOnlyAtWindowBoundary) {
-  AdaptiveGovernor gov(8, 8);
+  AdaptiveGovernor gov(8);
   for (int i = 0; i < 7; ++i) {
     gov.on_departure(0, 1);
     EXPECT_EQ(gov.loop_degree(), 1);
@@ -325,6 +186,19 @@ TEST(NativeRuntime, OffloadDrivesGovernor) {
   for (auto& f : futs) total += f.get();
   EXPECT_EQ(total, 16);
   EXPECT_GT(rt.governor().loop_degree(), 1);  // single stream -> share loops
+}
+
+TEST(NativeRuntime, ThrowingTasksStillDriveGovernor) {
+  // A task that throws is still a departure: it closes the U window like a
+  // returning one, so one stream on a 3-worker pool shares loops 3 ways.
+  NativeRuntime rt(3);
+  std::vector<std::future<int>> futs;
+  for (int i = 0; i < AdaptiveGovernor::kHistoryWindow; ++i) {
+    futs.push_back(rt.offload(
+        0, []() -> int { throw std::runtime_error("task failed"); }, 1));
+  }
+  for (auto& f : futs) EXPECT_THROW(f.get(), std::runtime_error);
+  EXPECT_EQ(rt.governor().loop_degree(), 3);
 }
 
 TEST(NativeRuntime, ParallelForUsesGovernorDegree) {

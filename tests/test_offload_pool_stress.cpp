@@ -2,9 +2,9 @@
 // job (CBE_SANITIZE=thread) runs to prove the Chase–Lev deques, the
 // injection queue and the park/wake protocol race-free.  Each test hammers
 // one contended edge: many external producers, stealing under load, deque
-// overflow into the injection queue, deadline expiry racing try_commit,
-// and the parallel_for corner cases (0 iterations, fewer iterations than
-// workers, throwing bodies, nesting, uneven tails).
+// overflow into the injection queue, and the parallel_for corner cases (0
+// iterations, fewer iterations than workers, throwing bodies, nesting,
+// uneven tails).
 #include "native/offload_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -150,47 +150,6 @@ TEST(PoolStress, RawDequeOwnerVersusThieves) {
   }
 }
 
-TEST(PoolStress, DeadlineExpiryRacingCommit) {
-  // Commit and expiry race on purpose: the task tries to commit at roughly
-  // the same moment the watchdog declares the deadline missed.  The
-  // DeadlineToken contract makes the outcomes mutually exclusive — every
-  // round must see exactly one of {committed, timed out}, never both.
-  OffloadPool pool(2);
-  constexpr int kRounds = 60;
-  int committed = 0, timed_out = 0;
-  for (int round = 0; round < kRounds; ++round) {
-    std::atomic<bool> commit_ran{false};
-    std::promise<void> timeout_fired;
-    auto timeout_future = timeout_fired.get_future();
-    bool commit_ok = false;
-    pool.offload_with_deadline(
-            [&](const DeadlineToken& token) {
-              // Jitter so some rounds beat the deadline and some lose.
-              std::this_thread::sleep_for(
-                  std::chrono::microseconds(300 + 37 * (round % 17)));
-              commit_ok = token.try_commit(
-                  [&] { commit_ran.store(true, std::memory_order_relaxed); });
-            },
-            500us, [&] { timeout_fired.set_value(); })
-        .get();
-    if (commit_ok) {
-      ++committed;
-      EXPECT_TRUE(commit_ran.load());
-      EXPECT_NE(timeout_future.wait_for(0s), std::future_status::ready)
-          << "round " << round << ": committed AND timed out";
-    } else {
-      ++timed_out;
-      EXPECT_FALSE(commit_ran.load())
-          << "round " << round << ": commit body ran after expiry";
-      // The miss is declared before try_commit can fail, and on_timeout
-      // fires right after the declaration — wait for it.
-      EXPECT_EQ(timeout_future.wait_for(5s), std::future_status::ready);
-    }
-  }
-  EXPECT_EQ(committed + timed_out, kRounds);
-  EXPECT_EQ(pool.deadline_misses(), static_cast<std::uint64_t>(timed_out));
-}
-
 TEST(PoolStress, ParallelForZeroIterations) {
   OffloadPool pool(3);
   std::atomic<int> calls{0};
@@ -284,27 +243,24 @@ TEST(PoolStress, NestedParallelForStorm) {
 }
 
 TEST(PoolStress, MixedStorm) {
-  // Everything at once: external producers, nested off-loads, retries and
-  // parallel_for sharing the same pool.
+  // Everything at once: external producers whose tasks sometimes throw,
+  // and parallel_for on the main thread, sharing the same pool.
   OffloadPool pool(4);
-  std::atomic<int> ran{0};
-  std::atomic<int> flaky_attempts{0};
+  constexpr int kProducers = 4;
+  constexpr int kTasksPerProducer = 50;
+  std::atomic<int> throws{0};
   std::vector<std::thread> producers;
-  std::vector<std::future<void>> retry_futures;
-  std::mutex retry_mu;
-  for (int t = 0; t < 4; ++t) {
-    producers.emplace_back([&] {
-      for (int i = 0; i < 50; ++i) {
-        auto f = pool.offload_with_retry(
-            [&] {
-              if (flaky_attempts.fetch_add(1) % 3 == 0) {
-                throw std::runtime_error("transient");
-              }
-              ran.fetch_add(1, std::memory_order_relaxed);
-            },
-            5, 1us);
-        std::lock_guard lock(retry_mu);
-        retry_futures.push_back(std::move(f));
+  std::vector<std::future<int>> futures[kProducers];
+  for (int t = 0; t < kProducers; ++t) {
+    producers.emplace_back([&, t] {
+      for (int i = 0; i < kTasksPerProducer; ++i) {
+        futures[t].push_back(pool.offload_result([&throws, i] {
+          if (i % 3 == 0) {
+            throws.fetch_add(1, std::memory_order_relaxed);
+            throw std::runtime_error("task failed");
+          }
+          return i;
+        }));
       }
     });
   }
@@ -318,8 +274,19 @@ TEST(PoolStress, MixedStorm) {
         pool.workers() + 1, 9);
   }
   for (auto& p : producers) p.join();
-  for (auto& f : retry_futures) f.get();
-  EXPECT_EQ(ran.load(), 4 * 50);
+  int resolved = 0, failed = 0;
+  for (auto& fs : futures) {
+    for (auto& f : fs) {
+      ++resolved;
+      try {
+        f.get();
+      } catch (const std::runtime_error&) {
+        ++failed;
+      }
+    }
+  }
+  EXPECT_EQ(resolved, kProducers * kTasksPerProducer);
+  EXPECT_EQ(failed, throws.load());
   EXPECT_EQ(loop_sum.load(), 20 * 512);
 }
 
