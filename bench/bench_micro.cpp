@@ -58,15 +58,20 @@ struct KernelFixture {
     pa = std::make_unique<phylo::PatternAlignment>(alignment);
     model = std::make_unique<phylo::SubstModel>(
         phylo::GtrParams::hky(2.5, pa->base_frequencies()), 0.8);
-    phylo::init_tip_clv(*pa, 0, left);
-    phylo::init_tip_clv(*pa, 1, right);
+    phylo::Clv<double> tip0, tip1;
+    phylo::init_tip_clv(*pa, 0, tip0);
+    phylo::init_tip_clv(*pa, 1, tip1);
     pl = phylo::BranchP::at(*model, 0.1);
     pr = phylo::BranchP::at(*model, 0.25);
+    // Inner operands: the vector kernels read tip operands through a lookup
+    // table, so tips would time the lookup instead of the general path.
+    phylo::newview(tip0, pl, tip1, pr, left);
+    right = left;
   }
   phylo::Alignment alignment;
   std::unique_ptr<phylo::PatternAlignment> pa;
   std::unique_ptr<phylo::SubstModel> model;
-  phylo::Clv<double> left, right;
+  phylo::Clv<double> left, right;  ///< inner CLVs (no tip codes)
   phylo::BranchP pl, pr;
 };
 

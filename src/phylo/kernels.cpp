@@ -16,18 +16,17 @@ template <typename Real>
 void init_tip_clv(const PatternAlignment& a, int taxon, Clv<Real>& out) {
   const int patterns = a.patterns();
   out.resize(patterns, kRateCategories);
+  std::fill(out.scale.begin(), out.scale.end(), 0);
+  out.tip.resize(static_cast<std::size_t>(patterns));
   for (int p = 0; p < patterns; ++p) {
     const std::uint8_t s = a.state(taxon, p);
+    const std::uint8_t code = s < kStates ? s : kTipGap;
+    out.tip[static_cast<std::size_t>(p)] = code;
     for (int r = 0; r < kRateCategories; ++r) {
       Real* v = &out.data[(static_cast<std::size_t>(p) * kRateCategories +
                            static_cast<std::size_t>(r)) *
                           kStates];
-      if (s >= kStates) {
-        for (int j = 0; j < kStates; ++j) v[j] = Real(1.0);
-      } else {
-        for (int j = 0; j < kStates; ++j) v[j] = Real(0.0);
-        v[s] = Real(1.0);
-      }
+      for (int j = 0; j < kStates; ++j) v[j] = Real(kTipVectors[code][j]);
     }
   }
 }
@@ -135,9 +134,8 @@ void make_sumtable(const Clv<Real>& a, const Clv<Real>& b,
   if (b.patterns() != patterns) {
     throw std::invalid_argument("make_sumtable: size mismatch");
   }
-  sumtable.assign(static_cast<std::size_t>(patterns) * kRateCategories *
-                      kStates,
-                  Real(0.0));
+  sumtable.resize(static_cast<std::size_t>(patterns) * kRateCategories *
+                  kStates);
   // pi-weighted left eigenvectors, precomputed in plain double (model
   // setup cost, not per-pattern kernel work).
   const auto& pi = model.freqs();

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "phylo/alignment.hpp"
@@ -30,18 +31,40 @@ inline constexpr double kTwoTo256 = 1.157920892373162e77;  // 2^256
 inline const double kMinLikelihood = 1.0 / kTwoTo256;
 inline const double kLogTwoTo256 = 256.0 * 0.6931471805599453;
 
+/// Tip state code of a gap (missing data); codes 0-3 are the bases.
+inline constexpr std::uint8_t kTipGap = kStates;
+/// Number of distinct tip state codes.
+inline constexpr int kTipCodes = kStates + 1;
+/// The CLV block a tip holds for each code: one-hot for a base, all ones
+/// for a gap (missing data).
+inline constexpr double kTipVectors[kTipCodes][kStates] = {
+    {1.0, 0.0, 0.0, 0.0},
+    {0.0, 1.0, 0.0, 0.0},
+    {0.0, 0.0, 1.0, 0.0},
+    {0.0, 0.0, 0.0, 1.0},
+    {1.0, 1.0, 1.0, 1.0},
+};
+
 /// Conditional likelihood vector for one tree node/direction:
 /// layout [pattern][rate][state], plus per-pattern scale counts.
 template <typename Real>
 struct Clv {
   std::vector<Real> data;
   std::vector<int> scale;
+  /// Per-pattern tip state codes (0-3 a base, kTipGap a gap), filled only by
+  /// init_tip_clv; empty for every other CLV.  When non-empty, `data` holds
+  /// exactly kTipVectors[code] in every rate block of each pattern, so the
+  /// vector kernels may look a tip operand's products up by code.
+  std::vector<std::uint8_t> tip;
 
+  /// Sizes the vectors and drops the tip codes.  Kept elements are not
+  /// cleared: every writer (init_tip_clv and the kernels) overwrites all of
+  /// `data` and `scale`, so zero-filling them first would be wasted work.
   void resize(int patterns, int rates) {
-    data.assign(static_cast<std::size_t>(patterns) *
-                    static_cast<std::size_t>(rates) * kStates,
-                Real(0.0));
-    scale.assign(static_cast<std::size_t>(patterns), 0);
+    data.resize(static_cast<std::size_t>(patterns) *
+                static_cast<std::size_t>(rates) * kStates);
+    scale.resize(static_cast<std::size_t>(patterns));
+    tip.clear();
   }
   int patterns() const noexcept { return static_cast<int>(scale.size()); }
 };
@@ -59,7 +82,8 @@ struct BranchP {
   }
 };
 
-/// Fills a tip CLV from observed states (gap = all-ones, missing data).
+/// Fills a tip CLV from observed states (gap = all-ones, missing data),
+/// with zero scale counts and the per-pattern state codes in `out.tip`.
 template <typename Real>
 void init_tip_clv(const PatternAlignment& a, int taxon, Clv<Real>& out);
 

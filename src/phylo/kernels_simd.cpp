@@ -51,13 +51,17 @@ using spu::vload4;
 using spu::vsplat4;
 using spu::vstore4;
 
+// Every helper below is always-inline: the CBE_SIMD_CLONES entry points are
+// compiled once per target, and a vdouble4 must not cross a call between
+// code built for different targets (see spu/vec.hpp).
+
 /// P matrix transposed into column vectors: col[j] lane s = P[s][j].  With
 /// this layout the four per-state dot products of newview/evaluate become
 /// column-scaled accumulation, one lane per target state.
 struct PmatT {
   vdouble4 col[4];
 
-  static PmatT from(const Pmatrix& m) noexcept {
+  [[gnu::always_inline]] static PmatT from(const Pmatrix& m) noexcept {
     PmatT t;
     for (int j = 0; j < 4; ++j) {
       t.col[j] = vdouble4{m[static_cast<std::size_t>(0 * 4 + j)],
@@ -72,7 +76,7 @@ struct PmatT {
 struct BranchPT {
   PmatT p[kRateCategories];
 
-  static BranchPT from(const BranchP& bp) noexcept {
+  [[gnu::always_inline]] static BranchPT from(const BranchP& bp) noexcept {
     BranchPT t;
     for (int r = 0; r < kRateCategories; ++r) {
       t.p[r] = PmatT::from(bp.p[static_cast<std::size_t>(r)]);
@@ -84,7 +88,8 @@ struct BranchPT {
 /// Lane s = m[s][0]*v[0] + m[s][1]*v[1] + m[s][2]*v[2] + m[s][3]*v[3],
 /// evaluated strictly left-to-right — the exact rounding order of the
 /// scalar reference's per-state dot product.
-inline vdouble4 dot_rows(const PmatT& m, const double* v) noexcept {
+[[gnu::always_inline]] inline vdouble4 dot_rows(const PmatT& m,
+                                                const double* v) noexcept {
   vdouble4 acc = m.col[0] * vsplat4(v[0]);
   acc = acc + m.col[1] * vsplat4(v[1]);
   acc = acc + m.col[2] * vsplat4(v[2]);
@@ -92,20 +97,42 @@ inline vdouble4 dot_rows(const PmatT& m, const double* v) noexcept {
   return acc;
 }
 
-}  // namespace
+/// dot_rows(P_r, kTipVectors[c]) for every tip code c and every rate r.  A
+/// tip CLV holds exactly these vectors, and dot_rows is deterministic, so a
+/// lookup returns the bits the arithmetic would have produced.
+struct TipTable {
+  vdouble4 dot[kTipCodes][kRateCategories];
+};
 
-void newview_simd(const Clv<double>& left, const BranchP& pl,
-                  const Clv<double>& right, const BranchP& pr,
-                  Clv<double>& out) {
-  const int patterns = left.patterns();
-  if (right.patterns() != patterns) {
-    throw std::invalid_argument("newview_simd: pattern count mismatch");
+[[gnu::always_inline]] inline void build_tip_table(const BranchPT& bp,
+                                                   TipTable& out) noexcept {
+  for (int c = 0; c < kTipCodes; ++c) {
+    for (int r = 0; r < kRateCategories; ++r) {
+      out.dot[c][r] = dot_rows(bp.p[r], kTipVectors[c]);
+    }
   }
-  out.resize(patterns, kRateCategories);
-  const BranchPT plt = BranchPT::from(pl);
-  const BranchPT prt = BranchPT::from(pr);
-  const vdouble4 two256 = vsplat4(kTwoTo256);
+}
 
+/// One operand's per-(pattern, rate) dot products: a table lookup for a
+/// tip, the arithmetic otherwise.
+template <bool Tip>
+[[gnu::always_inline]] inline vdouble4 operand_dot(
+    const Clv<double>& c, const BranchPT& bp, const TipTable& table, int p,
+    int r, std::size_t base) noexcept {
+  if constexpr (Tip) {
+    return table.dot[c.tip[static_cast<std::size_t>(p)]][r];
+  } else {
+    return dot_rows(bp.p[r], &c.data[base]);
+  }
+}
+
+template <bool LeftTip, bool RightTip>
+[[gnu::always_inline]] inline void newview_body(
+    const Clv<double>& left, const BranchPT& plt, const TipTable& ltab,
+    const Clv<double>& right, const BranchPT& prt, const TipTable& rtab,
+    Clv<double>& out) noexcept {
+  const int patterns = out.patterns();
+  const vdouble4 two256 = vsplat4(kTwoTo256);
   for (int p = 0; p < patterns; ++p) {
     bool all_small = true;
     for (int r = 0; r < kRateCategories; ++r) {
@@ -113,8 +140,8 @@ void newview_simd(const Clv<double>& left, const BranchP& pl,
           (static_cast<std::size_t>(p) * kRateCategories +
            static_cast<std::size_t>(r)) *
           kStates;
-      const vdouble4 dl = dot_rows(plt.p[r], &left.data[base]);
-      const vdouble4 dr = dot_rows(prt.p[r], &right.data[base]);
+      const vdouble4 dl = operand_dot<LeftTip>(left, plt, ltab, p, r, base);
+      const vdouble4 dr = operand_dot<RightTip>(right, prt, rtab, p, r, base);
       const vdouble4 o = dl * dr;
       vstore4(&out.data[base], o);
       all_small = all_small && o[0] < kMinLikelihood &&
@@ -136,15 +163,12 @@ void newview_simd(const Clv<double>& left, const BranchP& pl,
   }
 }
 
-double evaluate_simd(const Clv<double>& a, const Clv<double>& b,
-                     const BranchP& pb, const SubstModel& model,
-                     const std::vector<double>& weights) {
+template <bool BTip>
+[[gnu::always_inline]] inline double evaluate_body(
+    const Clv<double>& a, const Clv<double>& b, const BranchPT& pbt,
+    const TipTable& btab, const SubstModel& model,
+    const std::vector<double>& weights) noexcept {
   const int patterns = a.patterns();
-  if (b.patterns() != patterns ||
-      static_cast<int>(weights.size()) != patterns) {
-    throw std::invalid_argument("evaluate_simd: size mismatch");
-  }
-  const BranchPT pbt = BranchPT::from(pb);
   const auto& pi = model.freqs();
   const vdouble4 piv = vdouble4{pi[0], pi[1], pi[2], pi[3]};
   const double rate_w = 1.0 / kRateCategories;
@@ -157,7 +181,7 @@ double evaluate_simd(const Clv<double>& a, const Clv<double>& b,
           (static_cast<std::size_t>(p) * kRateCategories +
            static_cast<std::size_t>(r)) *
           kStates;
-      const vdouble4 inner = dot_rows(pbt.p[r], &b.data[base]);
+      const vdouble4 inner = operand_dot<BTip>(b, pbt, btab, p, r, base);
       // Lane i = (pi[i] * a[i]) * inner_i — the reference's
       // `pi[i] * av[i] * inner` with its left-associative grouping.
       const vdouble4 t = (piv * vload4(&a.data[base])) * inner;
@@ -181,6 +205,55 @@ double evaluate_simd(const Clv<double>& a, const Clv<double>& b,
   return lnl;
 }
 
+}  // namespace
+
+CBE_SIMD_CLONES
+void newview_simd(const Clv<double>& left, const BranchP& pl,
+                  const Clv<double>& right, const BranchP& pr,
+                  Clv<double>& out) {
+  const int patterns = left.patterns();
+  if (right.patterns() != patterns) {
+    throw std::invalid_argument("newview_simd: pattern count mismatch");
+  }
+  const bool left_tip = !left.tip.empty();
+  const bool right_tip = !right.tip.empty();
+  out.resize(patterns, kRateCategories);
+  const BranchPT plt = BranchPT::from(pl);
+  const BranchPT prt = BranchPT::from(pr);
+  TipTable ltab, rtab;
+  if (left_tip) build_tip_table(plt, ltab);
+  if (right_tip) build_tip_table(prt, rtab);
+
+  if (left_tip && right_tip) {
+    newview_body<true, true>(left, plt, ltab, right, prt, rtab, out);
+  } else if (left_tip) {
+    newview_body<true, false>(left, plt, ltab, right, prt, rtab, out);
+  } else if (right_tip) {
+    newview_body<false, true>(left, plt, ltab, right, prt, rtab, out);
+  } else {
+    newview_body<false, false>(left, plt, ltab, right, prt, rtab, out);
+  }
+}
+
+CBE_SIMD_CLONES
+double evaluate_simd(const Clv<double>& a, const Clv<double>& b,
+                     const BranchP& pb, const SubstModel& model,
+                     const std::vector<double>& weights) {
+  const int patterns = a.patterns();
+  if (b.patterns() != patterns ||
+      static_cast<int>(weights.size()) != patterns) {
+    throw std::invalid_argument("evaluate_simd: size mismatch");
+  }
+  const BranchPT pbt = BranchPT::from(pb);
+  TipTable btab;
+  if (b.tip.empty()) {
+    return evaluate_body<false>(a, b, pbt, btab, model, weights);
+  }
+  build_tip_table(pbt, btab);
+  return evaluate_body<true>(a, b, pbt, btab, model, weights);
+}
+
+CBE_SIMD_CLONES
 void make_sumtable_simd(const Clv<double>& a, const Clv<double>& b,
                         const SubstModel& model,
                         std::vector<double>& sumtable) {
@@ -188,9 +261,8 @@ void make_sumtable_simd(const Clv<double>& a, const Clv<double>& b,
   if (b.patterns() != patterns) {
     throw std::invalid_argument("make_sumtable_simd: size mismatch");
   }
-  sumtable.assign(static_cast<std::size_t>(patterns) * kRateCategories *
-                      kStates,
-                  0.0);
+  sumtable.resize(static_cast<std::size_t>(patterns) * kRateCategories *
+                  kStates);
   const auto& pi = model.freqs();
   const auto& left = model.left();
   const auto& right = model.right();

@@ -1,10 +1,13 @@
 // Genuinely vectorized variants of the likelihood kernels, written against
 // the compiler vector extensions exposed through spu/vec.hpp (vdouble4 —
-// one AVX ymm or a pair of SSE2 xmm per operation).  They vectorize across
-// the state dimension: each (pattern, rate) block of a CLV is exactly
-// kStates == 4 contiguous doubles, so the four per-state dot products of
-// the scalar reference become one 4-lane fused sweep over pre-transposed
-// P-matrix columns.
+// one AVX ymm per operation in the AVX2 clone that x86-64 CPUs with AVX2
+// select at load time, a pair of SSE2 xmm in the baseline clone).  They
+// vectorize across the state dimension: each (pattern, rate) block of a
+// CLV is exactly kStates == 4 contiguous doubles, so the four per-state dot
+// products of the scalar reference become one 4-lane fused sweep over
+// pre-transposed P-matrix columns.  A tip operand (Clv::tip non-empty) has
+// only five distinct blocks, so newview_simd and evaluate_simd's `b` read
+// its products from a per-call table built by the same arithmetic.
 //
 // The contract — enforced by tests/test_kernels_differential.cpp — is that
 // every SIMD kernel is BIT-IDENTICAL to its scalar reference in

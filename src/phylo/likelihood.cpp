@@ -19,7 +19,9 @@ LikelihoodEngine::LikelihoodEngine(const PatternAlignment& alignment,
 void LikelihoodEngine::attach(const Tree& tree) {
   tree_ = &tree;
   last_revision_ = tree.revision();
-  dir_.assign(static_cast<std::size_t>(tree.edge_count()) * 2, DirClv{});
+  // Invalidate in place: the slots keep their storage for the next newview.
+  dir_.resize(static_cast<std::size_t>(tree.edge_count()) * 2);
+  for (DirClv& d : dir_) d.valid = false;
 }
 
 void LikelihoodEngine::sync(const Tree& tree) {
@@ -99,17 +101,16 @@ double LikelihoodEngine::optimize_branch(Tree& tree, int edge) {
   const Clv<double>& ca = compute_dir(edge, a);
   const Clv<double>& cb = compute_dir(edge, b);
 
-  std::vector<double> sumtable;
-  make_sumtable_dispatch(ca, cb, *model_, sumtable);
-  std::vector<int> scale_sum(static_cast<std::size_t>(ca.patterns()));
+  make_sumtable_dispatch(ca, cb, *model_, sumtable_);
+  scale_sum_.resize(static_cast<std::size_t>(ca.patterns()));
   for (int p = 0; p < ca.patterns(); ++p) {
-    scale_sum[static_cast<std::size_t>(p)] =
+    scale_sum_[static_cast<std::size_t>(p)] =
         ca.scale[static_cast<std::size_t>(p)] +
         cb.scale[static_cast<std::size_t>(p)];
   }
   int iters = 0;
   const double t =
-      newton_branch_length(sumtable, scale_sum, *model_,
+      newton_branch_length(sumtable_, scale_sum_, *model_,
                            alignment_->weights(), tree.branch_length(edge),
                            32, &iters);
   notify(task::KernelClass::Makenewz, iters);
@@ -123,7 +124,7 @@ double LikelihoodEngine::optimize_branch(Tree& tree, int edge) {
   for (std::size_t i = 0; i < dir_.size(); ++i) {
     if (i != keep_a && i != keep_b) dir_[i].valid = false;
   }
-  return sumtable_loglik(sumtable, scale_sum, *model_,
+  return sumtable_loglik(sumtable_, scale_sum_, *model_,
                          alignment_->weights(), t);
 }
 
@@ -131,7 +132,7 @@ double LikelihoodEngine::optimize_all_branches(Tree& tree, int rounds) {
   sync(tree);
   double lnl = 0.0;
   for (int r = 0; r < rounds; ++r) {
-    for (int e : tree.all_edges()) lnl = optimize_branch(tree, e);
+    for (int e = 0; e < tree.edge_count(); ++e) lnl = optimize_branch(tree, e);
   }
   return lnl;
 }
@@ -145,7 +146,7 @@ double LikelihoodEngine::insertion_score(int leaf, int edge,
   const double half = tree_->branch_length(edge) * 0.5;
   const BranchP ph = BranchP::at(*model_, half);
 
-  Clv<double> cx;
+  Clv<double>& cx = scratch_[0];
   newview_dispatch(ca, ph, cb, ph, cx);
   notify(task::KernelClass::Newview);
   const double lnl = evaluate_dispatch(
@@ -194,7 +195,8 @@ double LikelihoodEngine::nni_score(int edge, int variant) {
   const Clv<double>& cc = compute_dir(c_edge, c_node);
   const Clv<double>& cd = compute_dir(d_edge, d_node);
 
-  Clv<double> cu, cv;
+  Clv<double>& cu = scratch_[0];
+  Clv<double>& cv = scratch_[1];
   newview_dispatch(ca, branch_p(a_edge), cc, branch_p(c_edge), cu);
   notify(task::KernelClass::Newview);
   newview_dispatch(cb, branch_p(b_edge), cd, branch_p(d_edge), cv);

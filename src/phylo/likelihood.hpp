@@ -78,6 +78,11 @@ class LikelihoodEngine {
   const Tree* tree_ = nullptr;
   std::vector<Clv<double>> tips_;
   std::vector<DirClv> dir_;
+  // Scratch outputs of the scoring and branch-length kernels.  Owning them
+  // here keeps every kernel call allocation-free once they are sized.
+  Clv<double> scratch_[2];
+  std::vector<double> sumtable_;
+  std::vector<int> scale_sum_;
   std::uint64_t last_revision_ = 0;
   std::uint64_t kernel_calls_ = 0;
 };

@@ -76,9 +76,8 @@ struct double2 {
 //
 // The types above are *models* (plain loops the compiler may or may not
 // auto-vectorize).  `vdouble4` below is the real thing: a GCC/Clang vector
-// type that lowers to native SIMD registers (one AVX op, or a pair of SSE2
-// ops, per arithmetic operator).  The vectorized likelihood kernels are
-// written against it.
+// type that lowers to native SIMD registers.  The vectorized likelihood
+// kernels are written against it.
 //
 // CBE_SIMD_VECTOR_EXT is 1 when the extension is available and the build
 // did not force the scalar fallback (cmake -DCBE_SIMD=OFF defines
@@ -90,9 +89,24 @@ struct double2 {
 #define CBE_SIMD_VECTOR_EXT 0
 #endif
 
+// CBE_SIMD_CLONES marks a vector kernel entry point for an AVX2 clone beside
+// the baseline x86-64 (SSE2) one; the dynamic loader picks the clone the CPU
+// supports, so one binary runs everywhere and uses ymm registers where they
+// exist.  Neither clone enables FMA, so with -ffp-contract=off every lane
+// rounds exactly as the scalar reference does.  Everything such an entry
+// point calls with a vdouble4 argument or result must be always-inline: the
+// two clones pass 32-byte vectors differently, so a vdouble4 must never
+// cross a real call, not even at -O0.
+#if CBE_SIMD_VECTOR_EXT && defined(__x86_64__)
+#define CBE_SIMD_CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define CBE_SIMD_CLONES
+#endif
+
 #if CBE_SIMD_VECTOR_EXT
 
-/// Four IEEE doubles in one vector register (AVX ymm, or two SSE2 xmm).
+/// Four IEEE doubles: one AVX ymm register in a CBE_SIMD_CLONES kernel's
+/// AVX2 clone, a pair of SSE2 xmm registers in its baseline clone.
 /// Lane arithmetic is plain IEEE-754: `a + b` rounds each lane exactly like
 /// the corresponding scalar `+`, so kernels built from these stay
 /// bit-identical to their scalar references as long as the translation unit
@@ -102,17 +116,19 @@ typedef double vdouble4 __attribute__((vector_size(32)));
 
 /// Unaligned load/store via memcpy — lowers to vmovupd/movupd; CLV data is
 /// only guaranteed 8-byte aligned.
-inline vdouble4 vload4(const double* p) noexcept {
+[[gnu::always_inline]] inline vdouble4 vload4(const double* p) noexcept {
   vdouble4 r;
   __builtin_memcpy(&r, p, sizeof r);
   return r;
 }
 
-inline void vstore4(double* p, vdouble4 x) noexcept {
+[[gnu::always_inline]] inline void vstore4(double* p, vdouble4 x) noexcept {
   __builtin_memcpy(p, &x, sizeof x);
 }
 
-inline vdouble4 vsplat4(double x) noexcept { return vdouble4{x, x, x, x}; }
+[[gnu::always_inline]] inline vdouble4 vsplat4(double x) noexcept {
+  return vdouble4{x, x, x, x};
+}
 
 #endif  // CBE_SIMD_VECTOR_EXT
 

@@ -1,12 +1,14 @@
-// Allocation budget of the simulated off-load path (DESIGN.md §10).
+// Allocation budgets of the simulated off-load path (DESIGN.md §10) and of
+// the likelihood engine (DESIGN.md §9).
 //
 // A fault-free run must not touch the heap per off-load: every continuation
 // of the chain fits its InlineFn buffer, attempt and loop records are
 // recycled, and every queue and scan buffer keeps its storage.  What a run
 // allocates is set-up (machine, processes, pools warming up to the peak
-// concurrency), so it must not grow with the number of tasks.  This binary
-// replaces the global operator new to count allocations, which is why it is
-// its own executable.
+// concurrency), so it must not grow with the number of tasks.  Likewise the
+// engine's kernels reuse its cached and scratch CLVs, so a search allocates
+// nothing per kernel call.  This binary replaces the global operator new to
+// count allocations, which is why it is its own executable.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,10 +19,12 @@
 #include <new>
 #include <string>
 
+#include "phylo/likelihood.hpp"
 #include "runtime/mgps.hpp"
 #include "runtime/policy.hpp"
 #include "runtime/sim_runtime.hpp"
 #include "task/synthetic.hpp"
+#include "util/rng.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
@@ -101,3 +105,55 @@ TEST(AllocBudget, IntegrityPathDoesNotAllocatePerOffload) {
 
 }  // namespace
 }  // namespace cbe::rt
+
+namespace cbe::phylo {
+namespace {
+
+/// One search-shaped round over a fixed tree: a branch-length sweep, then
+/// every edge scored as an insertion point and every internal edge's two
+/// NNI variants, as stepwise addition and hill climbing score them.
+void search_round(LikelihoodEngine& engine, Tree& tree) {
+  engine.optimize_all_branches(tree, 1);
+  for (int e = 0; e < tree.edge_count(); ++e) {
+    engine.insertion_score(0, e);
+    const auto [u, v] = tree.edge_nodes(e);
+    if (!tree.leaf(u) && !tree.leaf(v)) {
+      engine.nni_score(e, 0);
+      engine.nni_score(e, 1);
+    }
+  }
+}
+
+TEST(AllocBudget, SearchDoesNotAllocatePerKernel) {
+  SyntheticAlignmentConfig acfg;
+  acfg.taxa = 10;
+  acfg.sites = 240;
+  const PatternAlignment pa(make_synthetic_alignment(acfg));
+  const SubstModel model(GtrParams::hky(2.5, pa.base_frequencies()), 0.8);
+  util::Rng rng(5);
+  Tree tree = Tree::random(pa.taxa(), rng);
+  LikelihoodEngine engine(pa, model);
+  engine.attach(tree);
+  search_round(engine, tree);  // warm-up: the CLV cache fills once
+
+  const auto allocations = [&](int rounds) {
+    const std::uint64_t calls = engine.kernel_calls();
+    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    for (int r = 0; r < rounds; ++r) search_round(engine, tree);
+    const std::uint64_t used =
+        g_allocs.load(std::memory_order_relaxed) - before;
+    EXPECT_GT(engine.kernel_calls() - calls,
+              static_cast<std::uint64_t>(rounds * tree.edge_count()));
+    return used;
+  };
+  const std::uint64_t one = allocations(1);
+  const std::uint64_t ten = allocations(10);
+  // Each round makes more kernel calls than there are edges (checked
+  // above); a few allocations of slack leave room only for set-up that is
+  // not per kernel.
+  EXPECT_LE(ten, one + 8) << one << " allocations in 1 round, " << ten
+                          << " in 10";
+}
+
+}  // namespace
+}  // namespace cbe::phylo

@@ -2,8 +2,9 @@
 // kernel must be BIT-identical (memcmp, not tolerance) to the scalar
 // reference in phylo/kernels.cpp, across randomized models, branch lengths,
 // pattern counts (including the 0 / 1 / odd tails a lane-width bug would
-// hit first), random CLV contents, and inputs tiny enough to force the
-// 2^256 rescaling path.  When the vector code is compiled out the *_simd
+// hit first), random CLV contents, tip operands (which the vector kernels
+// read through a per-call lookup table), and inputs tiny enough to force
+// the 2^256 rescaling path.  When the vector code is compiled out the *_simd
 // symbols forward to the reference and the comparisons hold trivially, so
 // the suite is meaningful in every build configuration.
 #include "phylo/kernels_simd.hpp"
@@ -12,6 +13,8 @@
 
 #include <cstring>
 #include <random>
+#include <set>
+#include <string>
 #include <vector>
 
 namespace cbe::phylo {
@@ -50,6 +53,44 @@ Clv<double> random_clv(int patterns, std::mt19937_64& rng,
     clv.scale[static_cast<std::size_t>(p)] = scale_dist(rng);
   }
   return clv;
+}
+
+/// Tip CLVs of two taxa, built by init_tip_clv over an alignment of exactly
+/// `patterns` distinct random columns; about `gap_fraction` of the states
+/// are gaps.
+struct TipPair {
+  Clv<double> a, b;
+};
+
+TipPair random_tips(int patterns, std::mt19937_64& rng,
+                    double gap_fraction) {
+  constexpr int kTaxa = 6;  // 5^6 possible columns: room for every tail
+  std::bernoulli_distribution gap(gap_fraction);
+  std::uniform_int_distribution<int> base(0, kStates - 1);
+  std::set<std::vector<std::uint8_t>> columns;
+  while (static_cast<int>(columns.size()) < patterns) {
+    std::vector<std::uint8_t> col(kTaxa);
+    for (auto& x : col) {
+      x = static_cast<std::uint8_t>(gap(rng) ? int{kGap} : base(rng));
+    }
+    columns.insert(col);
+  }
+  const std::vector<std::string> names = {"a", "b", "c", "d", "e", "f"};
+  std::vector<std::vector<std::uint8_t>> seqs(kTaxa);
+  for (const auto& col : columns) {
+    for (int t = 0; t < kTaxa; ++t) seqs[t].push_back(col[t]);
+  }
+  const PatternAlignment pa(Alignment(names, seqs));
+  TipPair tips;
+  init_tip_clv(pa, 0, tips.a);
+  init_tip_clv(pa, 1, tips.b);
+  return tips;
+}
+
+int gap_count(const Clv<double>& tip) {
+  int n = 0;
+  for (std::uint8_t code : tip.tip) n += code == kTipGap ? 1 : 0;
+  return n;
 }
 
 SubstModel random_model(std::mt19937_64& rng) {
@@ -229,6 +270,121 @@ TEST(KernelsDifferential, RealAlignmentPipelineBitIdentical) {
   make_sumtable(ref, t2, model, st_ref);
   make_sumtable_simd(simd, t2, model, st_simd);
   ASSERT_TRUE(bits_equal(st_ref, st_simd));
+}
+
+/// newview_simd against the reference, bit for bit, for one operand pair.
+void expect_newview_identical(const Clv<double>& left, const BranchP& pl,
+                              const Clv<double>& right, const BranchP& pr,
+                              const std::string& what) {
+  Clv<double> ref, simd;
+  newview(left, pl, right, pr, ref);
+  newview_simd(left, pl, right, pr, simd);
+  ASSERT_EQ(left.patterns(), simd.patterns()) << what;
+  ASSERT_TRUE(bits_equal(ref.data, simd.data)) << what;
+  ASSERT_EQ(ref.scale, simd.scale) << what;
+  EXPECT_TRUE(simd.tip.empty()) << what << ": an inner CLV has no codes";
+}
+
+TEST(KernelsDifferential, TipInnerBitIdenticalInBothOrders) {
+  std::mt19937_64 rng(0x71F5u);
+  for (int patterns : kPatternTails) {
+    for (int rep = 0; rep < 3; ++rep) {
+      const SubstModel model = random_model(rng);
+      std::uniform_real_distribution<double> blen(0.001, 1.5);
+      const BranchP pl = BranchP::at(model, blen(rng));
+      const BranchP pr = BranchP::at(model, blen(rng));
+      const TipPair tips = random_tips(patterns, rng, 0.15);
+      ASSERT_EQ(static_cast<int>(tips.a.tip.size()), patterns);
+      const Clv<double> inner = random_clv(patterns, rng, 0.3);
+      const std::string where = "patterns=" + std::to_string(patterns) +
+                                " rep=" + std::to_string(rep);
+      expect_newview_identical(tips.a, pl, inner, pr, "tip x inner " + where);
+      expect_newview_identical(inner, pl, tips.a, pr, "inner x tip " + where);
+    }
+  }
+}
+
+TEST(KernelsDifferential, TipTipWithGapsBitIdentical) {
+  std::mt19937_64 rng(0x6A95u);
+  int gaps = 0;
+  for (int patterns : kPatternTails) {
+    for (int rep = 0; rep < 3; ++rep) {
+      const SubstModel model = random_model(rng);
+      std::uniform_real_distribution<double> blen(0.001, 1.5);
+      const BranchP pl = BranchP::at(model, blen(rng));
+      const BranchP pr = BranchP::at(model, blen(rng));
+      const TipPair tips = random_tips(patterns, rng, 0.3);
+      gaps += gap_count(tips.a) + gap_count(tips.b);
+      expect_newview_identical(
+          tips.a, pl, tips.b, pr,
+          "tip x tip patterns=" + std::to_string(patterns) +
+              " rep=" + std::to_string(rep));
+    }
+  }
+  EXPECT_GT(gaps, 0) << "no gap codes generated — test is vacuous";
+}
+
+TEST(KernelsDifferential, TipChildUnderTinyInnerRescalesBitIdentically) {
+  // A tip's products are at most ~1, so the 2^256 rescue fires only when
+  // the inner sibling is below kMinLikelihood on its own.
+  std::mt19937_64 rng(0x5CA1u);
+  const SubstModel model = random_model(rng);
+  const BranchP pl = BranchP::at(model, 0.05);
+  const BranchP pr = BranchP::at(model, 0.4);
+  const int patterns = 41;
+  const TipPair tips = random_tips(patterns, rng, 0.2);
+  Clv<double> tiny = random_clv(patterns, rng, 0.0);
+  for (double& v : tiny.data) v *= 1e-80;
+  expect_newview_identical(tips.a, pl, tiny, pr, "tip x tiny");
+  expect_newview_identical(tiny, pl, tips.a, pr, "tiny x tip");
+  Clv<double> ref;
+  newview(tips.a, pl, tiny, pr, ref);
+  int rescued = 0;
+  for (std::size_t i = 0; i < ref.scale.size(); ++i) {
+    rescued += ref.scale[i] - tiny.scale[i];
+  }
+  EXPECT_GT(rescued, 0) << "rescue path not exercised — test is vacuous";
+}
+
+TEST(KernelsDifferential, EvaluateTipOperandBitIdentical) {
+  std::mt19937_64 rng(0xE7A1u);
+  for (int patterns : kPatternTails) {
+    for (int rep = 0; rep < 3; ++rep) {
+      const SubstModel model = random_model(rng);
+      std::uniform_real_distribution<double> blen(0.001, 1.5);
+      const BranchP pb = BranchP::at(model, blen(rng));
+      const TipPair tips = random_tips(patterns, rng, 0.2);
+      const Clv<double> inner = random_clv(patterns, rng, 0.2);
+      const std::vector<double> weights = random_weights(patterns, rng);
+      ASSERT_TRUE(bits_equal(evaluate(inner, tips.b, pb, model, weights),
+                             evaluate_simd(inner, tips.b, pb, model, weights)))
+          << "inner x tip patterns=" << patterns << " rep=" << rep;
+      ASSERT_TRUE(bits_equal(evaluate(tips.a, tips.b, pb, model, weights),
+                             evaluate_simd(tips.a, tips.b, pb, model, weights)))
+          << "tip x tip patterns=" << patterns << " rep=" << rep;
+    }
+  }
+}
+
+TEST(KernelsDifferential, NewviewIntoFormerTipDropsItsCodes) {
+  // A stale code would make a later kernel read this CLV as a tip.
+  std::mt19937_64 rng(0x0C0Du);
+  const SubstModel model = random_model(rng);
+  const BranchP p = BranchP::at(model, 0.2);
+  const TipPair tips = random_tips(19, rng, 0.2);
+  const Clv<double> inner = random_clv(19, rng, 0.0);
+  Clv<double> ref = tips.b;
+  Clv<double> simd = tips.b;
+  ASSERT_FALSE(simd.tip.empty());
+  newview(tips.a, p, inner, p, ref);
+  newview_simd(tips.a, p, inner, p, simd);
+  EXPECT_TRUE(ref.tip.empty());
+  EXPECT_TRUE(simd.tip.empty());
+  ASSERT_TRUE(bits_equal(ref.data, simd.data));
+  ASSERT_EQ(ref.scale, simd.scale);
+  const std::vector<double> weights = random_weights(19, rng);
+  ASSERT_TRUE(bits_equal(evaluate(inner, ref, p, model, weights),
+                         evaluate_simd(inner, simd, p, model, weights)));
 }
 
 TEST(KernelsDifferential, DispatchMatchesSelectedPath) {

@@ -66,7 +66,8 @@ TEST(ReportGolden, BootstrapReportMatchesFixture) {
   RunState st = make_fresh(job);
   const std::string got = run_job(st).to_text();
 
-  const std::string path = std::string(CBE_GOLDEN_DIR) + "/bootstrap_report.txt";
+  const std::string path =
+      std::string(CBE_GOLDEN_DIR) + "/bootstrap_report.txt";
   if (std::getenv("CBE_REGEN_GOLDEN") != nullptr) {
     std::ofstream(path, std::ios::binary) << got;
     GTEST_SKIP() << "regenerated " << path << "; commit it and re-run";
