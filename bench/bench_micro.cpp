@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks for the substrates: event-engine
 // throughput, likelihood kernels (scalar vs SIMD, and per-pattern cost),
-// fast math, and trace generation.  These measure the *host* performance of
+// and trace generation.  These measure the *host* performance of
 // the reproduction itself, not simulated Cell time.
 #include <benchmark/benchmark.h>
 
@@ -13,7 +13,6 @@
 #include "phylo/bootstrap.hpp"
 #include "phylo/kernels_simd.hpp"
 #include "sim/engine.hpp"
-#include "spu/mathlib.hpp"
 #include "task/synthetic.hpp"
 
 namespace {
@@ -145,26 +144,6 @@ void BM_MakeSumtableSimd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * f.pa->patterns());
 }
 BENCHMARK(BM_MakeSumtableSimd);
-
-void BM_FastExp(benchmark::State& state) {
-  double x = -30.0;
-  for (auto _ : state) {
-    x += 0.001;
-    if (x > 1.0) x = -30.0;
-    benchmark::DoNotOptimize(spu::fast_exp(x));
-  }
-}
-BENCHMARK(BM_FastExp);
-
-void BM_LibmExp(benchmark::State& state) {
-  double x = -30.0;
-  for (auto _ : state) {
-    x += 0.001;
-    if (x > 1.0) x = -30.0;
-    benchmark::DoNotOptimize(std::exp(x));
-  }
-}
-BENCHMARK(BM_LibmExp);
 
 void BM_SyntheticWorkload(benchmark::State& state) {
   for (auto _ : state) {

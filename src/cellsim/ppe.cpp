@@ -24,14 +24,7 @@ bool Ppe::context_ok(int ctx, int pid) const noexcept {
   return pin < 0 || pin == ctx;
 }
 
-void Ppe::account() {
-  const sim::Time now = eng_.now();
-  busy_acc_ += (now - last_change_) * static_cast<double>(busy_contexts());
-  last_change_ = now;
-}
-
 void Ppe::grant(int ctx, Waiter w) {
-  account();
   Context& c = contexts_[static_cast<std::size_t>(ctx)];
   c.holder = w.pid;
   Proc& p = procs_[static_cast<std::size_t>(w.pid)];
@@ -94,19 +87,11 @@ void Ppe::compute(int pid, double cycles, Fn done) {
   eng_.schedule_after(dt, std::move(done));
 }
 
-void Ppe::spin(int pid, sim::Time t, Fn done) {
-  if (!holds_context(pid)) {
-    throw std::logic_error("Ppe::spin: process does not hold a context");
-  }
-  eng_.schedule_after(t, std::move(done));
-}
-
 void Ppe::yield(int pid) {
   Proc& p = procs_[static_cast<std::size_t>(pid)];
   if (p.context == -1) {
     throw std::logic_error("Ppe::yield: process holds no context");
   }
-  account();
   const int ctx = p.context;
   Context& c = contexts_[static_cast<std::size_t>(ctx)];
   c.holder = -1;
@@ -146,17 +131,6 @@ int Ppe::busy_contexts() const noexcept {
   int n = 0;
   for (const auto& c : contexts_) n += c.holder != -1 ? 1 : 0;
   return n;
-}
-
-int Ppe::waiting() const noexcept {
-  std::size_t n = global_queue_.size();
-  for (const auto& c : contexts_) n += c.pinned_queue.size();
-  return static_cast<int>(n);
-}
-
-sim::Time Ppe::context_busy_time() const noexcept {
-  return busy_acc_ +
-         (eng_.now() - last_change_) * static_cast<double>(busy_contexts());
 }
 
 }  // namespace cbe::cell

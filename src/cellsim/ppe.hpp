@@ -56,10 +56,6 @@ class Ppe {
   /// fires on completion.
   void compute(int pid, double cycles, Fn done);
 
-  /// Occupies the context for wall time `t` without progress (spin-wait on a
-  /// completion mailbox, as the Linux-scheduled MPI processes do).
-  void spin(int pid, sim::Time t, Fn done);
-
   /// Releases the context.  The head waiter (pinned queue of that context
   /// first-come-first-served with the global queue) is granted next.
   void yield(int pid);
@@ -70,8 +66,6 @@ class Ppe {
   bool quantum_expired(int pid, sim::Time quantum) const noexcept;
 
   int busy_contexts() const noexcept;
-  int waiting() const noexcept;
-  sim::Time context_busy_time() const noexcept;
   std::uint64_t context_switches() const noexcept { return switches_; }
 
  private:
@@ -92,7 +86,6 @@ class Ppe {
   };
 
   void grant(int ctx, Waiter w);
-  void account();
   bool context_ok(int ctx, int pid) const noexcept;
 
   sim::Engine& eng_;
@@ -102,8 +95,6 @@ class Ppe {
   sim::Fifo<Waiter> global_queue_;
   std::uint64_t wait_seq_ = 0;
   std::uint64_t switches_ = 0;
-  sim::Time busy_acc_;
-  sim::Time last_change_;
 };
 
 }  // namespace cbe::cell

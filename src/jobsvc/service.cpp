@@ -29,6 +29,15 @@ constexpr std::uint64_t kBackoffSalt = 0x4241434b4f4a4954ull;   // "BACKOJIT"
 constexpr std::uint64_t kStepCorrSalt = 0x53544550434f5252ull;  // "STEPCORR"
 constexpr std::uint64_t kStepVerSalt = 0x5354455056455249ull;   // "STEPVERI"
 
+/// Ceiling on one retry backoff, before jitter.
+constexpr double kMaxBackoffS = 5.0;
+/// How long an open blade receives no work before the half-open probe.
+constexpr double kBreakerCooloffS = 2.0;
+/// Modeled virtual cost of taking one snapshot.
+constexpr double kCheckpointCostS = 0.002;
+/// Modeled dispatch overhead per (re)dispatch.
+constexpr double kDispatchCostS = 0.0005;
+
 std::string fmt_f64(double v) {
   // %.17g round-trips every double, so text comparison is bit comparison.
   char buf[64];
@@ -228,10 +237,10 @@ class ServiceRun {
     const int remaining = rec.spec.steps - rec.live.steps_done;
     sim::Time t = step_time(b, rec.spec) * static_cast<double>(remaining);
     if (cfg_.checkpoint_every > 0) {
-      t += sim::Time::sec(cfg_.checkpoint_cost_s) *
+      t += sim::Time::sec(kCheckpointCostS) *
            static_cast<double>(remaining / cfg_.checkpoint_every + 1);
     }
-    return t + sim::Time::sec(cfg_.dispatch_cost_s);
+    return t + sim::Time::sec(kDispatchCostS);
   }
 
   /// Key shared by the per-step oracles: a seed from (fault seed, oracle
@@ -273,10 +282,10 @@ class ServiceRun {
   double backoff_s(const Rec& rec) const {
     const RetryPolicy& p = cfg_.retry;
     double d = p.base_backoff_s;
-    for (int i = 1; i < rec.failures && d < p.max_backoff_s; ++i) {
+    for (int i = 1; i < rec.failures && d < kMaxBackoffS; ++i) {
       d *= p.multiplier;
     }
-    if (d > p.max_backoff_s) d = p.max_backoff_s;
+    if (d > kMaxBackoffS) d = kMaxBackoffS;
     if (p.jitter > 0.0) {
       std::uint64_t seed = cfg_.fault.seed ^ (kBackoffSalt + rec.spec.id);
       const double u = sim::fault_hash01(
@@ -513,7 +522,7 @@ class ServiceRun {
           eng_.schedule_at(deadline, [this, j] { on_watchdog(j); });
     }
     rec.step_ev = eng_.schedule_after(
-        sim::Time::sec(cfg_.dispatch_cost_s) + step_time(b, rec.spec),
+        sim::Time::sec(kDispatchCostS) + step_time(b, rec.spec),
         [this, j] { on_step(j); });
   }
 
@@ -576,7 +585,7 @@ class ServiceRun {
       rec.snapshot = snapshot_job(rec.spec, rec.live);
       rec.snap_corrupted = rec.live_corrupted;
       ++snapshots_;
-      extra += sim::Time::sec(cfg_.checkpoint_cost_s);
+      extra += sim::Time::sec(kCheckpointCostS);
       CBE_TRACE_EVENT(now_ns(), trace::EventKind::JobCheckpoint, rec.blade,
                       jid(rec), rec.live.steps_done,
                       static_cast<std::int64_t>(rec.snapshot.size()));
@@ -672,11 +681,11 @@ class ServiceRun {
                       b.consecutive_failures >= p.failure_threshold;
     if (!reopen && !open) return;
     b.breaker = BreakerState::Open;
-    b.open_until = eng_.now() + sim::Time::sec(p.cooloff_s);
+    b.open_until = eng_.now() + sim::Time::sec(kBreakerCooloffS);
     ++breaker_opens_;
     CBE_TRACE_EVENT(now_ns(), trace::EventKind::BreakerOpen, blade_idx, -1,
                     b.consecutive_failures,
-                    static_cast<std::int64_t>(p.cooloff_s * 1e9));
+                    static_cast<std::int64_t>(kBreakerCooloffS * 1e9));
     // Wake the queue when the cooloff elapses so the half-open probe runs
     // even if no other event lands after it.
     eng_.schedule_at(b.open_until, [this] { try_dispatch(); });

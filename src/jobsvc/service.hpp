@@ -48,7 +48,6 @@ struct RetryPolicy {
   int max_failures = 5;
   double base_backoff_s = 0.05;
   double multiplier = 2.0;
-  double max_backoff_s = 5.0;
   /// Backoff jitter fraction: the delay is scaled by a deterministic
   /// per-(job, failure) factor in [1 - jitter, 1 + jitter].
   double jitter = 0.2;
@@ -57,8 +56,6 @@ struct RetryPolicy {
 struct CircuitBreakerPolicy {
   /// Consecutive failures on one blade that open its breaker; 0 disables.
   int failure_threshold = 3;
-  /// How long an open blade receives no work before the half-open probe.
-  double cooloff_s = 2.0;
 };
 
 struct AdmissionPolicy {
@@ -96,10 +93,6 @@ struct ServiceConfig {
   /// Steps between snapshots while a job runs (0 disables checkpointing and
   /// every recovery becomes a cold restart; migrations still work).
   int checkpoint_every = 8;
-  /// Modeled virtual cost of taking one snapshot.
-  double checkpoint_cost_s = 0.002;
-  /// Modeled dispatch overhead per (re)dispatch.
-  double dispatch_cost_s = 0.0005;
   /// A dispatch's watchdog fires after `watchdog_factor` x the expected
   /// remaining runtime at dispatch speed; <= 0 disables watchdogs.
   double watchdog_factor = 4.0;

@@ -125,17 +125,6 @@ Alignment Alignment::parse_phylip(const std::string& text) {
   return Alignment(std::move(names), std::move(seqs));
 }
 
-std::string Alignment::to_phylip() const {
-  std::ostringstream out;
-  out << taxa() << ' ' << sites() << '\n';
-  for (int t = 0; t < taxa(); ++t) {
-    out << name(t) << ' ';
-    for (int s = 0; s < sites(); ++s) out << state_to_char(state(t, s));
-    out << '\n';
-  }
-  return out.str();
-}
-
 PatternAlignment::PatternAlignment(const Alignment& a)
     : taxa_(a.taxa()), total_sites_(a.sites()), freqs_(a.base_frequencies()) {
   // Group identical columns; map keeps deterministic (lexicographic) order.

@@ -73,7 +73,8 @@ class Alignment {
   /// "name sequence" lines).  Throws AlignmentError on malformed input
   /// (bad header, truncation, ragged rows, invalid characters).
   static Alignment parse_phylip(const std::string& text);
-  std::string to_phylip() const;
+
+  bool operator==(const Alignment&) const = default;
 
  private:
   std::vector<std::string> names_;

@@ -194,8 +194,8 @@ template <bool BTip>
       term = term + t[3];
       site = site + rate_w * term;
     }
-    // std::log, not spu::fast_log: bit-identity with the reference is the
-    // contract here, and log is a per-pattern (not per-state) cost.
+    // std::log, not an approximation: bit-identity with the reference is
+    // the contract here, and log is a per-pattern (not per-state) cost.
     const double logsite = std::log(site);
     const int sc = a.scale[static_cast<std::size_t>(p)] +
                    b.scale[static_cast<std::size_t>(p)];

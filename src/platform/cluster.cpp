@@ -10,26 +10,6 @@ BladeFleetConfig BladeFleetConfig::uniform(int n, int slots, double speed) {
   return cfg;
 }
 
-BladeFleetConfig BladeFleetConfig::from_smt(
-    const SmtMachineConfig& machine, int n,
-    double reference_bootstrap_seconds) {
-  BladeFleetConfig cfg;
-  if (n < 1) n = 1;
-  BladeSpec spec;
-  spec.slots = machine.contexts() < 1 ? 1 : machine.contexts();
-  spec.speed = machine.bootstrap_seconds > 0.0
-                   ? reference_bootstrap_seconds / machine.bootstrap_seconds
-                   : 1.0;
-  cfg.blades.assign(static_cast<std::size_t>(n), spec);
-  return cfg;
-}
-
-int BladeFleetConfig::total_slots() const noexcept {
-  int slots = 0;
-  for (const BladeSpec& b : blades) slots += b.slots;
-  return slots;
-}
-
 double BladeFleetConfig::total_capacity() const noexcept {
   double cap = 0.0;
   for (const BladeSpec& b : blades) {

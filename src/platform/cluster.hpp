@@ -1,14 +1,10 @@
 // Blade-fleet topology for the multi-tenant job service: N simulated blades,
 // each with a number of concurrent execution slots (worker contexts) and a
 // relative speed.  Extends the Section 5.5 cluster story (bench_cluster's
-// homogeneous dual-Cell blades) with heterogeneous fleets derived from the
-// Figure 10 machine calibrations, so a fleet can mix "Cell-blade-fast" and
-// "Xeon-slow" nodes and the scheduler's placement decisions matter.
+// homogeneous dual-Cell blades) to the job service's fleet.
 #pragma once
 
 #include <vector>
-
-#include "platform/smp.hpp"
 
 namespace cbe::platform {
 
@@ -26,14 +22,7 @@ struct BladeFleetConfig {
   /// `n` identical blades.
   static BladeFleetConfig uniform(int n, int slots = 4, double speed = 1.0);
 
-  /// One blade per SMT machine from the Figure 10 calibration: slots = the
-  /// machine's hardware contexts, speed = the machine's single-context
-  /// bootstrap throughput relative to `reference_bootstrap_seconds`.
-  static BladeFleetConfig from_smt(const SmtMachineConfig& machine, int n,
-                                   double reference_bootstrap_seconds = 30.0);
-
   int size() const noexcept { return static_cast<int>(blades.size()); }
-  int total_slots() const noexcept;
   /// Aggregate service rate in step-costs per second (sum of slots x speed);
   /// the service uses it to estimate a fault horizon for seeded fault plans.
   double total_capacity() const noexcept;

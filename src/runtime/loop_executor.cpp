@@ -47,8 +47,6 @@ struct LoopState : sim::Pooled<LoopState> {
   double bytes_in_per_iter = 0.0;
   double join_cycles_per_worker = 0.0;
   double clock = 1.0;
-  double send_us = 0.0;
-  int max_dma_retries = 0;
   std::uint64_t* reassigned_ctr = nullptr;
   std::uint64_t* retry_ctr = nullptr;
   trace::Histogram* imbalance_hist = nullptr;
@@ -85,6 +83,16 @@ struct LoopState : sim::Pooled<LoopState> {
 };
 
 namespace {
+
+// Costs of the work-sharing protocol; calibration constants matching
+// Table 2 (see DESIGN.md).
+
+/// Master loop entry + Pass preparation.
+constexpr double kLoopForkUs = 1.5;
+/// Serialized Pass put per worker.
+constexpr double kLoopSendPerWorkerUs = 0.8;
+/// Completion polling + merge per worker.
+constexpr double kLoopJoinPerWorkerUs = 2.0;
 
 using LoopRef = sim::Ref<LoopState>;
 
@@ -199,7 +207,7 @@ void loop_worker_fetch(const LoopRef& st, int w, int attempt) {
   st->m->dma_checked(w, bytes, chunks, [st, w, attempt](bool ok) {
     if (!ok) {
       st->faulted = true;
-      if (attempt < st->max_dma_retries) {
+      if (attempt < kMaxDmaRetries) {
         ++*st->retry_ctr;
         loop_worker_fetch(st, w, attempt + 1);
         return;
@@ -241,20 +249,21 @@ void loop_launch_worker(const LoopRef& st, int w) {
 }
 
 /// Master-side chain after the fork: serialized Pass sends (each occupying
-/// the master for send_us), then its own chunk, then join (in
+/// the master for kLoopSendPerWorkerUs), then its own chunk, then join (in
 /// loop_finish_check).  Send completions are at deterministic offsets, so
 /// they are scheduled directly instead of chained.
 void loop_start_sends(const LoopRef& st) {
   const std::size_t nw = st->workers.size();
   for (std::size_t k = 0; k < nw; ++k) {
-    const double depart_us = st->send_us * static_cast<double>(k + 1);
+    const double depart_us =
+        kLoopSendPerWorkerUs * static_cast<double>(k + 1);
     st->eng->schedule_after(sim::Time::us(depart_us),
                             [st, w = st->workers[k]] {
       st->eng->schedule_after(st->m->pass_latency(st->master, w),
                               [st, w] { loop_launch_worker(st, w); });
     });
   }
-  const double busy_us = st->send_us * static_cast<double>(nw);
+  const double busy_us = kLoopSendPerWorkerUs * static_cast<double>(nw);
   st->eng->schedule_after(sim::Time::us(busy_us), [st] {
     const double cycles =
         st->cycles_per_iter * static_cast<double>(st->master_iters);
@@ -295,8 +304,7 @@ void loop_on_failure(const LoopRef& st, int spe) {
 
 }  // namespace
 
-LoopExecutor::LoopExecutor(cell::CellMachine& machine, LoopParams params)
-    : machine_(&machine), params_(params) {}
+LoopExecutor::LoopExecutor(cell::CellMachine& machine) : machine_(&machine) {}
 
 LoopExecutor::~LoopExecutor() = default;
 
@@ -347,10 +355,8 @@ void LoopExecutor::run(int master, const std::vector<int>& workers,
   st->cycles_per_iter = loop.spe_cycles_per_iter;
   st->bytes_in_per_iter = loop.bytes_in_per_iter;
   st->clock = m->params().clock_ghz;
-  st->join_cycles_per_worker = params_.join_per_worker_us * st->clock * 1e3 +
+  st->join_cycles_per_worker = kLoopJoinPerWorkerUs * st->clock * 1e3 +
                                loop.reduction_cycles_per_worker;
-  st->send_us = params_.send_per_worker_us;
-  st->max_dma_retries = params_.max_dma_retries;
   st->reassigned_ctr = &reassigned_chunks_;
   st->retry_ctr = &dma_retries_;
   st->imbalance_hist = imbalance_hist_;
@@ -375,9 +381,9 @@ void LoopExecutor::run(int master, const std::vector<int>& workers,
   }
 
   // Master-side chain: non-loop prologue, fork, then the sends.
-  m->spe_compute(master, task.spe_cycles_nonloop,
-                 [st, fork = sim::Time::us(params_.fork_us)] {
-    st->eng->schedule_after(fork, [st] { loop_start_sends(st); });
+  m->spe_compute(master, task.spe_cycles_nonloop, [st] {
+    st->eng->schedule_after(sim::Time::us(kLoopForkUs),
+                            [st] { loop_start_sends(st); });
   });
 }
 

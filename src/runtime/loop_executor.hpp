@@ -60,14 +60,10 @@ class LoopBalancer {
   bool adaptive_ = true;
 };
 
-/// Cost knobs for the work-sharing protocol; calibration constants matching
-/// Table 2 (see DESIGN.md).
-struct LoopParams {
-  double fork_us = 1.5;             ///< master loop entry + Pass preparation
-  double send_per_worker_us = 0.8;  ///< serialized Pass put per worker
-  double join_per_worker_us = 2.0;  ///< completion polling + merge per worker
-  int max_dma_retries = 3;          ///< worker-fetch retries before reassign
-};
+/// Retries of a failed transfer before it is given up: a worker's chunk
+/// fetch (then reassigned to the master) and the driver's task DMA (then
+/// the attempt is abandoned).
+inline constexpr int kMaxDmaRetries = 3;
 
 /// Per-invocation state of one work-shared loop (loop_executor.cpp).
 struct LoopState;
@@ -77,7 +73,7 @@ class LoopExecutor {
   /// Loop-completion continuation (see sim/callback.hpp for the contract).
   using Done = sim::InlineFn<void(), sim::kContinuationBytes>;
 
-  LoopExecutor(cell::CellMachine& machine, LoopParams params);
+  explicit LoopExecutor(cell::CellMachine& machine);
   ~LoopExecutor();
 
   /// Executes `task`'s loop across `master` plus `workers` (all already
@@ -88,8 +84,6 @@ class LoopExecutor {
   /// watchdog must recover.
   void run(int master, const std::vector<int>& workers,
            const task::TaskDesc& task, LoopBalancer& balancer, Done done);
-
-  const LoopParams& params() const noexcept { return params_; }
 
   /// LLP chunks re-executed by a master after a worker was lost.
   std::uint64_t reassigned_chunks() const noexcept {
@@ -114,7 +108,6 @@ class LoopExecutor {
 
  private:
   cell::CellMachine* machine_;
-  LoopParams params_;
   std::uint64_t reassigned_chunks_ = 0;
   std::uint64_t dma_retries_ = 0;
   std::function<void()> release_hook_;

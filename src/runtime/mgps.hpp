@@ -49,18 +49,13 @@ class MgpsPolicy final : public SchedulerPolicy {
     // test): shrink the degree until each SPE's chunk is big enough to
     // amortize the work-sharing protocol's per-worker costs.  Section 5.3
     // observes exactly this — fine loops stop profiting from extra SPEs.
-    while (d > 1 &&
-           t.loop.total_cycles() / d < static_cast<double>(min_chunk_cycles_)) {
-      --d;
-    }
+    while (d > 1 && t.loop.total_cycles() / d < kMinChunkCycles) --d;
     return d;
   }
 
-  /// Minimum per-SPE loop chunk (cycles) worth the sharing overhead;
-  /// ~10 us at 3.2 GHz by default.
-  void set_min_chunk_cycles(std::uint64_t c) noexcept {
-    min_chunk_cycles_ = c;
-  }
+  /// Minimum per-SPE loop chunk (cycles) worth the sharing overhead:
+  /// 6.25 us at 3.2 GHz.
+  static constexpr double kMinChunkCycles = 20000.0;
 
   void on_offload(const RuntimeView&, int pid) override { note_pid(pid); }
 
@@ -127,7 +122,6 @@ class MgpsPolicy final : public SchedulerPolicy {
   }
 
   int history_window_;
-  std::uint64_t min_chunk_cycles_ = 20000;  // ~6 us at 3.2 GHz
   int current_degree_ = 1;
   std::uint64_t departures_ = 0;
   /// The window's distinct off-loading processes: a pid bitmap plus its

@@ -24,7 +24,6 @@ struct RuntimeView {
   int failed_spes = 0;       ///< SPEs lost to fail-stop faults
   int waiting_offloads = 0;  ///< queued dispatches with no SPE available
   int active_processes = 0;  ///< processes that still have work
-  int outstanding_tasks = 0; ///< tasks currently resident on SPEs
   sim::Time now;
 };
 

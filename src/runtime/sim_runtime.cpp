@@ -10,6 +10,7 @@
 
 #include "cellsim/machine.hpp"
 #include "cellsim/mfc.hpp"
+#include "runtime/loop_executor.hpp"
 #include "sim/engine.hpp"
 #include "sim/fifo.hpp"
 #include "sim/pool.hpp"
@@ -22,6 +23,11 @@
 namespace cbe::rt {
 
 namespace {
+
+/// Modeled CRC cost, cycles per framed payload byte.  0.15 models a
+/// table-driven slicing CRC32 on the SPU (branch-free, quadword loads); a
+/// naive bytewise loop would be ~1 cycle/byte, hardware assist ~0.05.
+constexpr double kCrcCyclesPerByte = 0.15;
 
 /// The declared result of a task, as a pure function of its identity.  Both
 /// a correct SPE execution and the PPE fallback "compute" this value, so the
@@ -49,7 +55,7 @@ class Driver {
          const RunConfig& cfg)
       : wl_(wl), policy_(policy), cfg_(cfg),
         machine_(eng_, cfg.cell, modules_),
-        loop_exec_(machine_, cfg.loop) {
+        loop_exec_(machine_) {
     for (auto& b : balancers_) b.set_adaptive(cfg.adaptive_balance);
 #if CBE_TRACE_ENABLED
     if (cfg_.metrics != nullptr) {
@@ -82,7 +88,7 @@ class Driver {
     int chunks_out = 0;
     bool output = false;        ///< the task transfer in flight is the output
     int tries = 0;              ///< retries of the task transfer in flight
-    bool closed = false;        ///< outstanding_tasks_ released / decremented
+    bool closed = false;        ///< completed or torn down (exactly once)
     bool loop_started = false;  ///< loop_exec_.run was invoked
     bool dma_poison = false;    ///< silent payload corruption went unframed
     bool res_poison = false;    ///< result corruption injected this attempt
@@ -147,7 +153,6 @@ class Driver {
     v.failed_spes = machine_.failed_spes();
     v.waiting_offloads = static_cast<int>(wait_queue_.size());
     v.active_processes = active_processes_;
-    v.outstanding_tasks = outstanding_tasks_;
     v.now = eng_.now();
     return v;
   }
@@ -177,6 +182,14 @@ class Driver {
   void on_spe_failure(int spe);
   void on_watchdog(int pid, std::uint64_t attempt_id);
   void abandon_attempt(const AttemptRef& att);
+  /// Marks `a` torn down and frees the SPEs it reserved but never started:
+  /// the master and, unless the loop ran, its workers.  Started workers free
+  /// themselves (or the loop's fault hook does).
+  void close_attempt(Attempt& a);
+  /// Re-issues `p`'s current task after its attempt was lost: charges the
+  /// wasted work, retires the watchdog and the attempt generation, and
+  /// re-dispatches (or falls back to the PPE past the retry budget).
+  void reissue(Proc& p);
   void redispatch(int pid);
   void ppe_recover(int pid);
   void rescue_wait_queue();
@@ -212,7 +225,6 @@ class Driver {
   sim::Fifo<int> wait_queue_;
   std::vector<int> idle_;  ///< idle-SPE scan buffer, reused by every dispatch
   int active_processes_ = 0;
-  int outstanding_tasks_ = 0;
   sim::EventId timer_event_;
   double degree_sum_ = 0.0;
   RunResult res_;
@@ -500,7 +512,6 @@ void Driver::begin_offload(int pid, const std::vector<int>& idle,
   CBE_TRACE_ONLY(p.dispatch_at = eng_.now());
   machine_.spe(master).reserve(eng_.now());
   for (int w : workers) machine_.spe(w).reserve(eng_.now());
-  ++outstanding_tasks_;
 
   policy_.on_offload(view(), pid);
   ++res_.offloads;
@@ -629,7 +640,7 @@ void Driver::on_task_dma(const AttemptRef& a, bool ok, bool corrupt) {
         serve_wait_queue();
         return;
       }
-      if (a->tries < cfg_.loop.max_dma_retries) {
+      if (a->tries < kMaxDmaRetries) {
         ++res_.integrity_retries;
         ++a->tries;
         task_dma(a);
@@ -655,15 +666,14 @@ void Driver::on_task_dma(const AttemptRef& a, bool ok, bool corrupt) {
     if (cfg_.integrity.crc_framing && bytes > 0.0) {
       // Modeled cost of computing/verifying the frame CRC at the consumer.
       eng_.schedule_after(
-          sim::cycles_to_time(bytes * cfg_.integrity.crc_cycles_per_byte,
-                              clock()),
+          sim::cycles_to_time(bytes * kCrcCyclesPerByte, clock()),
           std::move(next));
       return;
     }
     next();
     return;
   }
-  if (a->tries < cfg_.loop.max_dma_retries) {
+  if (a->tries < kMaxDmaRetries) {
     ++res_.dma_retries;
     ++a->tries;
     task_dma(a);
@@ -729,7 +739,6 @@ void Driver::after_verify(const AttemptRef& a) {
 
 void Driver::output_done(const AttemptRef& a) {
   machine_.spe(a->master).release(eng_.now());
-  --outstanding_tasks_;
   a->closed = true;
   machine_.signal(a->master, inline_cont([this, a] {
                     on_task_done(a->pid, a->id);
@@ -846,37 +855,35 @@ void Driver::commit_result(int pid, bool poisoned) {
   dg = util::crc32(&h, sizeof h, dg);
 }
 
-void Driver::abandon_attempt(const AttemptRef& att) {
-  Proc& p = procs_[static_cast<std::size_t>(att->pid)];
-  const std::uint64_t attempt_id = att->id;
-  if (att->closed) return;
-  att->closed = true;
-  --outstanding_tasks_;
-  if (machine_.spe(att->master).usable() &&
-      !machine_.spe(att->master).idle()) {
-    machine_.spe(att->master).release(eng_.now());
-  }
-  if (!att->loop_started) {
-    // Reserved loop participants whose chains never started; started
-    // workers free themselves (or the loop's fault hook does).
-    for (int w : att->workers) {
-      if (machine_.spe(w).usable() && !machine_.spe(w).idle()) {
-        machine_.spe(w).release(eng_.now());
-      }
+void Driver::close_attempt(Attempt& a) {
+  a.closed = true;
+  cell::Spe& master = machine_.spe(a.master);
+  if (master.usable() && !master.idle()) master.release(eng_.now());
+  if (a.loop_started) return;
+  for (int w : a.workers) {
+    if (machine_.spe(w).usable() && !machine_.spe(w).idle()) {
+      machine_.spe(w).release(eng_.now());
     }
   }
-  if (attempt_id != p.attempt || p.finished) {
-    // A superseded attempt cleaning up after itself; the live attempt (or
-    // the PPE fallback) already owns the task.
-    serve_wait_queue();
-    return;
-  }
+}
+
+void Driver::reissue(Proc& p) {
   res_.wasted_cycles += segment(p).task.spe_cycles_total();
+  // A no-op when the watchdog itself is what fired.
   eng_.cancel(p.watchdog);
   mark_recovered(p.bootstrap);
   ++p.attempt;
   ++p.retries;
-  redispatch(att->pid);
+  redispatch(p.pid);
+}
+
+void Driver::abandon_attempt(const AttemptRef& att) {
+  if (att->closed) return;
+  close_attempt(*att);
+  Proc& p = procs_[static_cast<std::size_t>(att->pid)];
+  if (att->id == p.attempt && !p.finished) reissue(p);
+  // Otherwise a superseded attempt cleaned up after itself; the live
+  // attempt (or the PPE fallback) already owns the task.
   serve_wait_queue();
 }
 
@@ -888,26 +895,13 @@ void Driver::on_watchdog(int pid, std::uint64_t attempt_id) {
   CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::WatchdogFire,
                   p.att->master, pid,
                   static_cast<std::int64_t>(attempt_id), 0);
-  res_.wasted_cycles += segment(p).task.spe_cycles_total();
-  mark_recovered(p.bootstrap);
-  const AttemptRef att = p.att;
-  if (!machine_.spe(att->master).usable() && !att->closed) {
-    // Master fail-stop the observer did not tear down; do it here.
-    att->closed = true;
-    --outstanding_tasks_;
-    if (!att->loop_started) {
-      for (int w : att->workers) {
-        if (machine_.spe(w).usable() && !machine_.spe(w).idle()) {
-          machine_.spe(w).release(eng_.now());
-        }
-      }
-    }
-  }
-  // A live-but-slow chain (straggler, DMA storm) still owns its SPEs and
+  // A master fail-stop the observer did not tear down is closed here.  A
+  // live-but-slow chain (straggler, DMA storm) still owns its SPEs and
   // frees them itself on completion; it is superseded, not torn down.
-  ++p.attempt;
-  ++p.retries;
-  redispatch(pid);
+  if (!machine_.spe(p.att->master).usable() && !p.att->closed) {
+    close_attempt(*p.att);
+  }
+  reissue(p);
 }
 
 void Driver::on_spe_failure(int spe) {
@@ -917,22 +911,8 @@ void Driver::on_spe_failure(int spe) {
     if (p.finished || !p.att || p.att->closed || p.att->master != spe) {
       continue;
     }
-    const AttemptRef att = p.att;
-    att->closed = true;
-    --outstanding_tasks_;
-    if (!att->loop_started) {
-      for (int w : att->workers) {
-        if (machine_.spe(w).usable() && !machine_.spe(w).idle()) {
-          machine_.spe(w).release(eng_.now());
-        }
-      }
-    }
-    res_.wasted_cycles += segment(p).task.spe_cycles_total();
-    eng_.cancel(p.watchdog);
-    mark_recovered(p.bootstrap);
-    ++p.attempt;
-    ++p.retries;
-    redispatch(p.pid);
+    close_attempt(*p.att);
+    reissue(p);
   }
   if (machine_.healthy_spes() == 0) rescue_wait_queue();
   serve_wait_queue();
@@ -944,7 +924,7 @@ void Driver::redispatch(int pid) {
   ++res_.reoffloads;
   CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::Reoffload, -1,
                   pid, p.retries, 0);
-  if (p.retries > cfg_.max_task_retries || machine_.healthy_spes() == 0) {
+  if (p.retries > kMaxTaskRetries || machine_.healthy_spes() == 0) {
     ppe_recover(pid);
     return;
   }

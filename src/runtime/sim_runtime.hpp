@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "cellsim/params.hpp"
-#include "runtime/loop_executor.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/policy.hpp"
 #include "sim/fault.hpp"
@@ -24,13 +23,18 @@ class MetricsRegistry;
 
 namespace cbe::rt {
 
+/// Re-offload attempts after a watchdog timeout or a torn-down attempt
+/// before the task is executed on the PPE (always-correct fallback).
+inline constexpr int kMaxTaskRetries = 2;
+
 /// End-to-end data-integrity controls (DESIGN.md §11).  Detection is
 /// end-to-end by construction: the producer frames payloads/results with a
 /// CRC and the *consumer* verifies — the transport is never trusted.
 struct IntegrityConfig {
   /// CRC-frame task DMA payloads; silently corrupted transfers are detected
-  /// at the receiving end and retried.  Costs `crc_cycles_per_byte` of
-  /// modeled compute per framed byte (the < 3% overhead the bench gates).
+  /// at the receiving end and retried.  Costs `kCrcCyclesPerByte`
+  /// (sim_runtime.cpp) of modeled compute per framed byte (the < 3%
+  /// overhead the bench gates).
   bool crc_framing = false;
   /// Fraction of task results re-executed redundantly and compared; catches
   /// wrong-but-well-framed results CRC framing cannot see.  The sample is a
@@ -39,10 +43,6 @@ struct IntegrityConfig {
   /// Detected corruptions attributed to one SPE before it is quarantined
   /// (permanently removed from the pool).  Zero disables quarantine.
   int quarantine_threshold = 3;
-  /// Modeled CRC cost, cycles per framed payload byte.  0.15 models a
-  /// table-driven slicing CRC32 on the SPU (branch-free, quadword loads);
-  /// a naive bytewise loop would be ~1 cycle/byte, hardware assist ~0.05.
-  double crc_cycles_per_byte = 0.15;
 
   bool enabled() const noexcept {
     return crc_framing || verify_fraction > 0.0;
@@ -51,7 +51,6 @@ struct IntegrityConfig {
 
 struct RunConfig {
   cell::CellParams cell;
-  LoopParams loop;
   /// Optimized code aggregates DMAs into lists; naive code issues one small
   /// transfer per loop iteration (Section 5.1 optimization ladder).
   bool dma_aggregated = true;
@@ -81,9 +80,6 @@ struct RunConfig {
   /// off-load cost (t_spe + t_code + t_dma + 2 t_comm).  Watchdogs are only
   /// armed when fault injection is enabled.
   double watchdog_factor = 4.0;
-  /// Re-offload attempts after a watchdog timeout before the task is
-  /// executed on the PPE (always-correct fallback).
-  int max_task_retries = 2;
 
   // -- Data integrity (see DESIGN.md §11) ----------------------------------
   /// Detection and recovery for the silent-corruption channels enabled by

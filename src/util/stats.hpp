@@ -1,61 +1,14 @@
-// Online and batch statistics used by the simulator's metric collectors and
-// the benchmark harnesses.
+// Batch statistics used by the job service and the benchmark harnesses.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 namespace cbe::util {
 
-/// Welford online accumulator: mean/variance without storing samples.
-class OnlineStats {
- public:
-  void add(double x) noexcept;
-  void merge(const OnlineStats& other) noexcept;
-
-  std::size_t count() const noexcept { return n_; }
-  double mean() const noexcept { return n_ ? mean_ : 0.0; }
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  double variance() const noexcept;
-  double stddev() const noexcept;
-  double min() const noexcept { return n_ ? min_ : 0.0; }
-  double max() const noexcept { return n_ ? max_ : 0.0; }
-  double sum() const noexcept { return sum_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
-
 /// Batch helpers (copy the input; fine for bench-sized data).
 double mean(const std::vector<double>& v) noexcept;
-double stddev(const std::vector<double>& v) noexcept;
 /// Linear-interpolated percentile, p in [0,100].  Empty input returns 0.
 double percentile(std::vector<double> v, double p) noexcept;
 double median(std::vector<double> v) noexcept;
-
-/// Simple fixed-width histogram for idle-time distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const noexcept { return counts_.size(); }
-  std::size_t underflow() const noexcept { return underflow_; }
-  std::size_t overflow() const noexcept { return overflow_; }
-  std::size_t total() const noexcept { return total_; }
-  double bin_lo(std::size_t i) const noexcept;
-  double bin_hi(std::size_t i) const noexcept;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0, overflow_ = 0, total_ = 0;
-};
 
 }  // namespace cbe::util

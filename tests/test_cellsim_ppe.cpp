@@ -123,18 +123,6 @@ TEST(Ppe, SmtSlowdownWhenBothContextsBusy) {
   EXPECT_EQ(done_at, sim::Time::ns(2000));  // slowdown 2.0
 }
 
-TEST(Ppe, SpinOccupiesForWallTime) {
-  sim::Engine eng;
-  Ppe ppe(eng, cfg());
-  const int p = ppe.add_process();
-  ppe.request(p, [] {});
-  sim::Time done_at;
-  ppe.spin(p, sim::Time::us(7.0), [&] { done_at = eng.now(); });
-  eng.run();
-  EXPECT_EQ(done_at, sim::Time::us(7.0));
-  EXPECT_TRUE(ppe.holds_context(p));
-}
-
 TEST(Ppe, QuantumExpiryNeedsWaiter) {
   sim::Engine eng;
   Ppe ppe(eng, cfg());
@@ -175,16 +163,6 @@ TEST(Ppe, ErrorsOnProtocolMisuse) {
   ppe.request(p, [] {});
   EXPECT_THROW(ppe.request(p, [] {}), std::logic_error);
   EXPECT_THROW(Ppe(eng, cfg()).add_process(5), std::out_of_range);
-}
-
-TEST(Ppe, ContextBusyTimeIntegrates) {
-  sim::Engine eng;
-  Ppe ppe(eng, cfg());
-  const int a = ppe.add_process();
-  ppe.request(a, [] {});
-  eng.schedule_at(sim::Time::us(10.0), [&] { ppe.yield(a); });
-  eng.run();
-  EXPECT_EQ(ppe.context_busy_time(), sim::Time::us(10.0));
 }
 
 }  // namespace

@@ -254,6 +254,31 @@ TEST(FaultInjection, WholePoolFailureFallsBackToPpe) {
   EXPECT_GT(r.fault_ppe_fallbacks, 0u);
 }
 
+TEST(FaultInjection, RetryBudgetExhaustionFallsBackToPpe) {
+  // Every SPE straggles at 5% speed from t = 1 us, so every off-load blows
+  // its watchdog while all eight SPEs stay healthy: only the retry budget
+  // can send a task to the PPE.
+  const task::Workload wl = task::make_synthetic(2, small_workload());
+  RunConfig cfg;
+  for (int s = 0; s < 8; ++s) {
+    cfg.fault_script.push_back(
+        {sim::Time::us(1.0), sim::FaultKind::Degrade, s, 0.05});
+  }
+  EdtlpPolicy pol;
+  const RunResult r = run_workload(wl, pol, cfg);
+  EdtlpPolicy clean_pol;
+  const RunResult clean = run_workload(wl, clean_pol);
+  expect_all_complete(r);
+  EXPECT_EQ(r.spe_failures, 0u);
+  EXPECT_GT(r.fault_ppe_fallbacks, 0u);
+  // Each fallback follows the first attempt plus kMaxTaskRetries re-offloads,
+  // every one of them timed out.
+  EXPECT_EQ(r.timeouts,
+            static_cast<std::uint64_t>(kMaxTaskRetries + 1) *
+                r.fault_ppe_fallbacks);
+  EXPECT_EQ(r.bootstrap_digests, clean.bootstrap_digests);
+}
+
 #if CBE_TRACE_ENABLED
 // Recovery actions must appear in the trace, in causal order: the fault is
 // recorded before the watchdog that detects it, the watchdog before the

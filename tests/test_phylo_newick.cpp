@@ -1,7 +1,9 @@
-// Newick round-trip and Gamma-shape fitting.
+// Newick round-trip.
 #include <gtest/gtest.h>
 
-#include "phylo/model_fit.hpp"
+#include <cmath>
+
+#include "phylo/likelihood.hpp"
 #include "phylo/support.hpp"
 
 namespace cbe::phylo {
@@ -72,61 +74,6 @@ TEST(Newick, LikelihoodSurvivesRoundtrip) {
   Tree back = Tree::from_newick(t.newick());
   engine.attach(back);
   EXPECT_NEAR(engine.loglik(), before, 1e-6 * std::fabs(before));
-}
-
-struct AlphaFitTest : ::testing::Test {
-  AlphaFitTest()
-      : alignment(make_synthetic_alignment([] {
-          SyntheticAlignmentConfig c;
-          c.taxa = 10;
-          c.sites = 300;
-          c.mean_branch_length = 0.03;
-          return c;
-        }())),
-        pa(alignment),
-        params(GtrParams::hky(2.5, pa.base_frequencies())) {}
-
-  Alignment alignment;
-  PatternAlignment pa;
-  GtrParams params;
-};
-
-TEST_F(AlphaFitTest, BeatsArbitraryFixedAlphas) {
-  util::Rng rng(4);
-  Tree t = Tree::random(10, rng);
-  const AlphaFitResult fit = optimize_gamma_alpha(pa, params, t);
-  for (double alpha : {0.1, 0.5, 1.0, 2.0, 10.0}) {
-    const SubstModel m(params, alpha);
-    LikelihoodEngine e(pa, m);
-    e.attach(t);
-    EXPECT_GE(fit.loglik + 1e-6, e.loglik()) << "alpha=" << alpha;
-  }
-  EXPECT_GT(fit.alpha, 0.05);
-  EXPECT_LT(fit.alpha, 20.0);
-}
-
-TEST_F(AlphaFitTest, ConvergesToBracketTolerance) {
-  util::Rng rng(5);
-  Tree t = Tree::random(10, rng);
-  const AlphaFitResult coarse =
-      optimize_gamma_alpha(pa, params, t, 0.05, 20.0, 0.1);
-  const AlphaFitResult fine =
-      optimize_gamma_alpha(pa, params, t, 0.05, 20.0, 1e-4);
-  EXPECT_NEAR(coarse.alpha, fine.alpha, 0.2);
-  EXPECT_GE(fine.loglik + 1e-9, coarse.loglik);
-  EXPECT_GT(fine.evaluations, coarse.evaluations);
-}
-
-TEST_F(AlphaFitTest, ObserverSeesTheEvaluations) {
-  struct Counter : KernelObserver {
-    int calls = 0;
-    void on_kernel(task::KernelClass, int, int) override { ++calls; }
-  } counter;
-  util::Rng rng(6);
-  Tree t = Tree::random(10, rng);
-  const AlphaFitResult fit =
-      optimize_gamma_alpha(pa, params, t, 0.05, 20.0, 0.1, &counter);
-  EXPECT_GT(counter.calls, fit.evaluations);  // newviews + evaluates
 }
 
 }  // namespace

@@ -8,7 +8,7 @@ namespace cbe::rt {
 namespace {
 
 struct LoopTest : ::testing::Test {
-  LoopTest() : machine(eng, params, modules), exec(machine, LoopParams{}) {}
+  LoopTest() : machine(eng, params, modules), exec(machine) {}
 
   task::TaskDesc make_task(std::uint32_t iters, double cycles_per_iter,
                            double nonloop = 1000.0) {

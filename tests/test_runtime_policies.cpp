@@ -6,15 +6,14 @@
 namespace cbe::rt {
 namespace {
 
-RuntimeView view(int total = 8, int idle = 8, int waiting = 0, int active = 0,
-                 int outstanding = 0) {
+RuntimeView view(int total = 8, int idle = 8, int waiting = 0,
+                 int active = 0) {
   RuntimeView v;
   v.total_spes = total;
   v.spes_per_cell = total;
   v.idle_spes = idle;
   v.waiting_offloads = waiting;
   v.active_processes = active;
-  v.outstanding_tasks = outstanding;
   return v;
 }
 

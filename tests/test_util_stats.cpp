@@ -2,71 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <stdexcept>
-
 namespace cbe::util {
 namespace {
 
-TEST(OnlineStats, EmptyIsZero) {
-  OnlineStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-}
-
-TEST(OnlineStats, SingleSample) {
-  OnlineStats s;
-  s.add(5.0);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), 5.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-}
-
-TEST(OnlineStats, MatchesBatchFormulas) {
-  OnlineStats s;
-  std::vector<double> v = {1.0, 2.0, 4.0, 8.0, 16.0, -3.0};
-  for (double x : v) s.add(x);
-  EXPECT_NEAR(s.mean(), mean(v), 1e-12);
-  EXPECT_NEAR(s.stddev(), stddev(v), 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), -3.0);
-  EXPECT_DOUBLE_EQ(s.max(), 16.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 28.0);
-}
-
-TEST(OnlineStats, MergeEqualsCombinedStream) {
-  OnlineStats a, b, all;
-  for (int i = 0; i < 50; ++i) {
-    const double x = std::sin(static_cast<double>(i));
-    (i % 2 == 0 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-12);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(OnlineStats, MergeWithEmptyIsIdentity) {
-  OnlineStats a, empty;
-  a.add(1.0);
-  a.add(2.0);
-  const double m = a.mean();
-  a.merge(empty);
-  EXPECT_DOUBLE_EQ(a.mean(), m);
-  OnlineStats b;
-  b.merge(a);
-  EXPECT_DOUBLE_EQ(b.mean(), m);
-}
-
 TEST(BatchStats, EmptyVectors) {
   EXPECT_DOUBLE_EQ(mean({}), 0.0);
-  EXPECT_DOUBLE_EQ(stddev({}), 0.0);
   EXPECT_DOUBLE_EQ(percentile({}, 50.0), 0.0);
 }
 
@@ -92,29 +32,6 @@ TEST(BatchStats, PercentileClampsOutOfRange) {
 TEST(BatchStats, MedianOddEven) {
   EXPECT_DOUBLE_EQ(median({5.0, 1.0, 3.0}), 3.0);
   EXPECT_DOUBLE_EQ(median({1.0, 2.0, 3.0, 4.0}), 2.5);
-}
-
-TEST(Histogram, BinsAndBounds) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bin 0
-  h.add(9.99);  // bin 4
-  h.add(5.0);   // bin 2
-  h.add(-1.0);  // underflow
-  h.add(10.0);  // overflow (hi is exclusive)
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(2), 1u);
-  EXPECT_EQ(h.bin_count(4), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(2), 4.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(2), 6.0);
-}
-
-TEST(Histogram, RejectsDegenerateConfig) {
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(2.0, 1.0, 4), std::invalid_argument);
 }
 
 }  // namespace
