@@ -1,7 +1,12 @@
 #include "ckpt/runner.hpp"
 
+#include <atomic>
 #include <cstdio>
+#include <future>
+#include <optional>
+#include <stdexcept>
 
+#include "native/offload_pool.hpp"
 #include "phylo/bootstrap.hpp"
 #include "phylo/support.hpp"
 #include "runtime/mgps.hpp"
@@ -20,6 +25,58 @@ constexpr std::uint64_t kReferenceSalt = 0x5245464552454e43ull;  // "REFERENC"
 // function of (job, index) — identical whether or not the run was resumed.
 constexpr std::uint64_t kIntegritySalt = 0x494e544547524954ull;  // "INTEGRIT"
 
+// Replicates in flight at once.  Each holds a likelihood engine of about
+// 5.3 MB; two streams halve the job's wall time and still fit in the
+// footprint of the serial runner, whose reference engine stayed alive beside
+// each replicate's (DESIGN.md §7).
+constexpr int kReplicateStreams = 2;
+
+std::atomic<int> g_fail_replicate{-1};
+
+/// What one replicate hands back to the ordered commit.
+struct ReplicateOut {
+  phylo::BootstrapResult result;
+  std::uint64_t kernels = 0;  ///< kernel calls in the replicate's trace
+  rt::RunResult replay;       ///< the trace replayed on the simulated Cell
+};
+
+// One replicate: a bootstrap search, then its kernel trace replayed through
+// the simulated Cell under MGPS.  It only reads the shared inputs, so
+// replicates run concurrently.
+ReplicateOut run_replicate(const BootstrapJob& job,
+                           const phylo::PatternAlignment& patterns,
+                           const phylo::SubstModel& model,
+                           const phylo::TipClvs& tips, util::Rng rng,
+                           int index) {
+  if (index == g_fail_replicate.load()) {
+    throw std::runtime_error("replicate " + std::to_string(index) +
+                             ": injected failure");
+  }
+  phylo::TraceGenerator gen;
+  phylo::BootstrapResult result =
+      phylo::run_bootstrap(patterns, model, rng, job.search, &gen, &tips);
+  // Rendered here, after the search has freed its engine.
+  task::Workload wl;
+  wl.bootstraps.push_back(gen.take_trace());
+  const auto kernels =
+      static_cast<std::uint64_t>(wl.bootstraps.front().segments.size());
+
+  rt::MgpsPolicy mgps;
+  rt::RunConfig rcfg;
+  if (job.dma_bitflip_rate > 0.0 || job.result_corrupt_rate > 0.0 ||
+      job.verify_fraction > 0.0) {
+    std::uint64_t stream =
+        job.fault_seed ^ (kIntegritySalt + static_cast<std::uint64_t>(index));
+    rcfg.fault.seed = util::splitmix64(stream);
+    rcfg.fault.dma_bitflip_rate = job.dma_bitflip_rate;
+    rcfg.fault.result_corrupt_rate = job.result_corrupt_rate;
+    rcfg.integrity.verify_fraction = job.verify_fraction;
+    rcfg.integrity.crc_framing = job.verify_fraction > 0.0;
+  }
+  return ReplicateOut{std::move(result), kernels,
+                      rt::run_workload(wl, mgps, rcfg)};
+}
+
 std::string fmt_f64(double v) {
   // %.17g round-trips every double, so text comparison is bit comparison.
   char buf[64];
@@ -28,6 +85,12 @@ std::string fmt_f64(double v) {
 }
 
 }  // namespace
+
+namespace test_hooks {
+
+void fail_replicate(int index) noexcept { g_fail_replicate.store(index); }
+
+}  // namespace test_hooks
 
 std::string RunReport::to_text() const {
   std::string out;
@@ -64,55 +127,73 @@ RunReport run_job(RunState& st, const RunnerOptions& opt) {
   acfg.seed = job.alignment_seed;
   acfg.mean_branch_length = job.mean_branch_length;
   const phylo::Alignment alignment = phylo::make_synthetic_alignment(acfg);
-  phylo::PatternAlignment patterns(alignment);
+  const phylo::PatternAlignment patterns(alignment);
   const phylo::SubstModel model(
       phylo::GtrParams::hky(2.5, patterns.base_frequencies()), 0.8);
+  const phylo::TipClvs tips = phylo::make_tip_clvs(patterns);
+
+  // Each replicate consumes exactly one split of the master stream.  All
+  // splits are drawn here, in replicate order, and the master state after
+  // each one is kept for that replicate's commit: the checkpoint stores it,
+  // so a resumed run derives the next replicate's stream identically.
+  const int first = static_cast<int>(st.done.size());
+  const int total = job.bootstraps;
+  util::Rng master(0);
+  master.set_state(st.master);
+  std::vector<util::Rng> streams;
+  std::vector<util::RngState> master_after;
+  for (int i = first; i < total; ++i) {
+    streams.push_back(master.split());
+    master_after.push_back(master.state());
+  }
+
+  // The reference search and the replicates run as work items on the pool's
+  // streams; this thread commits the results strictly in replicate order.
+  // The pool is declared after everything its tasks read, and its
+  // destructor runs every queued task and joins, so no task outlives those
+  // locals.  `stop` is set on every exit first: a task that has not started
+  // by then returns at once instead of running its replicate.
+  std::atomic<bool> stop{false};
+  native::OffloadPool pool(kReplicateStreams);
+  struct StopOnExit {
+    std::atomic<bool>& stop;
+    ~StopOnExit() { stop.store(true); }
+  } stop_on_exit{stop};
 
   // The reference (best-known ML) tree the replicates assign support to.
   // Recomputed on every run — including resumed ones — from its own salted
   // stream, so it is identical regardless of where the run restarted.
-  phylo::LikelihoodEngine engine(patterns, model);
-  util::Rng ref_rng(job.seed ^ kReferenceSalt);
-  const phylo::SearchResult reference =
-      phylo::search(engine, ref_rng, job.search);
+  std::future<phylo::SearchResult> reference_done = pool.offload_result([&] {
+    phylo::LikelihoodEngine engine(patterns, model, tips, patterns.weights());
+    util::Rng ref_rng(job.seed ^ kReferenceSalt);
+    return phylo::search(engine, ref_rng, job.search);
+  });
+  std::vector<std::future<std::optional<ReplicateOut>>> replicate_done;
+  for (std::size_t k = 0; k < streams.size(); ++k) {
+    replicate_done.push_back(
+        pool.offload_result([&, k]() -> std::optional<ReplicateOut> {
+          if (stop.load()) return std::nullopt;
+          return run_replicate(job, patterns, model, tips, streams[k],
+                               first + static_cast<int>(k));
+        }));
+  }
+  // Waited for first, so a failing reference search throws before any
+  // replicate is committed, as in a serial run.
+  const phylo::SearchResult reference = reference_done.get();
 
-  util::Rng master(0);
-  master.set_state(st.master);
-
-  const int total = job.bootstraps;
   const int every = opt.checkpoint_every > 0 ? opt.checkpoint_every : 1;
   int ckpt_io_retries = 0;
   int ckpt_failed_snapshots = 0;
   std::string ckpt_error;
-  for (int i = static_cast<int>(st.done.size()); i < total; ++i) {
-    // Each replicate consumes exactly one split of the master stream; the
-    // checkpoint stores the master state *after* the split, so a resumed
-    // run derives the next replicate's stream identically.
-    util::Rng rng = master.split();
-    phylo::TraceGenerator gen;
-    phylo::BootstrapResult res =
-        phylo::run_bootstrap(patterns, model, rng, job.search, &gen);
-    st.sched.kernels +=
-        static_cast<std::uint64_t>(gen.trace().segments.size());
+  for (int i = first; i < total; ++i) {
+    const auto k = static_cast<std::size_t>(i - first);
+    // A replicate that threw rethrows here, in replicate order.
+    ReplicateOut out = *replicate_done[k].get();
 
-    // Replay the replicate's kernel trace through the simulated Cell under
-    // MGPS and fold the scheduler's counters into the running totals
-    // (independent per replicate, hence additive and resume-invariant).
-    task::Workload wl;
-    wl.bootstraps.push_back(gen.take_trace());
-    rt::MgpsPolicy mgps;
-    rt::RunConfig rcfg;
-    if (job.dma_bitflip_rate > 0.0 || job.result_corrupt_rate > 0.0 ||
-        job.verify_fraction > 0.0) {
-      std::uint64_t stream =
-          job.fault_seed ^ (kIntegritySalt + static_cast<std::uint64_t>(i));
-      rcfg.fault.seed = util::splitmix64(stream);
-      rcfg.fault.dma_bitflip_rate = job.dma_bitflip_rate;
-      rcfg.fault.result_corrupt_rate = job.result_corrupt_rate;
-      rcfg.integrity.verify_fraction = job.verify_fraction;
-      rcfg.integrity.crc_framing = job.verify_fraction > 0.0;
-    }
-    const rt::RunResult rr = rt::run_workload(wl, mgps, rcfg);
+    // The replay's counters are independent per replicate, hence additive
+    // and resume-invariant.
+    const rt::RunResult& rr = out.replay;
+    st.sched.kernels += out.kernels;
     st.sched.offloads += rr.offloads;
     st.sched.loop_splits += rr.loop_splits;
     st.sched.ppe_fallbacks += rr.ppe_fallbacks;
@@ -122,8 +203,8 @@ RunReport run_job(RunState& st, const RunnerOptions& opt) {
     st.sched.sim_seconds += rr.makespan_s;
     st.sched.loop_degree_sum += rr.mean_loop_degree;
 
-    st.done.push_back(Replicate{res.loglik, std::move(res.tree)});
-    st.master = master.state();
+    st.done.push_back(Replicate{out.result.loglik, std::move(out.result.tree)});
+    st.master = master_after[k];
 
     // Replicate boundary: one crash-clock event (kill-and-resume tests aim
     // die-at-event faults here), then possibly a snapshot.

@@ -1,10 +1,12 @@
 // The checkpointed bootstrap driver: runs a RunState's remaining replicates
 // (each one a real phylogenetic bootstrap whose kernel trace is replayed
 // through the simulated Cell under MGPS), writing a crash-consistent
-// checkpoint every `checkpoint_every` replicates.  Because each replicate is
-// a pure function of the master RNG stream and the job config, a run
-// resumed from any checkpoint produces bit-identical final likelihoods,
-// support values, and scheduler counters to an uninterrupted run.
+// checkpoint every `checkpoint_every` replicates.  Replicates run two at a
+// time on host threads and are committed in replicate order.  Because each
+// replicate is a pure function of the master RNG stream and the job config,
+// a run resumed from any checkpoint produces bit-identical final
+// likelihoods, support values, and scheduler counters to an uninterrupted
+// run.
 #pragma once
 
 #include <string>
@@ -51,5 +53,11 @@ struct RunReport {
 /// Runs `st` to completion (possibly from a resumed position) and reports.
 /// Mutates `st` as it goes so the caller's copy reflects final progress.
 RunReport run_job(RunState& st, const RunnerOptions& opt = {});
+
+namespace test_hooks {
+/// Makes replicate `index` (counted from the job's first) throw
+/// std::runtime_error as it starts; -1 restores normal behaviour.
+void fail_replicate(int index) noexcept;
+}  // namespace test_hooks
 
 }  // namespace cbe::ckpt

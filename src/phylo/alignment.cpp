@@ -169,13 +169,6 @@ std::vector<double> PatternAlignment::bootstrap_weights(
   return out;
 }
 
-void PatternAlignment::set_weights(std::vector<double> w) {
-  if (w.size() != weights_.size()) {
-    throw std::invalid_argument("set_weights: size mismatch");
-  }
-  weights_ = std::move(w);
-}
-
 namespace {
 
 // Evolves a child state from a parent state with an HKY transition matrix

@@ -110,9 +110,6 @@ class PatternAlignment {
   /// (exactly how RAxML implements bootstrapping).
   std::vector<double> bootstrap_weights(util::Rng& rng) const;
 
-  /// Replaces the weights (used by the bootstrap driver).
-  void set_weights(std::vector<double> w);
-
  private:
   int taxa_ = 0;
   int total_sites_ = 0;

@@ -1,16 +1,22 @@
 #include "phylo/bootstrap.hpp"
 
+#include <utility>
+
 namespace cbe::phylo {
 
-BootstrapResult run_bootstrap(PatternAlignment& alignment,
+BootstrapResult run_bootstrap(const PatternAlignment& alignment,
                               const SubstModel& model, util::Rng& rng,
                               const SearchConfig& cfg,
-                              KernelObserver* observer) {
-  const std::vector<double> original = alignment.weights();
-  alignment.set_weights(alignment.bootstrap_weights(rng));
-  LikelihoodEngine engine(alignment, model, observer);
+                              KernelObserver* observer, const TipClvs* tips) {
+  std::vector<double> weights = alignment.bootstrap_weights(rng);
+  TipClvs own_tips;
+  if (tips == nullptr) {
+    own_tips = make_tip_clvs(alignment);
+    tips = &own_tips;
+  }
+  LikelihoodEngine engine(alignment, model, *tips, std::move(weights),
+                          observer);
   SearchResult res = search(engine, rng, cfg);
-  alignment.set_weights(original);
   return BootstrapResult{res.loglik, std::move(res.tree)};
 }
 
@@ -67,25 +73,41 @@ task::TaskDesc TraceGenerator::describe(task::KernelClass kind, int patterns,
   return t;
 }
 
-void TraceGenerator::on_kernel(task::KernelClass kind, int patterns,
-                               int newton_iters) {
-  task::Segment seg;
-  seg.ppe_burst_cycles = cfg_.ppe_burst_cycles;
-  seg.task = describe(kind, patterns, newton_iters);
-  trace_.segments.push_back(std::move(seg));
+void TraceGenerator::render() {
+  std::vector<task::Segment>& segments = trace_.segments;
+  segments.reserve(segments.size() + calls_.size());
+  for (const Call& c : calls_) {
+    task::Segment seg;
+    seg.ppe_burst_cycles = cfg_.ppe_burst_cycles;
+    seg.task = describe(c.kind, c.patterns, c.newton_iters);
+    segments.push_back(seg);
+  }
+  calls_.clear();
 }
 
-task::Workload make_phylo_workload(PatternAlignment& alignment,
+const task::ProcessTrace& TraceGenerator::trace() {
+  render();
+  return trace_;
+}
+
+task::ProcessTrace TraceGenerator::take_trace() {
+  render();
+  calls_ = {};
+  return std::exchange(trace_, {});
+}
+
+task::Workload make_phylo_workload(const PatternAlignment& alignment,
                                    const SubstModel& model, int count,
                                    std::uint64_t seed,
                                    const SearchConfig& scfg,
                                    const TraceGenConfig& tcfg) {
   task::Workload wl;
+  const TipClvs tips = make_tip_clvs(alignment);
   util::Rng master(seed);
   for (int i = 0; i < count; ++i) {
     util::Rng rng = master.split();
     TraceGenerator gen(tcfg);
-    run_bootstrap(alignment, model, rng, scfg, &gen);
+    run_bootstrap(alignment, model, rng, scfg, &gen, &tips);
     wl.bootstraps.push_back(gen.take_trace());
   }
   return wl;

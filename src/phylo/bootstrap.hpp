@@ -21,11 +21,15 @@ struct BootstrapResult {
   Tree tree;
 };
 
-/// Runs one bootstrap replicate: resample weights, search, restore weights.
-BootstrapResult run_bootstrap(PatternAlignment& alignment,
+/// Runs one bootstrap replicate: resamples the alignment's weights, then
+/// searches under them.  The alignment is only read, so replicates over one
+/// alignment may run concurrently.  `tips`, when given, is the shared
+/// make_tip_clvs(alignment) set; otherwise the replicate builds its own.
+BootstrapResult run_bootstrap(const PatternAlignment& alignment,
                               const SubstModel& model, util::Rng& rng,
                               const SearchConfig& cfg = {},
-                              KernelObserver* observer = nullptr);
+                              KernelObserver* observer = nullptr,
+                              const TipClvs* tips = nullptr);
 
 struct TraceGenConfig {
   spu::OptFlags spe_opt = spu::OptFlags::optimized();
@@ -38,17 +42,23 @@ struct TraceGenConfig {
   std::uint16_t module_id = task::ModuleRegistry::kRaxmlModule;
 };
 
-/// KernelObserver that renders kernel calls into a ProcessTrace.
+/// KernelObserver that renders kernel calls into a ProcessTrace.  A call
+/// is only recorded as it happens (12 bytes); trace() and take_trace()
+/// render the recorded calls through describe() into segments sized
+/// exactly, so a search never grows its trace beside its engine.
 class TraceGenerator final : public KernelObserver {
  public:
   explicit TraceGenerator(TraceGenConfig cfg = {}) : cfg_(cfg) {}
 
   void on_kernel(task::KernelClass kind, int patterns,
-                 int newton_iters) override;
+                 int newton_iters) override {
+    calls_.push_back(Call{kind, patterns, newton_iters});
+  }
 
-  const task::ProcessTrace& trace() const noexcept { return trace_; }
-  task::ProcessTrace take_trace() noexcept { return std::move(trace_); }
-  void reset() { trace_ = {}; }
+  /// The trace of every call so far.
+  const task::ProcessTrace& trace();
+  /// The trace of every call so far; the generator starts over empty.
+  task::ProcessTrace take_trace();
 
   /// Builds the TaskDesc for one kernel call (also used by the
   /// optimization-ladder bench to cost kernels under partial OptFlags).
@@ -56,14 +66,23 @@ class TraceGenerator final : public KernelObserver {
                           int newton_iters) const;
 
  private:
+  struct Call {
+    task::KernelClass kind;
+    int patterns;
+    int newton_iters;
+  };
+  /// Appends the segments of the calls recorded since the last render.
+  void render();
+
   TraceGenConfig cfg_;
+  std::vector<Call> calls_;
   task::ProcessTrace trace_;
 };
 
 /// Convenience: runs `count` bootstrap replicates of a real phylogenetic
 /// analysis and returns one ProcessTrace per replicate (the Workload the
 /// Cell scheduler benches replay with --trace=phylo).
-task::Workload make_phylo_workload(PatternAlignment& alignment,
+task::Workload make_phylo_workload(const PatternAlignment& alignment,
                                    const SubstModel& model, int count,
                                    std::uint64_t seed,
                                    const SearchConfig& scfg = {},

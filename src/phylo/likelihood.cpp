@@ -6,13 +6,39 @@
 
 namespace cbe::phylo {
 
+TipClvs make_tip_clvs(const PatternAlignment& alignment) {
+  TipClvs tips(static_cast<std::size_t>(alignment.taxa()));
+  for (int t = 0; t < alignment.taxa(); ++t) {
+    init_tip_clv(alignment, t, tips[static_cast<std::size_t>(t)]);
+  }
+  return tips;
+}
+
 LikelihoodEngine::LikelihoodEngine(const PatternAlignment& alignment,
                                    const SubstModel& model,
                                    KernelObserver* observer)
-    : alignment_(&alignment), model_(&model), observer_(observer) {
-  tips_.resize(static_cast<std::size_t>(alignment.taxa()));
-  for (int t = 0; t < alignment.taxa(); ++t) {
-    init_tip_clv(alignment, t, tips_[static_cast<std::size_t>(t)]);
+    : alignment_(&alignment),
+      model_(&model),
+      observer_(observer),
+      own_tips_(make_tip_clvs(alignment)),
+      tips_(&own_tips_),
+      weights_(alignment.weights()) {}
+
+LikelihoodEngine::LikelihoodEngine(const PatternAlignment& alignment,
+                                   const SubstModel& model,
+                                   const TipClvs& tips,
+                                   std::vector<double> weights,
+                                   KernelObserver* observer)
+    : alignment_(&alignment),
+      model_(&model),
+      observer_(observer),
+      tips_(&tips),
+      weights_(std::move(weights)) {
+  if (tips.size() != static_cast<std::size_t>(alignment.taxa())) {
+    throw std::invalid_argument("LikelihoodEngine: one tip CLV per taxon");
+  }
+  if (weights_.size() != static_cast<std::size_t>(alignment.patterns())) {
+    throw std::invalid_argument("LikelihoodEngine: one weight per pattern");
   }
 }
 
@@ -47,7 +73,7 @@ BranchP LikelihoodEngine::branch_p(int edge) const {
 }
 
 const Clv<double>& LikelihoodEngine::compute_dir(int edge, int node) {
-  if (tree_->leaf(node)) return tips_[static_cast<std::size_t>(node)];
+  if (tree_->leaf(node)) return (*tips_)[static_cast<std::size_t>(node)];
   // Grow the cache if the tree gained edges since attach (leaf insertion).
   if (dir_.size() < static_cast<std::size_t>(tree_->edge_count()) * 2) {
     dir_.resize(static_cast<std::size_t>(tree_->edge_count()) * 2);
@@ -89,8 +115,8 @@ double LikelihoodEngine::loglik(int edge) {
   const auto [a, b] = tree_->edge_nodes(edge);
   const Clv<double>& ca = compute_dir(edge, a);
   const Clv<double>& cb = compute_dir(edge, b);
-  const double lnl = evaluate_dispatch(ca, cb, branch_p(edge), *model_,
-                                       alignment_->weights());
+  const double lnl =
+      evaluate_dispatch(ca, cb, branch_p(edge), *model_, weights_);
   notify(task::KernelClass::Evaluate);
   return lnl;
 }
@@ -110,9 +136,8 @@ double LikelihoodEngine::optimize_branch(Tree& tree, int edge) {
   }
   int iters = 0;
   const double t =
-      newton_branch_length(sumtable_, scale_sum_, *model_,
-                           alignment_->weights(), tree.branch_length(edge),
-                           32, &iters);
+      newton_branch_length(sumtable_, scale_sum_, *model_, weights_,
+                           tree.branch_length(edge), 32, &iters);
   notify(task::KernelClass::Makenewz, iters);
   tree.set_branch_length(edge, t);
   last_revision_ = tree.revision();
@@ -124,8 +149,7 @@ double LikelihoodEngine::optimize_branch(Tree& tree, int edge) {
   for (std::size_t i = 0; i < dir_.size(); ++i) {
     if (i != keep_a && i != keep_b) dir_[i].valid = false;
   }
-  return sumtable_loglik(sumtable_, scale_sum_, *model_,
-                         alignment_->weights(), t);
+  return sumtable_loglik(sumtable_, scale_sum_, *model_, weights_, t);
 }
 
 double LikelihoodEngine::optimize_all_branches(Tree& tree, int rounds) {
@@ -150,8 +174,8 @@ double LikelihoodEngine::insertion_score(int leaf, int edge,
   newview_dispatch(ca, ph, cb, ph, cx);
   notify(task::KernelClass::Newview);
   const double lnl = evaluate_dispatch(
-      cx, tips_[static_cast<std::size_t>(leaf)],
-      BranchP::at(*model_, leaf_length), *model_, alignment_->weights());
+      cx, (*tips_)[static_cast<std::size_t>(leaf)],
+      BranchP::at(*model_, leaf_length), *model_, weights_);
   notify(task::KernelClass::Evaluate);
   return lnl;
 }
@@ -201,8 +225,8 @@ double LikelihoodEngine::nni_score(int edge, int variant) {
   notify(task::KernelClass::Newview);
   newview_dispatch(cb, branch_p(b_edge), cd, branch_p(d_edge), cv);
   notify(task::KernelClass::Newview);
-  const double lnl = evaluate_dispatch(cu, cv, branch_p(edge), *model_,
-                                       alignment_->weights());
+  const double lnl =
+      evaluate_dispatch(cu, cv, branch_p(edge), *model_, weights_);
   notify(task::KernelClass::Evaluate);
   return lnl;
 }

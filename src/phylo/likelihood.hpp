@@ -24,10 +24,28 @@ class KernelObserver {
                          int newton_iters) = 0;
 };
 
+/// Tip CLVs of an alignment, one per taxon.  They depend only on the
+/// alignment's states, not on its weights, so every engine of one job (the
+/// reference search and each bootstrap replicate) can read one shared set.
+using TipClvs = std::vector<Clv<double>>;
+TipClvs make_tip_clvs(const PatternAlignment& alignment);
+
 class LikelihoodEngine {
  public:
+  /// Builds its own tip CLVs and scores with the alignment's weights.
   LikelihoodEngine(const PatternAlignment& alignment, const SubstModel& model,
                    KernelObserver* observer = nullptr);
+  /// Reads the shared `tips` (make_tip_clvs(alignment); must outlive the
+  /// engine) and scores with `weights`, one per pattern, in place of the
+  /// alignment's own.  A bootstrap replicate passes its resampled weights
+  /// here, so the alignment itself is never modified.
+  LikelihoodEngine(const PatternAlignment& alignment, const SubstModel& model,
+                   const TipClvs& tips, std::vector<double> weights,
+                   KernelObserver* observer = nullptr);
+
+  // tips_ may point into the engine itself.
+  LikelihoodEngine(const LikelihoodEngine&) = delete;
+  LikelihoodEngine& operator=(const LikelihoodEngine&) = delete;
 
   const PatternAlignment& alignment() const noexcept { return *alignment_; }
   const SubstModel& model() const noexcept { return *model_; }
@@ -76,7 +94,9 @@ class LikelihoodEngine {
   const SubstModel* model_;
   KernelObserver* observer_;
   const Tree* tree_ = nullptr;
-  std::vector<Clv<double>> tips_;
+  TipClvs own_tips_;  ///< empty when the engine reads a shared set
+  const TipClvs* tips_;
+  std::vector<double> weights_;
   std::vector<DirClv> dir_;
   // Scratch outputs of the scoring and branch-length kernels.  Owning them
   // here keeps every kernel call allocation-free once they are sized.

@@ -96,8 +96,10 @@ struct double2 {
 // rounds exactly as the scalar reference does.  Everything such an entry
 // point calls with a vdouble4 argument or result must be always-inline: the
 // two clones pass 32-byte vectors differently, so a vdouble4 must never
-// cross a real call, not even at -O0.
-#if CBE_SIMD_VECTOR_EXT && defined(__x86_64__)
+// cross a real call, not even at -O0.  ThreadSanitizer builds keep only the
+// baseline: the loader runs a clone's ifunc resolver before TSan's runtime
+// is up, and the binary dies at startup.
+#if CBE_SIMD_VECTOR_EXT && defined(__x86_64__) && !defined(__SANITIZE_THREAD__)
 #define CBE_SIMD_CLONES __attribute__((target_clones("avx2", "default")))
 #else
 #define CBE_SIMD_CLONES

@@ -8,12 +8,18 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/format.hpp"
 #include "ckpt/runner.hpp"
+#include "phylo/bootstrap.hpp"
+#include "phylo/support.hpp"
+#include "runtime/mgps.hpp"
+#include "runtime/sim_runtime.hpp"
+#include "sim/fault.hpp"
 
 namespace cbe::ckpt {
 namespace {
@@ -526,6 +532,213 @@ TEST(CkptRetry, RunnerCountsRetriesThatSucceeded) {
   EXPECT_EQ(final_state.done.size(),
             static_cast<std::size_t>(tiny_job().bootstraps));
   std::remove(path.c_str());
+}
+
+// -- replicate streams: run_job against its serial composition ---------------
+
+// runner.cpp's stream salts ("REFERENC", "INTEGRIT").
+constexpr std::uint64_t kReferenceSalt = 0x5245464552454e43ull;
+constexpr std::uint64_t kIntegritySalt = 0x494e544547524954ull;
+
+// run_job composed serially from public calls: one master.split() after
+// another, each replicate's bootstrap, trace replay, commit, crash-clock tick
+// and snapshot in turn.  run_job's concurrent replicate streams must
+// reproduce it byte for byte.
+RunReport serial_run_job(RunState& st, const RunnerOptions& opt) {
+  const BootstrapJob& job = st.job;
+  phylo::SyntheticAlignmentConfig acfg;
+  acfg.taxa = job.taxa;
+  acfg.sites = job.sites;
+  acfg.seed = job.alignment_seed;
+  acfg.mean_branch_length = job.mean_branch_length;
+  const phylo::PatternAlignment patterns(phylo::make_synthetic_alignment(acfg));
+  const phylo::SubstModel model(
+      phylo::GtrParams::hky(2.5, patterns.base_frequencies()), 0.8);
+  phylo::LikelihoodEngine engine(patterns, model);
+  util::Rng ref_rng(job.seed ^ kReferenceSalt);
+  const phylo::SearchResult reference =
+      phylo::search(engine, ref_rng, job.search);
+
+  util::Rng master(0);
+  master.set_state(st.master);
+  const int every = opt.checkpoint_every > 0 ? opt.checkpoint_every : 1;
+  for (int i = static_cast<int>(st.done.size()); i < job.bootstraps; ++i) {
+    util::Rng rng = master.split();
+    phylo::TraceGenerator gen;
+    phylo::BootstrapResult res =
+        phylo::run_bootstrap(patterns, model, rng, job.search, &gen);
+    task::Workload wl;
+    wl.bootstraps.push_back(gen.take_trace());
+    st.sched.kernels += wl.bootstraps.front().segments.size();
+    rt::MgpsPolicy mgps;
+    rt::RunConfig rcfg;
+    if (job.dma_bitflip_rate > 0.0 || job.result_corrupt_rate > 0.0 ||
+        job.verify_fraction > 0.0) {
+      std::uint64_t stream =
+          job.fault_seed ^ (kIntegritySalt + static_cast<std::uint64_t>(i));
+      rcfg.fault.seed = util::splitmix64(stream);
+      rcfg.fault.dma_bitflip_rate = job.dma_bitflip_rate;
+      rcfg.fault.result_corrupt_rate = job.result_corrupt_rate;
+      rcfg.integrity.verify_fraction = job.verify_fraction;
+      rcfg.integrity.crc_framing = job.verify_fraction > 0.0;
+    }
+    const rt::RunResult rr = rt::run_workload(wl, mgps, rcfg);
+    st.sched.offloads += rr.offloads;
+    st.sched.loop_splits += rr.loop_splits;
+    st.sched.ppe_fallbacks += rr.ppe_fallbacks;
+    st.sched.code_loads += rr.code_loads;
+    st.sched.sim_events += rr.events;
+    st.sched.dma_bytes += rr.dma_bytes;
+    st.sched.sim_seconds += rr.makespan_s;
+    st.sched.loop_degree_sum += rr.mean_loop_degree;
+    st.done.push_back(Replicate{res.loglik, std::move(res.tree)});
+    st.master = master.state();
+
+    sim::crash_clock_tick();
+    st.crash_position = sim::crash_clock_position();
+    if (!opt.checkpoint_path.empty() &&
+        ((i + 1) % every == 0 || i + 1 == job.bootstraps)) {
+      save(opt.checkpoint_path, st, opt.ckpt_retry);
+      st.crash_position = sim::crash_clock_position();
+    }
+  }
+
+  RunReport rep;
+  rep.total_bootstraps = job.bootstraps;
+  rep.reference_loglik = reference.loglik;
+  std::vector<phylo::Tree> trees;
+  for (const Replicate& d : st.done) {
+    rep.replicate_logliks.push_back(d.loglik);
+    trees.push_back(d.tree);
+  }
+  rep.support = phylo::branch_support(reference.tree, trees);
+  rep.sched = st.sched;
+  return rep;
+}
+
+BootstrapJob stream_job(std::uint64_t seed, int bootstraps) {
+  BootstrapJob job = tiny_job();
+  job.seed = seed;
+  job.bootstraps = bootstraps;
+  return job;
+}
+
+// A state's crash position counts this process's crash-clock events; both
+// runs of a comparison start the clock from the same place.
+RunReport run_from_clock(RunState& st, const RunnerOptions& opt,
+                         bool serial) {
+  sim::arm_crash_clock(0, st.crash_position);
+  return serial ? serial_run_job(st, opt) : run_job(st, opt);
+}
+
+TEST(CkptStreams, MatchSerialCompositionAtEveryCadence) {
+  for (const std::uint64_t seed : {77ull, 1ull, 2026ull}) {
+    for (const int bootstraps : {5, 7}) {
+      for (const int every : {1, 3}) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed << ", "
+                                        << bootstraps << " replicates, every "
+                                        << every);
+        RunnerOptions opt;
+        opt.checkpoint_every = every;
+        opt.checkpoint_path = temp_path("streams_serial.ckpt");
+        RunState serial = make_fresh(stream_job(seed, bootstraps));
+        const RunReport serial_rep = run_from_clock(serial, opt, true);
+        const std::vector<std::uint8_t> serial_file =
+            to_image(load(opt.checkpoint_path)).serialize();
+
+        opt.checkpoint_path = temp_path("streams_run_job.ckpt");
+        RunState streamed = make_fresh(stream_job(seed, bootstraps));
+        const RunReport streamed_rep = run_from_clock(streamed, opt, false);
+
+        EXPECT_EQ(streamed_rep.to_text(), serial_rep.to_text());
+        EXPECT_EQ(to_image(streamed).serialize(), to_image(serial).serialize());
+        EXPECT_EQ(to_image(load(opt.checkpoint_path)).serialize(),
+                  serial_file);
+        std::remove(opt.checkpoint_path.c_str());
+        std::remove(temp_path("streams_serial.ckpt").c_str());
+      }
+    }
+  }
+}
+
+TEST(CkptStreams, ResumeFromEveryPrefixMatchesSerialComposition) {
+  for (const std::uint64_t seed : {77ull, 1ull, 2026ull}) {
+    for (const int bootstraps : {5, 7}) {
+      RunState serial = make_fresh(stream_job(seed, bootstraps));
+      const std::string expect_text =
+          run_from_clock(serial, {}, true).to_text();
+      const std::vector<std::uint8_t> expect_image =
+          to_image(serial).serialize();
+      for (int k = 0; k <= bootstraps; ++k) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed << ", "
+                                        << bootstraps << " replicates, prefix "
+                                        << k);
+        RunState prefix = make_fresh(stream_job(seed, k));
+        if (k > 0) run_from_clock(prefix, {}, false);
+        prefix.job.bootstraps = bootstraps;
+        RunState resumed = from_image(to_image(prefix));
+        EXPECT_EQ(run_from_clock(resumed, {}, false).to_text(), expect_text);
+        EXPECT_EQ(to_image(resumed).serialize(), expect_image);
+      }
+    }
+  }
+}
+
+// Clears the replicate-failure hook even when an assertion throws.
+struct FailReplicateGuard {
+  explicit FailReplicateGuard(int index) {
+    test_hooks::fail_replicate(index);
+  }
+  ~FailReplicateGuard() { test_hooks::fail_replicate(-1); }
+};
+
+// A replicate that throws surfaces on the caller, in replicate order: every
+// replicate before it is committed and snapshotted, none after it.  The
+// snapshot it leaves behind is a mid-run one, and resuming from it must
+// finish with the uninterrupted run's report.
+TEST(CkptStreams, ThrowingReplicateRethrowsOnTheCaller) {
+  const BootstrapJob job = stream_job(77, 7);
+  RunState uninterrupted = make_fresh(job);
+  const std::string expect = run_job(uninterrupted, {}).to_text();
+  const std::string path = temp_path("streams_throw.ckpt");
+  RunnerOptions opt;
+  opt.checkpoint_path = path;
+  for (int fail = 1; fail < job.bootstraps; ++fail) {
+    SCOPED_TRACE(testing::Message() << "replicate " << fail << " throws");
+    RunState st = make_fresh(job);
+    {
+      FailReplicateGuard guard(fail);
+      try {
+        run_job(st, opt);
+        ADD_FAILURE() << "run_job should rethrow the replicate's failure";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "replicate " + std::to_string(fail)),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+    EXPECT_EQ(st.done.size(), static_cast<std::size_t>(fail));
+    RunState resumed = load(path);
+    EXPECT_EQ(resumed.done.size(), static_cast<std::size_t>(fail));
+    EXPECT_EQ(run_job(resumed, {}).to_text(), expect);
+  }
+  std::remove(path.c_str());
+}
+
+// A strict snapshot failure at the first boundary rethrows on the caller
+// while later replicates are still queued or running; they are abandoned,
+// and nothing they touch outlives run_job.
+TEST(CkptStreams, StrictSaveFailureRethrowsOnTheCaller) {
+  RetryHooksGuard guard;
+  RunnerOptions opt;
+  opt.checkpoint_path = temp_path("streams_strict.ckpt");
+  opt.ckpt_retry.max_attempts = 1;
+  opt.ckpt_best_effort = false;
+  test_hooks::fail_next_atomic_writes(1);
+  RunState st = make_fresh(stream_job(77, 7));
+  EXPECT_THROW(run_job(st, opt), CkptError);
+  EXPECT_EQ(st.done.size(), 1u);
 }
 
 }  // namespace

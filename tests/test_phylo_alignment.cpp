@@ -165,15 +165,6 @@ TEST(PatternAlignment, BootstrapWeightsVary) {
   EXPECT_NE(w1, w2);
 }
 
-TEST(PatternAlignment, SetWeightsValidatesSize) {
-  const Alignment a = Alignment::parse_phylip("2 3\nx ACG\ny TGC\n");
-  PatternAlignment pa(a);
-  EXPECT_THROW(pa.set_weights({1.0}), std::invalid_argument);
-  std::vector<double> w(static_cast<std::size_t>(pa.patterns()), 1.0);
-  EXPECT_NO_THROW(pa.set_weights(w));
-  EXPECT_DOUBLE_EQ(pa.weight(0), 1.0);
-}
-
 TEST(SyntheticAlignment, HasRequestedDimensions) {
   SyntheticAlignmentConfig cfg;
   cfg.taxa = 10;

@@ -183,5 +183,23 @@ TEST_F(EngineTest, ThrowsWithoutAttachedTree) {
   EXPECT_THROW(eng.loglik(), std::logic_error);
 }
 
+TEST_F(EngineTest, SharedTipsAndWeightsAreValidated) {
+  const TipClvs tips = make_tip_clvs(pa);
+  EXPECT_THROW(LikelihoodEngine(pa, model, tips, {1.0}),
+               std::invalid_argument);
+  const TipClvs too_few(tips.begin(), tips.end() - 1);
+  EXPECT_THROW(LikelihoodEngine(pa, model, too_few, pa.weights()),
+               std::invalid_argument);
+
+  // A shared tip set with the alignment's own weights scores exactly like an
+  // engine that built its own tips.
+  LikelihoodEngine shared(pa, model, tips, pa.weights());
+  util::Rng rng(3);
+  const Tree tree = Tree::random(pa.taxa(), rng);
+  engine.attach(tree);
+  shared.attach(tree);
+  EXPECT_EQ(shared.loglik(), engine.loglik());
+}
+
 }  // namespace
 }  // namespace cbe::phylo

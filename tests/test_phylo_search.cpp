@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "phylo/bootstrap.hpp"
 
@@ -129,6 +130,76 @@ TEST_F(SearchTest, TraceGeneratorRecordsRealAnalysis) {
   EXPECT_GT(newview, evaluate);  // newview dominates, as in the profile
   EXPECT_GT(makenewz, 0);
   EXPECT_GT(evaluate, 0);
+}
+
+void expect_same_segment(const task::Segment& a, const task::Segment& b,
+                         std::size_t i) {
+  SCOPED_TRACE(i);
+  EXPECT_EQ(a.ppe_burst_cycles, b.ppe_burst_cycles);
+  EXPECT_EQ(a.task.kind, b.task.kind);
+  EXPECT_EQ(a.task.module_id, b.task.module_id);
+  EXPECT_EQ(a.task.spe_cycles_nonloop, b.task.spe_cycles_nonloop);
+  EXPECT_EQ(a.task.loop.iterations, b.task.loop.iterations);
+  EXPECT_EQ(a.task.loop.spe_cycles_per_iter, b.task.loop.spe_cycles_per_iter);
+  EXPECT_EQ(a.task.loop.bytes_in_per_iter, b.task.loop.bytes_in_per_iter);
+  EXPECT_EQ(a.task.loop.bytes_out_per_iter, b.task.loop.bytes_out_per_iter);
+  EXPECT_EQ(a.task.loop.reduction_cycles_per_worker,
+            b.task.loop.reduction_cycles_per_worker);
+  EXPECT_EQ(a.task.ppe_cycles, b.task.ppe_cycles);
+  EXPECT_EQ(a.task.dma_in_bytes, b.task.dma_in_bytes);
+  EXPECT_EQ(a.task.dma_out_bytes, b.task.dma_out_bytes);
+}
+
+// Feeds one replicate's kernel calls to a TraceGenerator and, beside it,
+// renders each call eagerly through describe() as it happens.  Half way
+// through, the generator's trace is read while more kernels follow.
+class EagerBeside final : public KernelObserver {
+ public:
+  explicit EagerBeside(std::size_t read_at) : read_at_(read_at) {}
+
+  void on_kernel(task::KernelClass kind, int patterns,
+                 int newton_iters) override {
+    gen.on_kernel(kind, patterns, newton_iters);
+    task::Segment seg;
+    seg.ppe_burst_cycles = TraceGenConfig{}.ppe_burst_cycles;
+    seg.task = gen.describe(kind, patterns, newton_iters);
+    eager.push_back(seg);
+    if (eager.size() == read_at_) mid_stream = gen.trace().segments;
+  }
+
+  TraceGenerator gen;
+  std::vector<task::Segment> eager;
+  std::vector<task::Segment> mid_stream;
+
+ private:
+  std::size_t read_at_;
+};
+
+TEST_F(SearchTest, DeferredTraceMatchesEagerRendering) {
+  // A first pass only counts the replicate's kernels.
+  util::Rng count_rng(31);
+  TraceGenerator counter;
+  run_bootstrap(pa, model, count_rng, {}, &counter);
+  const std::size_t calls = counter.trace().segments.size();
+  ASSERT_GT(calls, 100u);
+
+  util::Rng rng(31);
+  EagerBeside obs(calls / 2);
+  run_bootstrap(pa, model, rng, {}, &obs);
+  ASSERT_EQ(obs.eager.size(), calls);
+  ASSERT_EQ(obs.mid_stream.size(), calls / 2);
+  for (std::size_t i = 0; i < obs.mid_stream.size(); ++i) {
+    expect_same_segment(obs.mid_stream[i], obs.eager[i], i);
+  }
+
+  const task::ProcessTrace taken = obs.gen.take_trace();
+  ASSERT_EQ(taken.segments.size(), calls);
+  EXPECT_EQ(taken.segments.capacity(), taken.segments.size());
+  for (std::size_t i = 0; i < calls; ++i) {
+    expect_same_segment(taken.segments[i], obs.eager[i], i);
+  }
+  // Taking the trace starts the generator over.
+  EXPECT_TRUE(obs.gen.trace().segments.empty());
 }
 
 TEST_F(SearchTest, PhyloWorkloadHasOneTracePerBootstrap) {
