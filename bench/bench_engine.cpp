@@ -134,7 +134,7 @@ double pure_once(int events) {
   }
   eng.run();
   const double dt = seconds_since(t0);
-  g_sink += fired;
+  g_sink = g_sink + fired;
   return dt;
 }
 
@@ -170,7 +170,7 @@ double churn_once(int iters, int outstanding) {
   }
   eng.run();
   const double dt = seconds_since(t0);
-  g_sink += fired;
+  g_sink = g_sink + fired;
   return dt;
 }
 

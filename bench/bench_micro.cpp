@@ -251,7 +251,6 @@ int main(int argc, char** argv) {
   report.config("suite", std::string("google-benchmark"));
   report.config("kernel_taxa", 16);
   report.config("kernel_sites", 912);
-  report.config("simd_compiled", cbe::phylo::simd_compiled() ? 1 : 0);
 
   std::map<std::string, std::vector<double>> samples;
   ReportingConsole console(report.enabled() ? &report : nullptr, &samples);

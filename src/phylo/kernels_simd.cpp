@@ -1,8 +1,6 @@
 #include "phylo/kernels_simd.hpp"
 
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "spu/vec.hpp"
@@ -17,32 +15,6 @@
 // differential tests compare the two with memcmp.
 
 namespace cbe::phylo {
-
-bool simd_compiled() noexcept { return CBE_SIMD_VECTOR_EXT != 0; }
-
-bool simd_env_enabled(const char* value) noexcept {
-  if (value == nullptr) return true;
-  char norm[8] = {};
-  std::size_t n = 0;
-  for (; value[n] != '\0' && n < sizeof norm - 1; ++n) {
-    norm[n] = static_cast<char>(
-        std::tolower(static_cast<unsigned char>(value[n])));
-  }
-  if (value[n] != '\0') return true;  // long string: not a disable token
-  const char* off[] = {"off", "0", "scalar", "false", "no"};
-  for (const char* o : off) {
-    if (__builtin_strcmp(norm, o) == 0) return false;
-  }
-  return true;
-}
-
-bool simd_enabled() noexcept {
-  static const bool enabled =
-      simd_compiled() && simd_env_enabled(std::getenv("CBE_SIMD"));
-  return enabled;
-}
-
-#if CBE_SIMD_VECTOR_EXT
 
 namespace {
 
@@ -308,55 +280,6 @@ void make_sumtable_simd(const Clv<double>& a, const Clv<double>& b,
       rhs = rhs + rcol[3] * vsplat4(bv[3]);
       vstore4(&sumtable[base], lhs * rhs);
     }
-  }
-}
-
-#else  // !CBE_SIMD_VECTOR_EXT: scalar forwarding keeps every caller green.
-
-void newview_simd(const Clv<double>& left, const BranchP& pl,
-                  const Clv<double>& right, const BranchP& pr,
-                  Clv<double>& out) {
-  newview(left, pl, right, pr, out);
-}
-
-double evaluate_simd(const Clv<double>& a, const Clv<double>& b,
-                     const BranchP& pb, const SubstModel& model,
-                     const std::vector<double>& weights) {
-  return evaluate(a, b, pb, model, weights);
-}
-
-void make_sumtable_simd(const Clv<double>& a, const Clv<double>& b,
-                        const SubstModel& model,
-                        std::vector<double>& sumtable) {
-  make_sumtable(a, b, model, sumtable);
-}
-
-#endif  // CBE_SIMD_VECTOR_EXT
-
-void newview_dispatch(const Clv<double>& left, const BranchP& pl,
-                      const Clv<double>& right, const BranchP& pr,
-                      Clv<double>& out) {
-  if (simd_enabled()) {
-    newview_simd(left, pl, right, pr, out);
-  } else {
-    newview(left, pl, right, pr, out);
-  }
-}
-
-double evaluate_dispatch(const Clv<double>& a, const Clv<double>& b,
-                         const BranchP& pb, const SubstModel& model,
-                         const std::vector<double>& weights) {
-  return simd_enabled() ? evaluate_simd(a, b, pb, model, weights)
-                        : evaluate(a, b, pb, model, weights);
-}
-
-void make_sumtable_dispatch(const Clv<double>& a, const Clv<double>& b,
-                            const SubstModel& model,
-                            std::vector<double>& sumtable) {
-  if (simd_enabled()) {
-    make_sumtable_simd(a, b, model, sumtable);
-  } else {
-    make_sumtable(a, b, model, sumtable);
   }
 }
 

@@ -96,7 +96,7 @@ const Clv<double>& LikelihoodEngine::compute_dir(int edge, int node) {
   if (n2 < 0) throw std::logic_error("compute_dir: internal node degree < 3");
   const Clv<double>& c1 = compute_dir(e1, n1);
   const Clv<double>& c2 = compute_dir(e2, n2);
-  newview_dispatch(c1, branch_p(e1), c2, branch_p(e2), slot.clv);
+  newview_simd(c1, branch_p(e1), c2, branch_p(e2), slot.clv);
   notify(task::KernelClass::Newview);
   slot.valid = true;
   return slot.clv;
@@ -115,8 +115,7 @@ double LikelihoodEngine::loglik(int edge) {
   const auto [a, b] = tree_->edge_nodes(edge);
   const Clv<double>& ca = compute_dir(edge, a);
   const Clv<double>& cb = compute_dir(edge, b);
-  const double lnl =
-      evaluate_dispatch(ca, cb, branch_p(edge), *model_, weights_);
+  const double lnl = evaluate_simd(ca, cb, branch_p(edge), *model_, weights_);
   notify(task::KernelClass::Evaluate);
   return lnl;
 }
@@ -127,7 +126,7 @@ double LikelihoodEngine::optimize_branch(Tree& tree, int edge) {
   const Clv<double>& ca = compute_dir(edge, a);
   const Clv<double>& cb = compute_dir(edge, b);
 
-  make_sumtable_dispatch(ca, cb, *model_, sumtable_);
+  make_sumtable_simd(ca, cb, *model_, sumtable_);
   scale_sum_.resize(static_cast<std::size_t>(ca.patterns()));
   for (int p = 0; p < ca.patterns(); ++p) {
     scale_sum_[static_cast<std::size_t>(p)] =
@@ -171,9 +170,9 @@ double LikelihoodEngine::insertion_score(int leaf, int edge,
   const BranchP ph = BranchP::at(*model_, half);
 
   Clv<double>& cx = scratch_[0];
-  newview_dispatch(ca, ph, cb, ph, cx);
+  newview_simd(ca, ph, cb, ph, cx);
   notify(task::KernelClass::Newview);
-  const double lnl = evaluate_dispatch(
+  const double lnl = evaluate_simd(
       cx, (*tips_)[static_cast<std::size_t>(leaf)],
       BranchP::at(*model_, leaf_length), *model_, weights_);
   notify(task::KernelClass::Evaluate);
@@ -221,12 +220,11 @@ double LikelihoodEngine::nni_score(int edge, int variant) {
 
   Clv<double>& cu = scratch_[0];
   Clv<double>& cv = scratch_[1];
-  newview_dispatch(ca, branch_p(a_edge), cc, branch_p(c_edge), cu);
+  newview_simd(ca, branch_p(a_edge), cc, branch_p(c_edge), cu);
   notify(task::KernelClass::Newview);
-  newview_dispatch(cb, branch_p(b_edge), cd, branch_p(d_edge), cv);
+  newview_simd(cb, branch_p(b_edge), cd, branch_p(d_edge), cv);
   notify(task::KernelClass::Newview);
-  const double lnl =
-      evaluate_dispatch(cu, cv, branch_p(edge), *model_, weights_);
+  const double lnl = evaluate_simd(cu, cv, branch_p(edge), *model_, weights_);
   notify(task::KernelClass::Evaluate);
   return lnl;
 }

@@ -471,10 +471,13 @@ void Driver::begin_offload(int pid, const std::vector<int>& idle,
   const auto kind = static_cast<std::size_t>(t.kind);
 
   int d = policy_.loop_degree(view(), t);
-  if (!t.loop.parallelizable()) d = 1;
-  if (cfg_.ls_aware && t.loop.parallelizable()) {
+  if (!t.loop.parallelizable()) {
+    d = 1;
+  } else {
     // Memory-aware minimum degree (Section 6 future work): each SPE must
-    // hold its share of the task's working set next to the code image.
+    // hold its share of the task's working set next to the code image, so
+    // large multi-gene alignments (the paper's 51,089-nucleotide mammal
+    // data) require LLP independent of idle-SPE counts.
     const auto& mod = modules_.get(t.module_id);
     const double free_ls = static_cast<double>(
         cfg_.cell.local_store_bytes -
@@ -587,7 +590,7 @@ void Driver::begin_offload(int pid, const std::vector<int>& idle,
     const sim::Time t_dma =
         machine_.solo_dma_time(t.dma_in_bytes + t.dma_out_bytes, 2);
     sim::Time deadline =
-        cfg_.watchdog_factor *
+        kWatchdogFactor *
         (t_spe + t_code + t_dma + 2.0 * machine_.signal_latency(master));
     if (deadline < sim::Time::us(50.0)) deadline = sim::Time::us(50.0);
     p.watchdog = eng_.schedule_after(deadline, [this, pid, attempt_id] {

@@ -27,6 +27,11 @@ namespace cbe::rt {
 /// before the task is executed on the PPE (always-correct fallback).
 inline constexpr int kMaxTaskRetries = 2;
 
+/// Offload watchdog deadline as a multiple of the task's intrinsic off-load
+/// cost (t_spe + t_code + t_dma + 2 t_comm).  Watchdogs are only armed when
+/// fault injection is enabled.
+inline constexpr double kWatchdogFactor = 4.0;
+
 /// End-to-end data-integrity controls (DESIGN.md §11).  Detection is
 /// end-to-end by construction: the producer frames payloads/results with a
 /// CRC and the *consumer* verifies — the transport is never trusted.
@@ -60,12 +65,6 @@ struct RunConfig {
   /// do not off-load often enough to trigger adaptation; Section 5.4).
   /// Zero disables the timer.
   sim::Time policy_timer;
-  /// Memory-aware scheduling (the paper's Section 6 future work): when a
-  /// task's working set cannot fit one SPE's free local store, the driver
-  /// raises the loop-sharing degree until each SPE's chunk fits.  Large
-  /// multi-gene alignments (the paper's 51,089-nucleotide mammal data)
-  /// *require* LLP for this reason, independent of idle-SPE counts.
-  bool ls_aware = true;
 
   // -- Fault injection (see DESIGN.md "Fault model") -----------------------
   /// Seeded random fault plan; disabled when all rates are zero.  When
@@ -76,10 +75,6 @@ struct RunConfig {
   /// but still uses `fault.seed` for the DMA oracle and `run_cluster`'s
   /// blade decisions.  Non-empty enables fault handling.
   std::vector<sim::FaultEvent> fault_script;
-  /// Offload watchdog deadline as a multiple of the task's intrinsic
-  /// off-load cost (t_spe + t_code + t_dma + 2 t_comm).  Watchdogs are only
-  /// armed when fault injection is enabled.
-  double watchdog_factor = 4.0;
 
   // -- Data integrity (see DESIGN.md §11) ----------------------------------
   /// Detection and recovery for the silent-corruption channels enabled by

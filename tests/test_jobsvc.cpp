@@ -288,8 +288,9 @@ TEST(Admission, OverloadShedsLowestPriorityForHigherArrival) {
   EXPECT_EQ(rep.jobs.at(2).status, JobStatus::Shed);
   EXPECT_EQ(rep.jobs.at(3).status, JobStatus::Completed);
   EXPECT_EQ(rep.shed, 1u);
-  if (CBE_TRACE_ENABLED)
+  if (CBE_TRACE_ENABLED) {
     EXPECT_EQ(events_of_kind(sink, trace::EventKind::JobShed).size(), 1u);
+  }
 
   // With shedding disabled the same arrival is rejected instead.
   ServiceConfig no_shed = cfg;
@@ -388,8 +389,9 @@ TEST(Watchdog, StragglerBladeIsDetectedAndBrokenOut) {
   EXPECT_EQ(rep.blade_degrades, 1u);
   EXPECT_EQ(rep.completed, jobs.size());
   EXPECT_EQ(rep.results_text(), golden.results_text());
-  if (CBE_TRACE_ENABLED)
+  if (CBE_TRACE_ENABLED) {
     EXPECT_FALSE(events_of_kind(sink, trace::EventKind::BreakerOpen).empty());
+  }
 }
 
 TEST(Watchdog, SustainedChurnKeepsEngineQueueBounded) {

@@ -4,9 +4,7 @@
 // pattern counts (including the 0 / 1 / odd tails a lane-width bug would
 // hit first), random CLV contents, tip operands (which the vector kernels
 // read through a per-call lookup table), and inputs tiny enough to force
-// the 2^256 rescaling path.  When the vector code is compiled out the *_simd
-// symbols forward to the reference and the comparisons hold trivially, so
-// the suite is meaningful in every build configuration.
+// the 2^256 rescaling path.
 #include "phylo/kernels_simd.hpp"
 
 #include <gtest/gtest.h>
@@ -385,57 +383,6 @@ TEST(KernelsDifferential, NewviewIntoFormerTipDropsItsCodes) {
   const std::vector<double> weights = random_weights(19, rng);
   ASSERT_TRUE(bits_equal(evaluate(inner, ref, p, model, weights),
                          evaluate_simd(inner, simd, p, model, weights)));
-}
-
-TEST(KernelsDifferential, DispatchMatchesSelectedPath) {
-  // Whatever simd_enabled() resolved to in this process, the dispatch entry
-  // points must agree bit-for-bit with both implementations (which the
-  // tests above prove identical to each other).
-  std::mt19937_64 rng(5);
-  const SubstModel model = random_model(rng);
-  const BranchP p = BranchP::at(model, 0.2);
-  const Clv<double> left = random_clv(17, rng, 0.2);
-  const Clv<double> right = random_clv(17, rng, 0.2);
-  Clv<double> ref, via_dispatch;
-  newview(left, p, right, p, ref);
-  newview_dispatch(left, p, right, p, via_dispatch);
-  ASSERT_TRUE(bits_equal(ref.data, via_dispatch.data));
-  ASSERT_EQ(ref.scale, via_dispatch.scale);
-  const std::vector<double> weights = random_weights(17, rng);
-  ASSERT_TRUE(bits_equal(evaluate(left, right, p, model, weights),
-                         evaluate_dispatch(left, right, p, model, weights)));
-  std::vector<double> st_ref, st_dispatch;
-  make_sumtable(left, right, model, st_ref);
-  make_sumtable_dispatch(left, right, model, st_dispatch);
-  ASSERT_TRUE(bits_equal(st_ref, st_dispatch));
-}
-
-TEST(KernelsDifferential, EnvParserSelectsScalarOnDisableTokens) {
-  // The CBE_SIMD escape-hatch grammar (README): these disable ...
-  EXPECT_FALSE(simd_env_enabled("off"));
-  EXPECT_FALSE(simd_env_enabled("OFF"));
-  EXPECT_FALSE(simd_env_enabled("Off"));
-  EXPECT_FALSE(simd_env_enabled("0"));
-  EXPECT_FALSE(simd_env_enabled("scalar"));
-  EXPECT_FALSE(simd_env_enabled("SCALAR"));
-  EXPECT_FALSE(simd_env_enabled("false"));
-  EXPECT_FALSE(simd_env_enabled("False"));
-  EXPECT_FALSE(simd_env_enabled("no"));
-  // ... and everything else (including unset) leaves SIMD on.
-  EXPECT_TRUE(simd_env_enabled(nullptr));
-  EXPECT_TRUE(simd_env_enabled(""));
-  EXPECT_TRUE(simd_env_enabled("on"));
-  EXPECT_TRUE(simd_env_enabled("1"));
-  EXPECT_TRUE(simd_env_enabled("vector"));
-  EXPECT_TRUE(simd_env_enabled("offbeat"));  // prefix is not a match
-  EXPECT_TRUE(simd_env_enabled("a-very-long-unrecognized-value"));
-}
-
-TEST(KernelsDifferential, SimdEnabledRequiresCompiledSupport) {
-  if (!simd_compiled()) {
-    EXPECT_FALSE(simd_enabled())
-        << "scalar-only build must never claim the vector path";
-  }
 }
 
 }  // namespace

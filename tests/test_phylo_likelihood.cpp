@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "phylo/search.hpp"
 
@@ -29,6 +30,28 @@ struct EngineTest : ::testing::Test {
   SubstModel model;
   LikelihoodEngine engine;
 };
+
+/// The directed CLV of the subtree on `node`'s side of `edge`, rebuilt from
+/// scratch with the scalar reference kernels in the engine's neighbour order.
+Clv<double> scalar_dir(const Tree& t, const PatternAlignment& pa,
+                       const SubstModel& model, int edge, int node) {
+  Clv<double> out;
+  if (t.leaf(node)) {
+    init_tip_clv(pa, node, out);
+    return out;
+  }
+  std::vector<int> nodes, edges;
+  for (const auto& nb : t.neighbors(node)) {
+    if (nb.edge == edge) continue;
+    nodes.push_back(nb.node);
+    edges.push_back(nb.edge);
+  }
+  const Clv<double> c1 = scalar_dir(t, pa, model, edges[0], nodes[0]);
+  const Clv<double> c2 = scalar_dir(t, pa, model, edges[1], nodes[1]);
+  newview(c1, BranchP::at(model, t.branch_length(edges[0])), c2,
+          BranchP::at(model, t.branch_length(edges[1])), out);
+  return out;
+}
 
 TEST_F(EngineTest, LoglikInvariantUnderRootEdge) {
   util::Rng rng(1);
@@ -199,6 +222,39 @@ TEST_F(EngineTest, SharedTipsAndWeightsAreValidated) {
   engine.attach(tree);
   shared.attach(tree);
   EXPECT_EQ(shared.loglik(), engine.loglik());
+}
+
+TEST_F(EngineTest, EveryEdgeMatchesScalarPruningBitForBit) {
+  // The engine runs the vector kernels on cached CLVs; a from-scratch scalar
+  // pruning of the same tree must give the same bits on every edge, before
+  // and after a branch-length sweep moves every cached CLV.
+  bool has_gap = false;
+  for (const Clv<double>& tip : make_tip_clvs(pa)) {
+    for (const std::uint8_t code : tip.tip) has_gap |= code == kTipGap;
+  }
+  ASSERT_TRUE(has_gap) << "the fixture must exercise the gap tip code";
+
+  const auto expect_every_edge = [&](const Tree& t, const char* when) {
+    for (int e = 0; e < t.edge_count(); ++e) {
+      const auto [a, b] = t.edge_nodes(e);
+      const double ref = evaluate(scalar_dir(t, pa, model, e, a),
+                                  scalar_dir(t, pa, model, e, b),
+                                  BranchP::at(model, t.branch_length(e)),
+                                  model, pa.weights());
+      const double got = engine.loglik(e);
+      EXPECT_EQ(std::memcmp(&ref, &got, sizeof ref), 0)
+          << when << ", edge " << e << ": " << got << " vs " << ref;
+    }
+  };
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    SCOPED_TRACE(seed);
+    util::Rng rng(seed);
+    Tree t = Tree::random(10, rng);
+    engine.attach(t);
+    expect_every_edge(t, "attached");
+    engine.optimize_all_branches(t, 1);
+    expect_every_edge(t, "optimized");
+  }
 }
 
 }  // namespace

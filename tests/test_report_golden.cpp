@@ -4,10 +4,7 @@
 // every scheduler counter.  The job's alignment carries gap columns, so the
 // fixture covers the kernels' tip and gap handling inside real searches.
 //
-// CMake registers this binary twice: once as is (the vector kernels where
-// they are compiled in) and once with CBE_SIMD=off (the scalar reference).
-// Both must reproduce the same fixture.  Regenerate it only after an
-// intentional numerical change:
+// Regenerate the fixture only after an intentional numerical change:
 //
 //   CBE_REGEN_GOLDEN=1 build/tests/test_report_golden
 #include <gtest/gtest.h>

@@ -112,20 +112,9 @@ TEST(MemoryAware, OversizedWorkingSetsForceLoopSharing) {
   // though the policy asked for 1.
   const task::Workload wl = oversized_workload(250.0 * 1024, 50.0 * 1024);
   EdtlpPolicy pol;
-  RunConfig cfg;
-  ASSERT_TRUE(cfg.ls_aware);
-  const RunResult r = run_workload(wl, pol, cfg);
+  const RunResult r = run_workload(wl, pol, {});
   EXPECT_EQ(r.loop_splits, r.offloads);
   EXPECT_GE(r.mean_loop_degree, 3.0);
-}
-
-TEST(MemoryAware, DisabledKeepsPolicyDegree) {
-  const task::Workload wl = oversized_workload(250.0 * 1024, 50.0 * 1024);
-  EdtlpPolicy pol;
-  RunConfig cfg;
-  cfg.ls_aware = false;
-  const RunResult r = run_workload(wl, pol, cfg);
-  EXPECT_EQ(r.loop_splits, 0u);
 }
 
 TEST(MemoryAware, FittingTasksAreUntouched) {
