@@ -44,9 +44,6 @@ class Ppe {
   /// Registers a logical process.  `pinned_context` >= 0 restricts it to one
   /// hardware context (static affinity); -1 lets it run anywhere.
   int add_process(int pinned_context = -1);
-  int num_processes() const noexcept {
-    return static_cast<int>(procs_.size());
-  }
 
   /// Requests a context.  `on_granted` fires (possibly immediately) once the
   /// process holds one.  A process must not request while holding.

@@ -141,8 +141,6 @@ class Spe {
     ++code_loads_;
   }
 
-  const LocalStore& local_store() const noexcept { return ls_; }
-
   sim::Time busy_time(sim::Time now) const noexcept {
     return busy_ ? busy_acc_ + (now - last_change_) : busy_acc_;
   }

@@ -1,7 +1,6 @@
 #include "ckpt/runner.hpp"
 
 #include <atomic>
-#include <cstdio>
 #include <future>
 #include <optional>
 #include <stdexcept>
@@ -12,6 +11,7 @@
 #include "runtime/mgps.hpp"
 #include "runtime/sim_runtime.hpp"
 #include "sim/fault.hpp"
+#include "util/table.hpp"
 
 namespace cbe::ckpt {
 
@@ -77,13 +77,6 @@ ReplicateOut run_replicate(const BootstrapJob& job,
                       rt::run_workload(wl, mgps, rcfg)};
 }
 
-std::string fmt_f64(double v) {
-  // %.17g round-trips every double, so text comparison is bit comparison.
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 }  // namespace
 
 namespace test_hooks {
@@ -96,13 +89,13 @@ std::string RunReport::to_text() const {
   std::string out;
   out += "# cellmg bootstrap-job report v1\n";
   out += "bootstraps " + std::to_string(total_bootstraps) + "\n";
-  out += "reference_lnL " + fmt_f64(reference_loglik) + "\n";
+  out += "reference_lnL " + util::fmt_f64(reference_loglik) + "\n";
   for (std::size_t i = 0; i < replicate_logliks.size(); ++i) {
     out += "replicate " + std::to_string(i) + " lnL " +
-           fmt_f64(replicate_logliks[i]) + "\n";
+           util::fmt_f64(replicate_logliks[i]) + "\n";
   }
   for (std::size_t i = 0; i < support.size(); ++i) {
-    out += "support " + std::to_string(i) + " " + fmt_f64(support[i]) + "\n";
+    out += "support " + std::to_string(i) + " " + util::fmt_f64(support[i]) + "\n";
   }
   out += "sched kernels " + std::to_string(sched.kernels) + "\n";
   out += "sched offloads " + std::to_string(sched.offloads) + "\n";
@@ -110,9 +103,9 @@ std::string RunReport::to_text() const {
   out += "sched ppe_fallbacks " + std::to_string(sched.ppe_fallbacks) + "\n";
   out += "sched code_loads " + std::to_string(sched.code_loads) + "\n";
   out += "sched sim_events " + std::to_string(sched.sim_events) + "\n";
-  out += "sched dma_bytes " + fmt_f64(sched.dma_bytes) + "\n";
-  out += "sched sim_seconds " + fmt_f64(sched.sim_seconds) + "\n";
-  out += "sched loop_degree_sum " + fmt_f64(sched.loop_degree_sum) + "\n";
+  out += "sched dma_bytes " + util::fmt_f64(sched.dma_bytes) + "\n";
+  out += "sched sim_seconds " + util::fmt_f64(sched.sim_seconds) + "\n";
+  out += "sched loop_degree_sum " + util::fmt_f64(sched.loop_degree_sum) + "\n";
   return out;
 }
 

@@ -6,6 +6,7 @@
 #include <deque>
 #include <map>
 #include <stdexcept>
+#include <utility>
 
 #include "ckpt/format.hpp"
 #include "jobsvc/statusz.hpp"
@@ -16,6 +17,7 @@
 #include "trace/trace.hpp"
 #include "util/log.hpp"
 #include "util/stats.hpp"
+#include "util/table.hpp"
 
 namespace cbe::jobsvc {
 
@@ -37,13 +39,6 @@ constexpr double kBreakerCooloffS = 2.0;
 constexpr double kCheckpointCostS = 0.002;
 /// Modeled dispatch overhead per (re)dispatch.
 constexpr double kDispatchCostS = 0.0005;
-
-std::string fmt_f64(double v) {
-  // %.17g round-trips every double, so text comparison is bit comparison.
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 }  // namespace
 
@@ -67,7 +62,7 @@ std::string ServiceReport::results_text() const {
                   "job %" PRIu64 " tenant %u status %s digest %016" PRIx64
                   " value %s\n",
                   o.spec.id, o.spec.tenant, job_status_name(o.status),
-                  o.result.digest, fmt_f64(o.result.value).c_str());
+                  o.result.digest, util::fmt_f64(o.result.value).c_str());
     out += line;
   }
   return out;
@@ -79,7 +74,7 @@ std::string ServiceReport::to_text() const {
     out += std::string(k) + " " + std::to_string(v) + "\n";
   };
   auto f64line = [&out](const char* k, double v) {
-    out += std::string(k) + " " + fmt_f64(v) + "\n";
+    out += std::string(k) + " " + util::fmt_f64(v) + "\n";
   };
   u64line("submitted", submitted);
   u64line("completed", completed);
@@ -164,30 +159,15 @@ class ServiceRun {
     Submitted, Queued, Running, Backoff, Terminal,
   };
 
-  struct Rec {
-    JobSpec spec;
+  /// A job's outcome (the report copies this slice) and its run state.
+  struct Rec : JobOutcome {
     std::size_t seq = 0;
     JobState live;
     std::vector<std::uint8_t> snapshot;  ///< CRC-framed image; empty = none
     RecState state = RecState::Submitted;
-    JobStatus status = JobStatus::Failed;
-    JobResult result;
-    int attempts = 0;
-    int failures = 0;
-    int migrations = 0;
-    int restores = 0;
+    int migrations = 0;  ///< blade-loss recoveries: the span's hop
     int blade = -1;
-    int last_blade = -1;
-    /// The live (resp. snapshotted) digest has been silently poisoned by an
-    /// undetected step corruption.  Bookkeeping only — the service never
-    /// reads these to decide anything (that would be cheating detection);
-    /// they exist so snapshots and restores carry poison state faithfully.
-    bool live_corrupted = false;
-    bool snap_corrupted = false;
     sim::EventId step_ev, watchdog_ev, deadline_ev;
-    double first_start_s = -1.0;
-    double finish_s = -1.0;
-    double queue_enter_s = 0.0;
   };
 
   enum class BreakerState : std::uint8_t { Closed, Open, HalfOpen };
@@ -257,18 +237,12 @@ class ServiceRun {
                 static_cast<std::uint64_t>(rec.live.steps_done)};
   }
 
-  bool step_fails(const Rec& rec) const {
-    if (cfg_.step_fail_rate <= 0.0) return false;
-    const StepKey k = step_key(rec, kStepFailSalt);
-    return sim::fault_hash01(k.seed, k.index) < cfg_.step_fail_rate;
-  }
-
-  /// Silent-corruption oracle, keyed like step_fails but on its own salt so
-  /// the two fault streams stay independent.
-  bool step_corrupts(const Rec& rec) const {
-    if (cfg_.step_corrupt_rate <= 0.0) return false;
-    const StepKey k = step_key(rec, kStepCorrSalt);
-    return sim::fault_hash01(k.seed, k.index) < cfg_.step_corrupt_rate;
+  /// Per-step fault oracle: true with probability `rate`.  Each fault kind
+  /// draws on its own salt, so the fault streams stay independent.
+  bool step_draw(const Rec& rec, std::uint64_t salt, double rate) const {
+    if (rate <= 0.0) return false;
+    const StepKey k = step_key(rec, salt);
+    return sim::fault_hash01(k.seed, k.index) < rate;
   }
 
   /// Deterministic sample of steps that get a redundant verification
@@ -301,22 +275,18 @@ class ServiceRun {
   void recover_state(Rec& rec) {
     if (!rec.snapshot.empty()) {
       try {
-        rec.live = restore_job(rec.spec, rec.snapshot);
         // The restore faithfully resurrects whatever the snapshot held —
         // including a silently poisoned digest, if one was snapshotted.
-        rec.live_corrupted = rec.snap_corrupted;
-        ++rec.restores;
-        ++snapshot_restores_;
+        rec.live = restore_job(rec.spec, rec.snapshot);
+        ++n_.snapshot_restores;
         return;
       } catch (const ckpt::CkptError&) {
         // A corrupt snapshot must never poison the result: fall through to
         // a cold start, which recomputes the same bits the long way.
         rec.snapshot.clear();
-        rec.snap_corrupted = false;
       }
     }
     rec.live = make_initial_state(rec.spec, cfg_.seed);
-    rec.live_corrupted = false;
   }
 
   // -- fault plan ------------------------------------------------------------
@@ -359,7 +329,7 @@ class ServiceRun {
   void on_submit(std::size_t j) {
     Rec& rec = recs_[j];
     trace::ScopedSpan span(span_of(rec));
-    ++submitted_;
+    ++n_.submitted;
     CBE_TRACE_EVENT(now_ns(), trace::EventKind::JobSubmit, -1, jid(rec),
                     rec.spec.tenant, rec.spec.priority);
     const AdmissionPolicy& adm = cfg_.admission;
@@ -389,7 +359,6 @@ class ServiceRun {
     ++tenant_active_[rec.spec.tenant];
     rec.live = make_initial_state(rec.spec, cfg_.seed);
     rec.state = RecState::Queued;
-    rec.queue_enter_s = now_s();
     queue_.push_back(j);
     CBE_TRACE_EVENT(now_ns(), trace::EventKind::JobAdmit, -1, jid(rec),
                     rec.spec.tenant, static_cast<std::int64_t>(queue_.size()));
@@ -401,7 +370,7 @@ class ServiceRun {
     trace::ScopedSpan span(span_of(rec));
     CBE_TRACE_EVENT(now_ns(), trace::EventKind::JobReject, -1, jid(rec),
                     rec.spec.tenant, static_cast<std::int64_t>(why));
-    ++rejected_;
+    ++n_.rejected;
     finish(rec, JobStatus::Rejected, /*tenant_admitted=*/false);
   }
 
@@ -412,7 +381,7 @@ class ServiceRun {
     CBE_TRACE_EVENT(now_ns(), trace::EventKind::JobShed, -1, jid(rec),
                     rec.spec.tenant,
                     static_cast<std::int64_t>(displacing_id));
-    ++shed_;
+    ++n_.shed;
     finish(rec, JobStatus::Shed, /*tenant_admitted=*/true);
   }
 
@@ -502,12 +471,10 @@ class ServiceRun {
     Blade& b = blades_[static_cast<std::size_t>(blade_idx)];
     rec.state = RecState::Running;
     rec.blade = blade_idx;
-    rec.last_blade = blade_idx;
     ++rec.attempts;
     trace::ScopedSpan span(span_of(rec));
-    if (rec.first_start_s < 0.0) {
-      rec.first_start_s = now_s();
-      queue_wait_samples_.push_back(rec.first_start_s - rec.spec.submit_s);
+    if (rec.attempts == 1) {
+      queue_wait_samples_.push_back(now_s() - rec.spec.submit_s);
     }
     ++b.running;
     ++b.dispatches;
@@ -536,12 +503,13 @@ class ServiceRun {
     // mid-flight at a deterministic point (kill-and-dump testing).
     sim::crash_clock_tick();
     Blade& b = blades_[static_cast<std::size_t>(rec.blade)];
-    if (step_fails(rec)) {
+    if (step_draw(rec, kStepFailSalt, cfg_.step_fail_rate)) {
       fail_execution(j, FailReason::StepFault);
       return;
     }
     // Oracles drawn on the step about to execute (pre-increment index).
-    const bool corrupted_now = step_corrupts(rec);
+    const bool corrupted_now =
+        step_draw(rec, kStepCorrSalt, cfg_.step_corrupt_rate);
     const bool verified_now = step_verified(rec);
     run_step(rec.live);
     if (corrupted_now) {
@@ -550,8 +518,7 @@ class ServiceRun {
           rec.live.digest, cfg_.fault.seed,
           rec.spec.id * 1000003ull +
               static_cast<std::uint64_t>(rec.live.steps_done));
-      rec.live_corrupted = true;
-      ++corrupt_injected_;
+      ++n_.corrupt_injected;
       CBE_TRACE_EVENT(now_ns(), trace::EventKind::ResultCorrupt, rec.blade,
                       jid(rec), 1, rec.live.steps_done);
     }
@@ -561,10 +528,10 @@ class ServiceRun {
       // exposes a corruption injected *now* (an earlier undetected poison is
       // part of the input and reproduces identically — verification has to
       // catch corruption at the step where it happens, or not at all).
-      ++verify_reexecs_;
+      ++n_.verify_reexecs;
       extra += step_time(b, rec.spec);
       if (corrupted_now) {
-        ++corrupt_detected_;
+        ++n_.corrupt_detected;
         CBE_TRACE_EVENT(now_ns(), trace::EventKind::ResultCorrupt, rec.blade,
                         jid(rec), 2, rec.live.steps_done);
         const int blade_idx = rec.blade;
@@ -583,8 +550,7 @@ class ServiceRun {
     if (cfg_.checkpoint_every > 0 &&
         rec.live.steps_done % cfg_.checkpoint_every == 0) {
       rec.snapshot = snapshot_job(rec.spec, rec.live);
-      rec.snap_corrupted = rec.live_corrupted;
-      ++snapshots_;
+      ++n_.snapshots;
       extra += sim::Time::sec(kCheckpointCostS);
       CBE_TRACE_EVENT(now_ns(), trace::EventKind::JobCheckpoint, rec.blade,
                       jid(rec), rec.live.steps_done,
@@ -606,7 +572,7 @@ class ServiceRun {
                       0, 0);
     }
     rec.result = result_of(rec.live);
-    ++completed_;
+    ++n_.completed;
     const double latency = now_s() - rec.spec.submit_s;
     latency_samples_.push_back(latency);
     CBE_TRACE_EVENT(now_ns(), trace::EventKind::JobComplete, rec.blade,
@@ -619,7 +585,7 @@ class ServiceRun {
   void on_watchdog(std::size_t j) {
     Rec& rec = recs_[j];
     if (rec.state != RecState::Running) return;
-    ++watchdog_fires_;
+    ++n_.watchdog_fires;
     trace::ScopedSpan span(span_of(rec));
     CBE_TRACE_EVENT(now_ns(), trace::EventKind::WatchdogFire, rec.blade,
                     jid(rec), rec.attempts, 0);
@@ -644,17 +610,17 @@ class ServiceRun {
       if (why == FailReason::Corruption) {
         // Fail closed: the budget ran out on integrity failures, so the
         // service never confirmed a clean result and must not report one.
-        ++corrupt_jobs_;
+        ++n_.corrupt_jobs;
         finish(rec, JobStatus::Corrupt, /*tenant_admitted=*/true);
       } else {
-        ++failed_;
+        ++n_.failed;
         finish(rec, JobStatus::Failed, /*tenant_admitted=*/true);
       }
       try_dispatch();
       return;
     }
     const double delay = backoff_s(rec);
-    ++retries_;
+    ++n_.retries;
     CBE_TRACE_EVENT(now_ns(), trace::EventKind::JobRetry, -1, jid(rec),
                     rec.failures, static_cast<std::int64_t>(delay * 1e9));
     rec.state = RecState::Backoff;
@@ -682,7 +648,7 @@ class ServiceRun {
     if (!reopen && !open) return;
     b.breaker = BreakerState::Open;
     b.open_until = eng_.now() + sim::Time::sec(kBreakerCooloffS);
-    ++breaker_opens_;
+    ++n_.breaker_opens;
     CBE_TRACE_EVENT(now_ns(), trace::EventKind::BreakerOpen, blade_idx, -1,
                     b.consecutive_failures,
                     static_cast<std::int64_t>(kBreakerCooloffS * 1e9));
@@ -704,15 +670,21 @@ class ServiceRun {
       return;
     }
     b.quarantined = true;
-    b.alive = false;
-    ++quarantined_blades_;
+    ++n_.quarantined_blades;
     CBE_TRACE_EVENT(now_ns(), trace::EventKind::Quarantine, blade_idx, -1,
                     b.corruption_strikes, cfg_.quarantine_threshold);
     trace::dump_flight_recorder("quarantine");
-    std::vector<std::size_t> victims = std::move(b.running_jobs);
-    b.running_jobs.clear();
+    evacuate(blade_idx);
+  }
+
+  /// Takes `blade_idx` out of service and moves every job running on it:
+  /// each is re-materialized from its last snapshot and requeued.  That is a
+  /// migration, not a job failure, so the retry budget is untouched.
+  void evacuate(int blade_idx) {
+    Blade& b = blades_[static_cast<std::size_t>(blade_idx)];
+    b.alive = false;
     b.running = 0;
-    for (std::size_t j : victims) {
+    for (std::size_t j : std::exchange(b.running_jobs, {})) {
       Rec& rec = recs_[j];
       eng_.cancel(rec.step_ev);
       eng_.cancel(rec.watchdog_ev);
@@ -720,7 +692,7 @@ class ServiceRun {
       --tenant_running_[rec.spec.tenant];
       rec.blade = -1;
       ++rec.migrations;
-      ++migrations_;
+      ++n_.migrations;
       recover_state(rec);
       trace::ScopedSpan span(span_of(rec));
       CBE_TRACE_EVENT(now_ns(), trace::EventKind::JobMigrate, -1, jid(rec),
@@ -738,38 +710,16 @@ class ServiceRun {
     if (!b.alive) return;
     if (ev.kind == sim::FaultKind::Degrade) {
       b.degrade = ev.factor;
-      ++blade_degrades_;
+      ++n_.blade_degrades;
       CBE_TRACE_EVENT(ev.at.nanoseconds(), trace::EventKind::BladeFail,
                       ev.node, -1, b.running, 0);
       return;
     }
-    // Fail-stop: the blade and every worker on it are gone.  In-flight jobs
-    // are re-materialized from their last snapshot and requeued — a
-    // migration, not a job failure, so the retry budget is untouched.
-    b.alive = false;
-    ++blade_failures_;
+    // Fail-stop: the blade and every worker on it are gone.
+    ++n_.blade_failures;
     CBE_TRACE_EVENT(ev.at.nanoseconds(), trace::EventKind::BladeFail, ev.node,
                     -1, b.running, 1);
-    std::vector<std::size_t> victims = std::move(b.running_jobs);
-    b.running_jobs.clear();
-    b.running = 0;
-    for (std::size_t j : victims) {
-      Rec& rec = recs_[j];
-      eng_.cancel(rec.step_ev);
-      eng_.cancel(rec.watchdog_ev);
-      rec.step_ev = rec.watchdog_ev = sim::EventId{};
-      --tenant_running_[rec.spec.tenant];
-      rec.blade = -1;
-      ++rec.migrations;
-      ++migrations_;
-      recover_state(rec);
-      trace::ScopedSpan span(span_of(rec));
-      CBE_TRACE_EVENT(now_ns(), trace::EventKind::JobMigrate, -1, jid(rec),
-                      ev.node, rec.live.steps_done);
-      rec.state = RecState::Queued;
-      queue_.push_back(j);
-    }
-    try_dispatch();
+    evacuate(ev.node);
   }
 
   // -- deadlines & teardown --------------------------------------------------
@@ -785,7 +735,7 @@ class ServiceRun {
     } else if (rec.state == RecState::Queued) {
       queue_.erase(std::find(queue_.begin(), queue_.end(), j));
     }
-    ++deadline_exceeded_;
+    ++n_.deadline_exceeded;
     finish(rec, JobStatus::DeadlineExceeded, /*tenant_admitted=*/true);
     try_dispatch();
   }
@@ -809,7 +759,6 @@ class ServiceRun {
     rec.deadline_ev = sim::EventId{};
     rec.state = RecState::Terminal;
     rec.status = status;
-    rec.finish_s = now_s();
   }
 
   /// Jobs still non-terminal after the engine drained had no blade left to
@@ -824,7 +773,7 @@ class ServiceRun {
       CBE_TRACE_EVENT(now_ns(), trace::EventKind::JobFail, -1, jid(rec),
                       rec.attempts,
                       static_cast<std::int64_t>(FailReason::Starved));
-      ++failed_;
+      ++n_.failed;
       finish(rec, JobStatus::Failed, /*tenant_admitted=*/true);
     }
   }
@@ -834,20 +783,8 @@ class ServiceRun {
   StatusSnapshot build_snapshot() {
     StatusSnapshot snap;
     snap.t_ns = now_ns();
+    static_cast<ServiceCounters&>(snap) = n_;
     snap.seq = statusz_seq_;
-    snap.submitted = submitted_;
-    snap.completed = completed_;
-    snap.rejected = rejected_;
-    snap.shed = shed_;
-    snap.failed = failed_;
-    snap.corrupt_jobs = corrupt_jobs_;
-    snap.deadline_exceeded = deadline_exceeded_;
-    snap.retries = retries_;
-    snap.migrations = migrations_;
-    snap.watchdog_fires = watchdog_fires_;
-    snap.breaker_opens = breaker_opens_;
-    snap.quarantined_blades = quarantined_blades_;
-    snap.corrupt_detected = corrupt_detected_;
     snap.queue_depth = static_cast<int>(queue_.size());
     if (!latency_samples_.empty()) {
       snap.p50_latency_s = util::percentile(latency_samples_, 50);
@@ -939,8 +876,10 @@ class ServiceRun {
   void on_statusz() {
     write_statusz(build_snapshot());
     ++statusz_seq_;
-    // Reschedule only while work remains, so the status clock never keeps
-    // the engine alive past the last job.
+    // Reschedule only while work remains and another event can still move
+    // it (this tick's own event is already popped): the status clock never
+    // keeps the engine alive, past the last job or with every blade gone.
+    if (eng_.events_pending() == 0) return;
     for (const Rec& rec : recs_) {
       if (rec.state != RecState::Terminal) {
         eng_.schedule_after(sim::Time::sec(cfg_.statusz.every_s),
@@ -954,52 +893,20 @@ class ServiceRun {
 
   ServiceReport make_report() {
     ServiceReport rep;
-    rep.jobs.reserve(recs_.size());
-    for (Rec& rec : recs_) {
-      JobOutcome o;
-      o.spec = rec.spec;
-      o.status = rec.status;
-      if (rec.status == JobStatus::Completed) o.result = rec.result;
-      o.attempts = rec.attempts;
-      o.failures = rec.failures;
-      o.migrations = rec.migrations;
-      o.snapshot_restores = rec.restores;
-      o.last_blade = rec.last_blade;
-      o.submit_s = rec.spec.submit_s;
-      o.first_start_s = rec.first_start_s;
-      o.finish_s = rec.finish_s;
-      rep.jobs.push_back(std::move(o));
-    }
+    static_cast<ServiceCounters&>(rep) = n_;
+    rep.jobs.assign(recs_.begin(), recs_.end());
     std::sort(rep.jobs.begin(), rep.jobs.end(),
               [](const JobOutcome& a, const JobOutcome& b) {
-                return a.spec.id != b.spec.id ? a.spec.id < b.spec.id
-                                              : a.submit_s < b.submit_s;
+                return a.spec.id != b.spec.id
+                           ? a.spec.id < b.spec.id
+                           : a.spec.submit_s < b.spec.submit_s;
               });
     rep.makespan_s = eng_.now().to_seconds();
-    rep.submitted = submitted_;
-    rep.completed = completed_;
-    rep.rejected = rejected_;
-    rep.shed = shed_;
-    rep.deadline_exceeded = deadline_exceeded_;
-    rep.failed = failed_;
-    rep.retries = retries_;
-    rep.migrations = migrations_;
-    rep.snapshots = snapshots_;
-    rep.snapshot_restores = snapshot_restores_;
-    rep.watchdog_fires = watchdog_fires_;
-    rep.blade_failures = blade_failures_;
-    rep.blade_degrades = blade_degrades_;
-    rep.breaker_opens = breaker_opens_;
-    rep.corrupt_injected = corrupt_injected_;
-    rep.corrupt_detected = corrupt_detected_;
-    rep.corrupt_jobs = corrupt_jobs_;
-    rep.verify_reexecs = verify_reexecs_;
-    rep.quarantined_blades = quarantined_blades_;
     rep.engine_events = eng_.events_processed();
     rep.engine_queue_peak = eng_.queue_peak();
     rep.engine_live_peak = eng_.live_peak();
     rep.throughput_jps = rep.makespan_s > 0.0
-                             ? static_cast<double>(completed_) / rep.makespan_s
+                             ? static_cast<double>(n_.completed) / rep.makespan_s
                              : 0.0;
     if (!latency_samples_.empty()) {
       rep.p50_latency_s = util::percentile(latency_samples_, 50);
@@ -1069,13 +976,7 @@ class ServiceRun {
   std::vector<double> latency_samples_;
   std::vector<double> queue_wait_samples_;
 
-  std::uint64_t submitted_ = 0, completed_ = 0, rejected_ = 0, shed_ = 0,
-                deadline_exceeded_ = 0, failed_ = 0, retries_ = 0,
-                migrations_ = 0, snapshots_ = 0, snapshot_restores_ = 0,
-                watchdog_fires_ = 0, blade_failures_ = 0, blade_degrades_ = 0,
-                breaker_opens_ = 0, corrupt_injected_ = 0,
-                corrupt_detected_ = 0, corrupt_jobs_ = 0, verify_reexecs_ = 0,
-                quarantined_blades_ = 0;
+  ServiceCounters n_;
   std::uint64_t statusz_seq_ = 0;  ///< periodic snapshots written so far
 };
 

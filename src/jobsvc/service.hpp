@@ -149,34 +149,9 @@ enum class FailReason : std::uint8_t {
 /// Why admission refused a job (JobReject trace payload `b`).
 enum class RejectReason : std::uint8_t { QueueFull, QuotaExceeded };
 
-struct JobOutcome {
-  JobSpec spec;
-  JobStatus status = JobStatus::Failed;
-  JobResult result;       ///< meaningful only when status == Completed
-  int attempts = 0;       ///< dispatches (including post-migration ones)
-  int failures = 0;       ///< retryable failures consumed
-  int migrations = 0;     ///< blade-kill recoveries
-  int snapshot_restores = 0;
-  int last_blade = -1;
-  double submit_s = 0.0;
-  double first_start_s = -1.0;
-  double finish_s = -1.0;  ///< virtual completion (or terminal) time
-
-  double latency_s() const noexcept {
-    return finish_s >= 0.0 ? finish_s - submit_s : -1.0;
-  }
-};
-
-struct ServiceReport {
-  std::vector<JobOutcome> jobs;  ///< sorted by job id
-
-  double makespan_s = 0.0;
-  double throughput_jps = 0.0;   ///< completed jobs per virtual second
-  double p50_latency_s = 0.0;
-  double p99_latency_s = 0.0;
-  double p50_queue_wait_s = 0.0;
-  double p99_queue_wait_s = 0.0;
-
+/// The service's counters, one record: the run increments it, and both the
+/// report and every status snapshot take a copy of it.
+struct ServiceCounters {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
   std::uint64_t rejected = 0;
@@ -196,6 +171,26 @@ struct ServiceReport {
   std::uint64_t corrupt_jobs = 0;       ///< jobs that failed closed (Corrupt)
   std::uint64_t verify_reexecs = 0;     ///< redundant step executions run
   std::uint64_t quarantined_blades = 0; ///< blades removed for corruption
+};
+
+struct JobOutcome {
+  JobSpec spec;
+  JobStatus status = JobStatus::Failed;
+  JobResult result;       ///< meaningful only when status == Completed
+  int attempts = 0;       ///< dispatches (including post-migration ones)
+  int failures = 0;       ///< retryable failures consumed
+};
+
+struct ServiceReport : ServiceCounters {
+  std::vector<JobOutcome> jobs;  ///< sorted by job id
+
+  double makespan_s = 0.0;
+  double throughput_jps = 0.0;   ///< completed jobs per virtual second
+  double p50_latency_s = 0.0;
+  double p99_latency_s = 0.0;
+  double p50_queue_wait_s = 0.0;
+  double p99_queue_wait_s = 0.0;
+
   std::uint64_t engine_events = 0;
   /// Event-queue high-water marks (ISSUE 8 leak guard): resident entries
   /// (live + cancelled corpses) and live events.  Bounded-memory invariant

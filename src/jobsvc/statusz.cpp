@@ -4,17 +4,11 @@
 #include <cstdio>
 
 #include "trace/recorder.hpp"
+#include "util/table.hpp"
 
 namespace cbe::jobsvc {
 
 namespace {
-
-std::string fmt_f64(double v) {
-  // %.17g round-trips every double: byte equality == bit equality.
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
 
 void kv_u64(std::string& out, const char* k, std::uint64_t v, bool last) {
   out += '"';
@@ -36,7 +30,7 @@ void kv_f(std::string& out, const char* k, double v, bool last) {
   out += '"';
   out += k;
   out += "\":";
-  out += fmt_f64(v);
+  out += util::fmt_f64(v);
   if (!last) out += ',';
 }
 

@@ -22,6 +22,8 @@
 #include <string>
 #include <vector>
 
+#include "jobsvc/service.hpp"
+
 namespace cbe::jobsvc {
 
 struct TenantStatus {
@@ -52,24 +54,11 @@ struct BladeStatus {
   std::uint64_t dispatches = 0;
 };
 
-struct StatusSnapshot {
+/// The service counters (monotone within a run) plus point-in-time state.
+struct StatusSnapshot : ServiceCounters {
   std::int64_t t_ns = 0;   ///< virtual time of the snapshot
   std::uint64_t seq = 0;   ///< snapshot index within the run (0-based)
 
-  // Global service counters (monotone within a run).
-  std::uint64_t submitted = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t corrupt_jobs = 0;
-  std::uint64_t deadline_exceeded = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t migrations = 0;
-  std::uint64_t watchdog_fires = 0;
-  std::uint64_t breaker_opens = 0;
-  std::uint64_t quarantined_blades = 0;
-  std::uint64_t corrupt_detected = 0;
   int queue_depth = 0;
   int running = 0;
 

@@ -102,12 +102,6 @@ const Clv<double>& LikelihoodEngine::compute_dir(int edge, int node) {
   return slot.clv;
 }
 
-const Clv<double>& LikelihoodEngine::directed_clv(int edge, int node) {
-  if (tree_ == nullptr) throw std::logic_error("engine: no tree attached");
-  sync(*tree_);
-  return compute_dir(edge, node);
-}
-
 double LikelihoodEngine::loglik(int edge) {
   if (tree_ == nullptr) throw std::logic_error("engine: no tree attached");
   sync(*tree_);

@@ -49,7 +49,6 @@ class LikelihoodEngine {
 
   const PatternAlignment& alignment() const noexcept { return *alignment_; }
   const SubstModel& model() const noexcept { return *model_; }
-  void set_observer(KernelObserver* obs) noexcept { observer_ = obs; }
 
   /// Binds a (possibly re-arranged) tree: invalidates all cached CLVs.
   void attach(const Tree& tree);
@@ -71,10 +70,6 @@ class LikelihoodEngine {
 
   /// Score of the NNI variant around `edge` without mutating the tree.
   double nni_score(int edge, int variant);
-
-  /// Directed CLV of the subtree on `node`'s side of `edge` (computing it
-  /// if stale).  Exposed for tests.
-  const Clv<double>& directed_clv(int edge, int node);
 
   std::uint64_t kernel_calls() const noexcept { return kernel_calls_; }
 

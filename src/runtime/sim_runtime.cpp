@@ -17,7 +17,6 @@
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 #include "util/crc32.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 
 namespace cbe::rt {
@@ -535,11 +534,7 @@ void Driver::begin_offload(int pid, const std::vector<int>& idle,
     const sim::Time t_ppe = sim::cycles_to_time(t.ppe_cycles, clock());
     ks.measured += 1;
     if (t_offload >= t_ppe) ks.failures += 1;
-    if (ks.evaluated() && ks.failures * 2 > ks.measured) {
-      ks.demoted = true;
-      CBE_LOG_INFO("granularity test demoted kernel %s (%d/%d samples slow)",
-                   task::kernel_name(t.kind), ks.failures, ks.measured);
-    }
+    if (ks.evaluated() && ks.failures * 2 > ks.measured) ks.demoted = true;
   }
 
   // Loop-parallel execution needs the Parallel image; a sequential task can

@@ -8,7 +8,6 @@
 #include <type_traits>
 
 #include "trace/export.hpp"
-#include "util/log.hpp"
 
 namespace cbe::trace {
 
@@ -215,8 +214,6 @@ bool dump_flight_recorder(const char* reason, bool force) noexcept {
     const std::string text = flight_dump_text(*rec, rec->tail(), reason);
     if (!write_file(path, text)) return false;
     g_dumps_written.fetch_add(1, std::memory_order_relaxed);
-    CBE_LOG_C(Info, "trace", "flight-recorder dump (%s) written to %s",
-              reason, path.c_str());
     return true;
   } catch (...) {
     return false;  // a dump must never turn a crash into a different crash

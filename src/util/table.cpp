@@ -7,6 +7,12 @@
 
 namespace cbe::util {
 
+std::string fmt_f64(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
 Table& Table::header(std::vector<std::string> cols) {
   header_ = std::move(cols);
   return *this;

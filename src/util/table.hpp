@@ -7,6 +7,10 @@
 
 namespace cbe::util {
 
+/// Formats `v` with %.17g, which round-trips every double: two renderings
+/// are equal text exactly when the values are equal bits.
+std::string fmt_f64(double v);
+
 /// Column-aligned ASCII table with a title row and a header row.
 class Table {
  public:

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -497,6 +498,36 @@ TEST(Statusz, TenantRollupsAccountForEveryJob) {
     EXPECT_NE(rep.statusz_json.find(row), std::string::npos)
         << "missing tenant rollup: " << row;
   }
+}
+
+// Every blade quarantined with jobs still queued: the periodic status tick
+// is then the only event left, and it must not keep the engine alive.  The
+// run ends with the starved jobs failed, exactly as with statusz off.
+TEST(Statusz, StarvedServiceStillTerminates) {
+  JobMixConfig mix;
+  mix.jobs = 3;
+  mix.arrival_span_s = 0.5;
+  const std::vector<JobSpec> jobs = make_job_mix(mix);
+  ServiceConfig cfg;
+  cfg.fleet = platform::BladeFleetConfig::uniform(1, 1);
+  cfg.fault.seed = 7;
+  cfg.step_corrupt_rate = 1.0;
+  cfg.verify_fraction = 1.0;
+  cfg.quarantine_threshold = 1;
+  const ServiceReport quiet = run_with(cfg, jobs);
+  cfg.statusz.every_s = 0.05;
+  const ServiceReport watched = run_with(cfg, jobs);
+
+  EXPECT_EQ(watched.quarantined_blades, 1u);
+  EXPECT_EQ(watched.failed, jobs.size());
+  EXPECT_GT(watched.statusz_snapshots, 0u);
+  EXPECT_EQ(watched.results_text(), quiet.results_text());
+  const auto by_status = [](const ServiceReport& rep) {
+    std::map<JobStatus, int> n;
+    for (const JobOutcome& o : rep.jobs) ++n[o.status];
+    return n;
+  };
+  EXPECT_EQ(by_status(watched), by_status(quiet));
 }
 
 // -- causal spans (DESIGN.md §12) --------------------------------------------

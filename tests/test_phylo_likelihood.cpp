@@ -224,36 +224,67 @@ TEST_F(EngineTest, SharedTipsAndWeightsAreValidated) {
   EXPECT_EQ(shared.loglik(), engine.loglik());
 }
 
+/// Every edge's lnL from `engine` against a from-scratch scalar pruning of
+/// the same tree, compared bit for bit.
+void expect_every_edge_matches_scalar(LikelihoodEngine& engine, const Tree& t,
+                                      const char* when) {
+  const PatternAlignment& pa = engine.alignment();
+  const SubstModel& model = engine.model();
+  for (int e = 0; e < t.edge_count(); ++e) {
+    const auto [a, b] = t.edge_nodes(e);
+    const double ref = evaluate(scalar_dir(t, pa, model, e, a),
+                                scalar_dir(t, pa, model, e, b),
+                                BranchP::at(model, t.branch_length(e)), model,
+                                pa.weights());
+    const double got = engine.loglik(e);
+    EXPECT_EQ(std::memcmp(&ref, &got, sizeof ref), 0)
+        << when << ", edge " << e << ": " << got << " vs " << ref;
+  }
+}
+
 TEST_F(EngineTest, EveryEdgeMatchesScalarPruningBitForBit) {
   // The engine runs the vector kernels on cached CLVs; a from-scratch scalar
-  // pruning of the same tree must give the same bits on every edge, before
-  // and after a branch-length sweep moves every cached CLV.
-  bool has_gap = false;
-  for (const Clv<double>& tip : make_tip_clvs(pa)) {
-    for (const std::uint8_t code : tip.tip) has_gap |= code == kTipGap;
-  }
-  ASSERT_TRUE(has_gap) << "the fixture must exercise the gap tip code";
+  // pruning of the same tree must give the same bits on every edge: on a
+  // fresh tree, after a branch-length sweep moves every cached CLV, and
+  // after an NNI hill climb rearranges the topology.  Both alignments, the
+  // 10-taxon fixture and a 24-taxon one, carry gaps.
+  SyntheticAlignmentConfig wide = small_cfg();
+  wide.taxa = 24;
+  wide.sites = 400;
+  wide.gap_fraction = 0.02;
+  wide.seed = 24;
+  const PatternAlignment wide_pa(make_synthetic_alignment(wide));
+  const SubstModel wide_model(GtrParams::hky(2.5, wide_pa.base_frequencies()),
+                              0.8);
+  LikelihoodEngine wide_engine(wide_pa, wide_model);
 
-  const auto expect_every_edge = [&](const Tree& t, const char* when) {
-    for (int e = 0; e < t.edge_count(); ++e) {
-      const auto [a, b] = t.edge_nodes(e);
-      const double ref = evaluate(scalar_dir(t, pa, model, e, a),
-                                  scalar_dir(t, pa, model, e, b),
-                                  BranchP::at(model, t.branch_length(e)),
-                                  model, pa.weights());
-      const double got = engine.loglik(e);
-      EXPECT_EQ(std::memcmp(&ref, &got, sizeof ref), 0)
-          << when << ", edge " << e << ": " << got << " vs " << ref;
+  for (LikelihoodEngine* eng : {&engine, &wide_engine}) {
+    const int taxa = eng->alignment().taxa();
+    SCOPED_TRACE(taxa);
+    bool has_gap = false;
+    for (const Clv<double>& tip : make_tip_clvs(eng->alignment())) {
+      for (const std::uint8_t code : tip.tip) has_gap |= code == kTipGap;
     }
-  };
-  for (const std::uint64_t seed : {11u, 12u, 13u}) {
-    SCOPED_TRACE(seed);
-    util::Rng rng(seed);
-    Tree t = Tree::random(10, rng);
-    engine.attach(t);
-    expect_every_edge(t, "attached");
-    engine.optimize_all_branches(t, 1);
-    expect_every_edge(t, "optimized");
+    ASSERT_TRUE(has_gap) << "the alignment must exercise the gap tip code";
+
+    // A wrong split's branch collapses under optimization, and NNI scores at
+    // fixed branch lengths then tie, so few random starts accept an NNI:
+    // seed 38 does on the fixture, seed 4 on the 24-taxon alignment.
+    int accepted_total = 0;
+    for (const std::uint64_t seed : {4u, 11u, 12u, 13u, 38u}) {
+      SCOPED_TRACE(seed);
+      util::Rng rng(seed);
+      Tree t = Tree::random(taxa, rng);
+      eng->attach(t);
+      expect_every_edge_matches_scalar(*eng, t, "attached");
+      eng->optimize_all_branches(t, 1);
+      expect_every_edge_matches_scalar(*eng, t, "optimized");
+      int accepted = 0;
+      nni_hill_climb(*eng, t, SearchConfig{}, nullptr, &accepted);
+      accepted_total += accepted;
+      expect_every_edge_matches_scalar(*eng, t, "after NNI");
+    }
+    EXPECT_GT(accepted_total, 0) << "no seed accepted an NNI";
   }
 }
 
