@@ -6,8 +6,12 @@
 //   new/pure, legacy/pure      N scattered schedule+run events, wall seconds
 //   new/churn, legacy/churn    watchdog churn mix: schedule/cancel on a ring
 //                              of outstanding events with periodic run_until
-//   ratio/pure, ratio/churn    new/legacy wall-time ratio in permille
-//                              (1000 = parity, lower = new engine faster) —
+//   new/cell, legacy/cell      the Cell model's traffic: 3-8 pending events,
+//                              each callback scheduling its successor a few
+//                              hundred ns ahead as a mechanism wrapper around
+//                              a 32-byte continuation
+//   ratio/pure, ratio/churn,   new/legacy wall-time ratio in permille
+//   ratio/cell                 (1000 = parity, lower = new engine faster) —
 //                              dimensionless, machine-portable, CI-gated via
 //                              bench_diff --only=ratio/ (ISSUE 8 demands
 //                              <= 333, i.e. >= 3x events/sec, on churn)
@@ -19,6 +23,7 @@
 #include <cstdio>
 #include <functional>
 #include <queue>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -72,6 +77,7 @@ class LegacyEngine {
     }
   }
 
+  Time now() const noexcept { return now_; }
   Time run() { return run_until(Time::max()); }
   Time run_until(Time limit) {
     while (!heap_.empty()) {
@@ -174,6 +180,60 @@ double churn_once(int iters, int outstanding) {
   return dt;
 }
 
+/// The Cell model's event traffic: a handful of SPEs, each with one
+/// pending completion.  A completion runs a mechanism-style wrapper
+/// (`this`, an SPE id, the caller's continuation) that calls the
+/// continuation, which issues the SPE's next completion and keeps between 3
+/// and 8 of them pending.  The new engine gets the 32-byte InlineFn
+/// continuations of the callback contract, the legacy replica the
+/// std::function ones it was built around.
+template <class Engine, class Cont>
+class CellMix {
+ public:
+  explicit CellMix(int events) : left_(events) {}
+
+  double run() {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int spe = 0; spe < 3; ++spe) issue(spe);
+    eng_.run();
+    const double dt = seconds_since(t0);
+    g_sink = g_sink + work_;
+    return dt;
+  }
+
+ private:
+  std::uint64_t draw() noexcept {
+    rng_ = rng_ * 6364136223846793005ull + 1442695040888963407ull;
+    return rng_ >> 33;
+  }
+  void issue(int spe) {
+    --left_;
+    ++pending_;
+    Cont done = [this, spe] { on_done(spe); };
+    auto wrapper = [this, spe, cb = std::move(done)]() mutable {
+      work_ += static_cast<std::uint64_t>(spe);
+      cb();
+    };
+    static_assert(!std::is_same_v<Engine, sim::Engine> ||
+                  sim::SmallFn::fits_inline<decltype(wrapper)>);
+    eng_.schedule_at(eng_.now() + Time::ns(50 + draw() % 400),
+                     std::move(wrapper));
+  }
+  void on_done(int spe) {
+    --pending_;
+    const int want = 3 + static_cast<int>(draw() % 6);
+    for (int next = spe; pending_ < want && left_ > 0; next = (next + 1) % 8) {
+      issue(next);
+    }
+  }
+
+  Engine eng_;
+  int left_;
+  int pending_ = 0;
+  std::uint64_t work_ = 0;
+  std::uint64_t rng_ = 2026;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -193,7 +253,8 @@ int main(int argc, char** argv) {
   report.config("seed", static_cast<long long>(seed));
   report.set_repetitions(reps);
 
-  std::vector<double> new_pure, legacy_pure, new_churn, legacy_churn;
+  std::vector<double> new_pure, legacy_pure, new_churn, legacy_churn,
+      new_cell, legacy_cell;
   for (int r = 0; r < reps; ++r) {
     new_pure.push_back(pure_once<sim::Engine>(events));
     legacy_pure.push_back(pure_once<LegacyEngine>(events));
@@ -203,21 +264,34 @@ int main(int argc, char** argv) {
     report.add_sample("legacy/pure", legacy_pure.back());
     report.add_sample("new/churn", new_churn.back());
     report.add_sample("legacy/churn", legacy_churn.back());
+    new_cell.push_back(
+        CellMix<sim::Engine, sim::InlineFn<void(), sim::kContinuationBytes>>(
+            events)
+            .run());
+    legacy_cell.push_back(
+        CellMix<LegacyEngine, std::function<void()>>(events).run());
+    report.add_sample("new/cell", new_cell.back());
+    report.add_sample("legacy/cell", legacy_cell.back());
   }
   // Ratios in permille on the series medians: machine-portable, CI-gated.
   const double pure_ratio =
       util::median(new_pure) / util::median(legacy_pure);
   const double churn_ratio =
       util::median(new_churn) / util::median(legacy_churn);
+  const double cell_ratio =
+      util::median(new_cell) / util::median(legacy_cell);
   report.add_sample("ratio/pure", pure_ratio * 1e-6);
   report.add_sample("ratio/churn", churn_ratio * 1e-6);
+  report.add_sample("ratio/cell", cell_ratio * 1e-6);
 
   std::printf(
       "engine: pure %.1fM ev/s (legacy %.1fM, %.2fx)  churn %.1fM op/s "
-      "(legacy %.1fM, %.2fx)\n",
+      "(legacy %.1fM, %.2fx)  cell %.1fM ev/s (legacy %.1fM, %.2fx)\n",
       events / util::median(new_pure) * 1e-6,
       events / util::median(legacy_pure) * 1e-6, 1.0 / pure_ratio,
       churn / util::median(new_churn) * 1e-6,
-      churn / util::median(legacy_churn) * 1e-6, 1.0 / churn_ratio);
+      churn / util::median(legacy_churn) * 1e-6, 1.0 / churn_ratio,
+      events / util::median(new_cell) * 1e-6,
+      events / util::median(legacy_cell) * 1e-6, 1.0 / cell_ratio);
   return report.write() ? 0 : 1;
 }

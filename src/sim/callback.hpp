@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -34,6 +35,7 @@ struct FnOps;
 template <typename R, typename... Args>
 struct FnOps<R(Args...)> {
   R (*invoke)(void*, Args&&...);
+  R (*consume)(void*, Args&&...);  // invoke, then destroy (also on a throw)
   void (*relocate)(void* dst, void* src) noexcept;  // move + destroy src
   void (*destroy)(void*) noexcept;
 
@@ -42,6 +44,13 @@ struct FnOps<R(Args...)> {
       [](void* p, Args&&... a) -> R {
         return (*std::launder(reinterpret_cast<D*>(p)))(
             std::forward<Args>(a)...);
+      },
+      [](void* p, Args&&... a) -> R {
+        struct Destroy {
+          D* d;
+          ~Destroy() { d->~D(); }
+        } const held{std::launder(reinterpret_cast<D*>(p))};
+        return (*held.d)(std::forward<Args>(a)...);
       },
       [](void* dst, void* src) noexcept {
         D* s = std::launder(reinterpret_cast<D*>(src));
@@ -56,6 +65,10 @@ struct FnOps<R(Args...)> {
       [](void* p, Args&&... a) -> R {
         return (**std::launder(reinterpret_cast<D**>(p)))(
             std::forward<Args>(a)...);
+      },
+      [](void* p, Args&&... a) -> R {
+        const std::unique_ptr<D> held(*std::launder(reinterpret_cast<D**>(p)));
+        return (*held)(std::forward<Args>(a)...);
       },
       [](void* dst, void* src) noexcept {
         ::new (dst) D*(*std::launder(reinterpret_cast<D**>(src)));
@@ -98,13 +111,7 @@ class InlineFn<R(Args...), N> {
             typename = std::enable_if_t<!detail::is_inline_fn<D>::value &&
                                         std::is_invocable_r_v<R, D&, Args...>>>
   InlineFn(F&& f) {  // NOLINT(google-explicit-constructor)
-    if constexpr (fits_inline<D>) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      ops_ = &Ops::template inline_ops<D>;
-    } else {
-      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
-      ops_ = &Ops::template heap_ops<D>;
-    }
+    construct<D>(std::forward<F>(f));
   }
 
   /// Widening move from a smaller buffer: relocates, never re-boxes.
@@ -129,13 +136,47 @@ class InlineFn<R(Args...), N> {
   InlineFn& operator=(const InlineFn&) = delete;
   ~InlineFn() { reset(); }
 
+  /// Replaces the target with `f`, constructed directly in this buffer, so
+  /// a holder that never moves (the engine's event slots) pays for one
+  /// construction and no relocation.  On a throw the InlineFn is left empty.
+  template <typename F, typename D = std::decay_t<F>,
+            typename = std::enable_if_t<!detail::is_inline_fn<D>::value &&
+                                        std::is_invocable_r_v<R, D&, Args...>>>
+  void emplace(F&& f) {
+    reset();
+    construct<D>(std::forward<F>(f));
+  }
+  /// An InlineFn of the same signature and no larger buffer is relocated.
+  template <std::size_t M>
+  void emplace(InlineFn<R(Args...), M>&& o) noexcept {
+    static_assert(M <= N, "relocation into a smaller buffer");
+    reset();
+    steal(o);
+  }
+
   explicit operator bool() const noexcept { return ops_ != nullptr; }
 
   R operator()(Args... a) {
     return ops_->invoke(buf_, std::forward<Args>(a)...);
   }
+  /// Calls the target once and destroys it, in one indirect call.  The
+  /// InlineFn is empty from the call on, also when the call throws.
+  R consume(Args... a) {
+    const Ops* ops = std::exchange(ops_, nullptr);
+    return ops->consume(buf_, std::forward<Args>(a)...);
+  }
 
  private:
+  template <typename D, typename F>
+  void construct(F&& f) {
+    if constexpr (fits_inline<D>) {
+      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+      ops_ = &Ops::template inline_ops<D>;
+    } else {
+      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
+      ops_ = &Ops::template heap_ops<D>;
+    }
+  }
   template <std::size_t M>
   void steal(InlineFn<R(Args...), M>& o) noexcept {
     ops_ = o.ops_;

@@ -10,75 +10,85 @@
 
 namespace cbe::sim {
 
-std::uint32_t Engine::acquire_slot() {
-  if (!free_slots_.empty()) {
-    const std::uint32_t s = free_slots_.back();
-    free_slots_.pop_back();
-    return s;
-  }
-  slots_.emplace_back();
-  return static_cast<std::uint32_t>(slots_.size() - 1);
+void Engine::throw_past() {
+  throw std::logic_error("Engine::schedule_at: time in the past");
 }
 
-EventId Engine::schedule_at(Time t, Callback cb) {
-  if (t < now_) {
-    throw std::logic_error("Engine::schedule_at: time in the past");
+void Engine::throw_overflow() {
+  throw std::overflow_error("Engine::schedule_after: now() + dt overflows");
+}
+
+Engine::Slot* Engine::new_slot() {
+  if (chunks_.empty() || chunks_.back().size() == kSlotChunk) {
+    std::vector<Slot> chunk;
+    chunk.reserve(kSlotChunk);
+    chunks_.push_back(std::move(chunk));
   }
-  const std::uint32_t slot = acquire_slot();
-  Slot& s = slots_[slot];
-  s.cb = std::move(cb);
-  s.live = true;
-  ++live_;
-  if (live_ > live_peak_) live_peak_ = live_;
-  const Entry e{t, seq_++, s.generation, slot};
-  if (t <= band_max_) {
-    near_.push_back(e);
-    std::push_heap(near_.begin(), near_.end(), std::greater<Entry>{});
-  } else {
+  std::vector<Slot>& chunk = chunks_.back();
+  const auto index = static_cast<std::uint32_t>(
+      (chunks_.size() - 1) * kSlotChunk + chunk.size());
+  Slot& s = chunk.emplace_back();
+  s.index = index;
+  return &s;
+}
+
+void Engine::push(const Entry& e) {
+  if (e.t > band_max_) {
     far_.push_back(e);
+    return;
   }
-  note_queue_growth();
-  return EventId{slot, s.generation};
+  near_.push_back(e);
+  std::size_t hole = near_.size() - 1;
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / 2;
+    if (!(e < near_[parent])) break;
+    near_[hole] = near_[parent];
+    hole = parent;
+  }
+  near_[hole] = e;
+  if (band_max_ == Time::max() && band_pos_ == band_.size() &&
+      near_.size() > kBandChunk) {
+    // The near heap took a small backlog and every schedule after it; once
+    // it outgrows the chunk, hand it back to far_ (empty: nothing lies past
+    // Time::max()) so the next refill carves a sorted band again.  Band and
+    // near are then empty, so any boundary below now() holds.
+    far_.swap(near_);
+    band_max_ = now_ - Time::ns(1);
+  }
 }
 
-EventId Engine::schedule_after(Time dt, Callback cb) {
-  if (dt < Time()) dt = Time();
-  if (dt > Time::max() - now_) {
-    throw std::overflow_error("Engine::schedule_after: now() + dt overflows");
-  }
-  return schedule_at(now_ + dt, std::move(cb));
+void Engine::pop_near() noexcept {
+  std::pop_heap(near_.begin(), near_.end(), std::greater<Entry>{});
+  near_.pop_back();
 }
 
 void Engine::cancel(EventId id) noexcept {
-  if (!id.valid() || id.slot >= slots_.size()) return;
-  Slot& s = slots_[id.slot];
+  const std::size_t c = id.slot / kSlotChunk;
+  const std::size_t k = id.slot % kSlotChunk;
+  if (!id.valid() || c >= chunks_.size() || k >= chunks_[c].size()) return;
+  Slot& s = chunks_[c][k];
   if (s.live && s.generation == id.generation) {
     s.live = false;
-    s.cb = nullptr;
+    s.fn = nullptr;
     ++s.generation;
-    free_slots_.push_back(id.slot);
     --live_;
-    // The queue entry stays behind as a corpse the pops skip — but bounded:
-    // once corpses outnumber live events, sweep them all in O(n).
+    // The queue entry stays behind as a corpse the pops skip, and keeps its
+    // slot until then — but bounded: once corpses outnumber live events,
+    // sweep them all in O(n).
     ++dead_;
     if (dead_ > live_ && dead_ >= kCompactMin) compact();
   }
 }
 
-bool Engine::pending(EventId id) const noexcept {
-  return id.valid() && id.slot < slots_.size() &&
-         slots_[id.slot].live && slots_[id.slot].generation == id.generation;
-}
-
 int Engine::find_head() {
   for (;;) {
     while (band_pos_ < band_.size() && is_dead(band_[band_pos_])) {
-      ++band_pos_;
+      free_slot(band_[band_pos_++].slot);
       --dead_;
     }
     while (!near_.empty() && is_dead(near_.front())) {
-      std::pop_heap(near_.begin(), near_.end(), std::greater<Entry>{});
-      near_.pop_back();
+      free_slot(near_.front().slot);
+      pop_near();
       --dead_;
     }
     const bool b = band_pos_ < band_.size();
@@ -97,6 +107,14 @@ void Engine::refill_band() {
   assert(band_pos_ >= band_.size() && near_.empty() && !far_.empty());
   band_.clear();
   band_pos_ = 0;
+  if (far_.size() <= kBandChunk) {
+    // Too small to be worth sorting: the backlog becomes the near heap,
+    // and so does every later schedule (see push()).
+    near_.swap(far_);
+    std::make_heap(near_.begin(), near_.end(), std::greater<Entry>{});
+    band_max_ = Time::max();
+    return;
+  }
   if (far_.size() <= 2 * kBandChunk) {
     band_.swap(far_);
     Time mx = band_.front().t;
@@ -131,7 +149,13 @@ void Engine::refill_band() {
 }
 
 void Engine::compact() noexcept {
-  const auto dead = [this](const Entry& e) { return is_dead(e); };
+  // remove_if applies the predicate exactly once per entry, so each dead
+  // entry hands its slot back exactly once.
+  const auto dead = [this](const Entry& e) {
+    if (!is_dead(e)) return false;
+    free_slot(e.slot);
+    return true;
+  };
   band_.erase(band_.begin(),
               band_.begin() + static_cast<std::ptrdiff_t>(band_pos_));
   band_pos_ = 0;
@@ -150,23 +174,20 @@ Time Engine::run_until(Time limit) {
     if (h == 0) break;
     const Entry& head = h == 1 ? band_[band_pos_] : near_.front();
     if (head.t > limit) break;
-    const Entry e = head;
+    Slot* const s = head.slot;
+    assert(head.t >= now_);
+    now_ = head.t;
     if (h == 1) {
       ++band_pos_;
     } else {
-      std::pop_heap(near_.begin(), near_.end(), std::greater<Entry>{});
-      near_.pop_back();
+      pop_near();
     }
-    Slot& s = slots_[e.slot];
-    assert(e.t >= now_);
-    now_ = e.t;
-    Callback cb = std::move(s.cb);
-    s.live = false;
-    ++s.generation;
-    free_slots_.push_back(e.slot);
+    s->live = false;
+    ++s->generation;
     --live_;
     ++processed_;
-    cb();
+    const FiredSlot fired{*this, s};
+    s->fn.consume();
   }
   // Window semantics: the caller simulated [now, limit], so the clock lands
   // on the window end — except for the drain sentinel (see header).

@@ -10,22 +10,30 @@
 // band after that sort (reentrant schedules from callbacks) go to `near_`,
 // a small binary heap; everything past the band boundary sits unsorted in
 // `far_` and is carved into the next band — O(chunk log chunk) amortized —
-// only when the current band drains.  The pop order is exactly the (t, seq)
-// total order a heap would produce, so traces are bit-identical to the old
-// implementation; the win is that the common case pops from a sorted run
-// (one compare against a tiny heap head) instead of sifting a million-entry
-// heap, and `far_` absorbs schedules with zero comparisons.
+// only when the current band drains.  A backlog no larger than one chunk is
+// not sorted at all: it becomes the near heap, which then takes every later
+// schedule until it outgrows the chunk and spills back to `far_`.  The pop
+// order is exactly the (t, seq) total order a heap would produce, so traces
+// are bit-identical to a plain heap; the win is that a deep backlog pops
+// from a sorted run and `far_` absorbs schedules with zero comparisons,
+// while the few events a Cell run keeps pending cost a tiny heap.
 //
-// Cancellation uses a slot table with generation counters: cancel() marks
-// the slot and the queue skips dead entries lazily.  A `dead_` counter
-// bounds the corpses: when cancelled entries outnumber live ones the queue
-// compacts in O(n), so sustained schedule/cancel churn (the job service's
+// Slots: a callback is constructed in its slot (`InlineFn::emplace`) and
+// runs there, so one event costs one construction and one call.  Slots live
+// in address-stable chunks, so a callback may schedule any number of events
+// while it runs; its slot is freed when it returns or throws.  A slot
+// belongs to its queue entry until that entry is popped or compacted, so
+// entries carry no generation.  cancel() marks the slot and destroys its
+// callback; the queue skips the dead entry lazily.  A `dead_` counter bounds
+// the corpses: when cancelled entries outnumber live ones the queue compacts
+// in O(n), so sustained schedule/cancel churn (the job service's
 // per-dispatch watchdogs) keeps memory proportional to *live* events.
-// Generations are 64-bit, so a stale EventId can never alias a recycled
-// slot within any physically reachable run length.
+// EventId generations are 64-bit, so a stale EventId can never alias a
+// recycled slot within any physically reachable run length.
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/callback.hpp"
@@ -42,18 +50,25 @@ struct EventId {
 
 class Engine {
  public:
-  using Callback = SmallFn;
+  Engine() = default;
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
 
-  /// Schedules `cb` at absolute time `t` (must be >= now()).
-  EventId schedule_at(Time t, Callback cb);
-  /// Schedules `cb` at now() + dt.  Negative dt clamps to zero (documented:
+  /// Schedules `fn` at absolute time `t` (must be >= now()).  `fn` is any
+  /// callable convertible to SmallFn; it is constructed in its event slot.
+  template <typename F>
+  EventId schedule_at(Time t, F&& fn);
+  /// Schedules `fn` at now() + dt.  Negative dt clamps to zero (documented:
   /// "no earlier than now"); a dt that would overflow now() + dt past
   /// Time::max() throws std::overflow_error instead of wrapping.
-  EventId schedule_after(Time dt, Callback cb);
+  template <typename F>
+  EventId schedule_after(Time dt, F&& fn) {
+    if (dt < Time()) dt = Time();
+    if (dt > Time::max() - now_) throw_overflow();
+    return schedule_at(now_ + dt, std::forward<F>(fn));
+  }
   /// Cancels a pending event; no-op if it already fired or was cancelled.
   void cancel(EventId id) noexcept;
-  /// True if the event is still pending.
-  bool pending(EventId id) const noexcept;
 
   Time now() const noexcept { return now_; }
 
@@ -84,38 +99,60 @@ class Engine {
   std::size_t live_peak() const noexcept { return live_peak_; }
 
  private:
+  struct Slot {
+    SmallFn fn;
+    std::uint64_t generation = 0;
+    Slot* next_free = nullptr;
+    std::uint32_t index = 0;  ///< EventId::slot
+    bool live = false;
+  };
   struct Entry {
     Time t;
     std::uint64_t seq;
-    std::uint64_t generation;
-    std::uint32_t slot;
-    bool operator>(const Entry& o) const noexcept {
-      if (t != o.t) return t > o.t;
-      return seq > o.seq;
-    }
+    Slot* slot;  ///< owned by this entry until it is popped or compacted
+    bool operator>(const Entry& o) const noexcept { return o < *this; }
     bool operator<(const Entry& o) const noexcept {
       if (t != o.t) return t < o.t;
       return seq < o.seq;
     }
   };
-  struct Slot {
-    Callback cb;
-    std::uint64_t generation = 0;
-    bool live = false;
+  /// Hands a fired event's slot back when its callback returns or throws.
+  struct FiredSlot {
+    Engine& eng;
+    Slot* slot;
+    ~FiredSlot() { eng.free_slot(slot); }
   };
 
   // Minimum band carved from far_ per refill (the actual chunk scales to a
-  // quarter of the backlog, keeping refills amortized O(1) per event);
-  // compaction fires when dead entries outnumber live ones and there are at
-  // least kCompactMin of them (so tiny queues don't compact on every cancel).
+  // quarter of the backlog, keeping refills amortized O(1) per event); a
+  // backlog of at most one chunk becomes the near heap instead.  Compaction
+  // fires when dead entries outnumber live ones and there are at least
+  // kCompactMin of them (so tiny queues don't compact on every cancel).
   static constexpr std::size_t kBandChunk = 1024;
   static constexpr std::size_t kCompactMin = 64;
+  static constexpr std::uint32_t kSlotChunk = 4096;
 
-  std::uint32_t acquire_slot();
-  bool is_dead(const Entry& e) const noexcept {
-    const Slot& s = slots_[e.slot];
-    return !s.live || s.generation != e.generation;
+  [[noreturn]] static void throw_past();
+  [[noreturn]] static void throw_overflow();
+
+  Slot* acquire_slot() {
+    if (free_head_ == nullptr) return new_slot();
+    Slot* s = free_head_;
+    free_head_ = s->next_free;
+    return s;
   }
+  void free_slot(Slot* s) noexcept {
+    s->next_free = free_head_;
+    free_head_ = s;
+  }
+  /// Constructs a never-used slot.  Each chunk reserves its capacity up
+  /// front, so a slot never moves, and holds only the slots ever needed.
+  Slot* new_slot();
+  static bool is_dead(const Entry& e) noexcept { return !e.slot->live; }
+  /// Queues a new entry; the near heap is sifted by hand so the new entry
+  /// is never reloaded.
+  void push(const Entry& e);
+  void pop_near() noexcept;
   /// Locates the earliest live entry: 0 = queue empty, 1 = band head,
   /// 2 = near-heap head.  Skims dead heads and refills the band as needed.
   int find_head();
@@ -123,19 +160,15 @@ class Engine {
   /// Drops every dead entry from all three regions in O(n); no allocation,
   /// so cancel() stays noexcept.
   void compact() noexcept;
-  void note_queue_growth() noexcept {
-    const std::size_t q = queue_size();
-    if (q > queue_peak_) queue_peak_ = q;
-  }
 
   std::vector<Entry> band_;   ///< sorted by (t, seq), drained via band_pos_
   std::size_t band_pos_ = 0;
-  std::vector<Entry> near_;   ///< min-heap: t <= band_max_, post-sort inserts
+  std::vector<Entry> near_;   ///< min-heap: t <= band_max_
   std::vector<Entry> far_;    ///< unsorted: t > band_max_
   Time band_max_ = Time::ns(-1);  ///< inclusive band boundary
 
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> free_slots_;
+  std::vector<std::vector<Slot>> chunks_;  ///< address-stable slots
+  Slot* free_head_ = nullptr;              ///< intrusive free list
   Time now_;
   std::uint64_t seq_ = 0;
   std::uint64_t processed_ = 0;
@@ -144,5 +177,25 @@ class Engine {
   std::size_t queue_peak_ = 0;
   std::size_t live_peak_ = 0;
 };
+
+template <typename F>
+EventId Engine::schedule_at(Time t, F&& fn) {
+  if (t < now_) throw_past();
+  Slot* s = acquire_slot();
+  try {
+    s->fn.emplace(std::forward<F>(fn));
+    push(Entry{t, seq_, s});
+  } catch (...) {
+    s->fn = nullptr;
+    free_slot(s);
+    throw;
+  }
+  ++seq_;
+  s->live = true;
+  if (++live_ > live_peak_) live_peak_ = live_;
+  // Every live event and every corpse is one resident entry.
+  if (live_ + dead_ > queue_peak_) queue_peak_ = live_ + dead_;
+  return EventId{s->index, s->generation};
+}
 
 }  // namespace cbe::sim

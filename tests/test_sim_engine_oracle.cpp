@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <random>
 #include <stdexcept>
 #include <unordered_map>
@@ -255,19 +256,21 @@ TEST(EngineLifetime, CallbackThatGrowsTheSlotTableKeepsItsCapture) {
   Engine eng;
   std::array<std::uint64_t, 6> seen{};
   int children = 0;
-  // 48 bytes of capture, checked after thousands of reentrant schedules
-  // have grown the slot table many times over.
+  // A 64-byte capture (a full slot), read after 10,000 reentrant schedules
+  // have grown the slot table by more than two chunks of 4096 slots.
   const std::array<std::uint64_t, 5> payload{11, 22, 33, 44, 55};
-  eng.schedule_at(Time::us(1.0), [&eng, &seen, &children, payload] {
-    for (int i = 0; i < 5000; ++i) {
+  auto grow = [&eng, &seen, &children, payload] {
+    for (int i = 0; i < 10000; ++i) {
       eng.schedule_after(Time::ns(1 + i % 5), [&children] { ++children; });
     }
     for (std::size_t i = 0; i < payload.size(); ++i) seen[i] = payload[i];
     seen[5] = 1;
-  });
+  };
+  static_assert(SmallFn::fits_inline<decltype(grow)>);
+  eng.schedule_at(Time::us(1.0), std::move(grow));
   eng.run();
   EXPECT_EQ(seen, (std::array<std::uint64_t, 6>{11, 22, 33, 44, 55, 1}));
-  EXPECT_EQ(children, 5000);
+  EXPECT_EQ(children, 10000);
   EXPECT_EQ(eng.events_pending(), 0u);
 }
 
@@ -275,7 +278,8 @@ TEST(EngineLifetime, ThrowingCallbackLeavesTheEngineConsistent) {
   Engine eng;
   std::vector<int> order;
   eng.schedule_at(Time::us(1.0), [&order] { order.push_back(1); });
-  eng.schedule_at(Time::us(2.0), [&order] {
+  auto token = std::make_shared<int>(0);
+  const EventId thrower = eng.schedule_at(Time::us(2.0), [&order, token] {
     order.push_back(2);
     throw std::runtime_error("callback failed");
   });
@@ -286,10 +290,16 @@ TEST(EngineLifetime, ThrowingCallbackLeavesTheEngineConsistent) {
   EXPECT_EQ(eng.now(), Time::us(2.0));
   EXPECT_EQ(eng.events_processed(), 2u);
   EXPECT_EQ(eng.events_pending(), 2u);
-  // The thrower's slot is free again: refilling and draining the queue
-  // reuses it without disturbing the events still pending.
+  EXPECT_EQ(token.use_count(), 1);  // the thrower's capture was destroyed
+  // The thrower's slot is free again: free slots are reused last-in
+  // first-out, so the next schedule takes it, and draining the queue leaves
+  // the events still pending undisturbed.
   for (int i = 0; i < 8; ++i) {
-    eng.schedule_at(Time::us(2.5), [&order, i] { order.push_back(10 + i); });
+    const EventId id = eng.schedule_at(
+        Time::us(2.5), [&order, i] { order.push_back(10 + i); });
+    if (i == 0) {
+      EXPECT_EQ(id.slot, thrower.slot);
+    }
   }
   eng.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 10, 11, 12, 13, 14, 15, 16, 17,
