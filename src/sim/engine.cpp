@@ -33,33 +33,20 @@ Engine::Slot* Engine::new_slot() {
 }
 
 void Engine::push(const Entry& e) {
-  if (e.t > band_max_) {
-    far_.push_back(e);
-    return;
-  }
-  near_.push_back(e);
-  std::size_t hole = near_.size() - 1;
+  heap_.push_back(e);
+  std::size_t hole = heap_.size() - 1;
   while (hole > 0) {
     const std::size_t parent = (hole - 1) / 2;
-    if (!(e < near_[parent])) break;
-    near_[hole] = near_[parent];
+    if (!(e < heap_[parent])) break;
+    heap_[hole] = heap_[parent];
     hole = parent;
   }
-  near_[hole] = e;
-  if (band_max_ == Time::max() && band_pos_ == band_.size() &&
-      near_.size() > kBandChunk) {
-    // The near heap took a small backlog and every schedule after it; once
-    // it outgrows the chunk, hand it back to far_ (empty: nothing lies past
-    // Time::max()) so the next refill carves a sorted band again.  Band and
-    // near are then empty, so any boundary below now() holds.
-    far_.swap(near_);
-    band_max_ = now_ - Time::ns(1);
-  }
+  heap_[hole] = e;
 }
 
-void Engine::pop_near() noexcept {
-  std::pop_heap(near_.begin(), near_.end(), std::greater<Entry>{});
-  near_.pop_back();
+void Engine::pop() noexcept {
+  std::pop_heap(heap_.begin(), heap_.end(), std::greater<Entry>{});
+  heap_.pop_back();
 }
 
 void Engine::cancel(EventId id) noexcept {
@@ -80,74 +67,6 @@ void Engine::cancel(EventId id) noexcept {
   }
 }
 
-int Engine::find_head() {
-  for (;;) {
-    while (band_pos_ < band_.size() && is_dead(band_[band_pos_])) {
-      free_slot(band_[band_pos_++].slot);
-      --dead_;
-    }
-    while (!near_.empty() && is_dead(near_.front())) {
-      free_slot(near_.front().slot);
-      pop_near();
-      --dead_;
-    }
-    const bool b = band_pos_ < band_.size();
-    const bool n = !near_.empty();
-    if (!b && !n) {
-      if (far_.empty()) return 0;
-      refill_band();
-      continue;
-    }
-    if (b && n) return band_[band_pos_] < near_.front() ? 1 : 2;
-    return b ? 1 : 2;
-  }
-}
-
-void Engine::refill_band() {
-  assert(band_pos_ >= band_.size() && near_.empty() && !far_.empty());
-  band_.clear();
-  band_pos_ = 0;
-  if (far_.size() <= kBandChunk) {
-    // Too small to be worth sorting: the backlog becomes the near heap,
-    // and so does every later schedule (see push()).
-    near_.swap(far_);
-    std::make_heap(near_.begin(), near_.end(), std::greater<Entry>{});
-    band_max_ = Time::max();
-    return;
-  }
-  if (far_.size() <= 2 * kBandChunk) {
-    band_.swap(far_);
-    Time mx = band_.front().t;
-    for (const Entry& e : band_) mx = std::max(mx, e.t);
-    band_max_ = mx;
-  } else {
-    // Carve off the earliest chunk, split on a pure time boundary so equal
-    // timestamps never straddle the band edge.  The chunk scales with the
-    // backlog: each refill costs O(|far|) in nth_element/erase but drains at
-    // least a quarter of it, so a deep pre-scheduled backlog costs O(1)
-    // amortized refill work per event instead of O(|far|/kBandChunk).
-    const std::size_t chunk = std::max(kBandChunk, far_.size() / 4);
-    std::nth_element(far_.begin(),
-                     far_.begin() + static_cast<std::ptrdiff_t>(chunk),
-                     far_.end());
-    const Time tb = far_[chunk].t;
-    auto mid = std::partition(far_.begin(), far_.end(),
-                              [tb](const Entry& e) { return e.t < tb; });
-    if (mid == far_.begin()) {
-      // Every earliest event ties at tb: take the whole tie group.
-      mid = std::partition(far_.begin(), far_.end(),
-                           [tb](const Entry& e) { return e.t == tb; });
-      band_max_ = tb;
-    } else {
-      band_max_ = tb - Time::ns(1);
-    }
-    band_.assign(std::make_move_iterator(far_.begin()),
-                 std::make_move_iterator(mid));
-    far_.erase(far_.begin(), mid);
-  }
-  std::sort(band_.begin(), band_.end());
-}
-
 void Engine::compact() noexcept {
   // remove_if applies the predicate exactly once per entry, so each dead
   // entry hands its slot back exactly once.
@@ -156,32 +75,25 @@ void Engine::compact() noexcept {
     free_slot(e.slot);
     return true;
   };
-  band_.erase(band_.begin(),
-              band_.begin() + static_cast<std::ptrdiff_t>(band_pos_));
-  band_pos_ = 0;
-  band_.erase(std::remove_if(band_.begin(), band_.end(), dead), band_.end());
-  near_.erase(std::remove_if(near_.begin(), near_.end(), dead), near_.end());
-  std::make_heap(near_.begin(), near_.end(), std::greater<Entry>{});
-  far_.erase(std::remove_if(far_.begin(), far_.end(), dead), far_.end());
-  dead_ = 0;  // every dead entry was resident in exactly one region
+  heap_.erase(std::remove_if(heap_.begin(), heap_.end(), dead), heap_.end());
+  std::make_heap(heap_.begin(), heap_.end(), std::greater<Entry>{});
+  dead_ = 0;
 }
 
 Time Engine::run() { return run_until(Time::max()); }
 
 Time Engine::run_until(Time limit) {
   for (;;) {
-    const int h = find_head();
-    if (h == 0) break;
-    const Entry& head = h == 1 ? band_[band_pos_] : near_.front();
-    if (head.t > limit) break;
-    Slot* const s = head.slot;
-    assert(head.t >= now_);
-    now_ = head.t;
-    if (h == 1) {
-      ++band_pos_;
-    } else {
-      pop_near();
+    while (!heap_.empty() && is_dead(heap_.front())) {
+      free_slot(heap_.front().slot);
+      pop();
+      --dead_;
     }
+    if (heap_.empty() || heap_.front().t > limit) break;
+    Slot* const s = heap_.front().slot;
+    assert(heap_.front().t >= now_);
+    now_ = heap_.front().t;
+    pop();
     s->live = false;
     ++s->generation;
     --live_;

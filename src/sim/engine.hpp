@@ -4,19 +4,9 @@
 // monotonically increasing sequence number breaks ties), so a given seed
 // always produces the same makespan regardless of host behaviour.
 //
-// Event queue (DESIGN.md §10): a two-band lazy queue instead of one global
-// binary heap.  The earliest band of events lives in `band_`, a vector
-// sorted once by (t, seq) and drained by index; events scheduled into the
-// band after that sort (reentrant schedules from callbacks) go to `near_`,
-// a small binary heap; everything past the band boundary sits unsorted in
-// `far_` and is carved into the next band — O(chunk log chunk) amortized —
-// only when the current band drains.  A backlog no larger than one chunk is
-// not sorted at all: it becomes the near heap, which then takes every later
-// schedule until it outgrows the chunk and spills back to `far_`.  The pop
-// order is exactly the (t, seq) total order a heap would produce, so traces
-// are bit-identical to a plain heap; the win is that a deep backlog pops
-// from a sorted run and `far_` absorbs schedules with zero comparisons,
-// while the few events a Cell run keeps pending cost a tiny heap.
+// Event queue (DESIGN.md §10): one binary min-heap of 24-byte (t, seq,
+// slot) entries, sifted by hand on a push.  The Cell model keeps a handful
+// of events pending, so most sifts touch one or two levels.
 //
 // Slots: a callback is constructed in its slot (`InlineFn::emplace`) and
 // runs there, so one event costs one construction and one call.  Slots live
@@ -90,9 +80,7 @@ class Engine {
   /// fix): dead <= max(live, compaction minimum) after every mutation.
   std::size_t events_dead() const noexcept { return dead_; }
   /// Resident queue entries, live + dead.
-  std::size_t queue_size() const noexcept {
-    return (band_.size() - band_pos_) + near_.size() + far_.size();
-  }
+  std::size_t queue_size() const noexcept { return heap_.size(); }
   /// High-water marks, for bounded-memory assertions in long-running
   /// services: queue_peak() <= 2 * live_peak() + compaction minimum.
   std::size_t queue_peak() const noexcept { return queue_peak_; }
@@ -123,12 +111,8 @@ class Engine {
     ~FiredSlot() { eng.free_slot(slot); }
   };
 
-  // Minimum band carved from far_ per refill (the actual chunk scales to a
-  // quarter of the backlog, keeping refills amortized O(1) per event); a
-  // backlog of at most one chunk becomes the near heap instead.  Compaction
-  // fires when dead entries outnumber live ones and there are at least
-  // kCompactMin of them (so tiny queues don't compact on every cancel).
-  static constexpr std::size_t kBandChunk = 1024;
+  // Compaction fires when dead entries outnumber live ones and there are at
+  // least kCompactMin of them (so tiny queues don't compact on every cancel).
   static constexpr std::size_t kCompactMin = 64;
   static constexpr std::uint32_t kSlotChunk = 4096;
 
@@ -149,23 +133,15 @@ class Engine {
   /// front, so a slot never moves, and holds only the slots ever needed.
   Slot* new_slot();
   static bool is_dead(const Entry& e) noexcept { return !e.slot->live; }
-  /// Queues a new entry; the near heap is sifted by hand so the new entry
-  /// is never reloaded.
+  /// Queues a new entry; the heap is sifted by hand so the new entry is
+  /// never reloaded.
   void push(const Entry& e);
-  void pop_near() noexcept;
-  /// Locates the earliest live entry: 0 = queue empty, 1 = band head,
-  /// 2 = near-heap head.  Skims dead heads and refills the band as needed.
-  int find_head();
-  void refill_band();
-  /// Drops every dead entry from all three regions in O(n); no allocation,
-  /// so cancel() stays noexcept.
+  void pop() noexcept;
+  /// Drops every dead entry in O(n); no allocation, so cancel() stays
+  /// noexcept.
   void compact() noexcept;
 
-  std::vector<Entry> band_;   ///< sorted by (t, seq), drained via band_pos_
-  std::size_t band_pos_ = 0;
-  std::vector<Entry> near_;   ///< min-heap: t <= band_max_
-  std::vector<Entry> far_;    ///< unsorted: t > band_max_
-  Time band_max_ = Time::ns(-1);  ///< inclusive band boundary
+  std::vector<Entry> heap_;  ///< min-heap on (t, seq)
 
   std::vector<std::vector<Slot>> chunks_;  ///< address-stable slots
   Slot* free_head_ = nullptr;              ///< intrusive free list

@@ -278,7 +278,7 @@ TEST(Engine, ChurnOnFewSlotsKeepsQueueBounded) {
 
 TEST(Engine, TwoRunDeterminism) {
   // Identical schedules (including cancels and reentrant callbacks) must
-  // fire in an identical order through the banded queue.
+  // fire in an identical order.
   const auto trace = [] {
     Engine eng;
     std::vector<std::uint64_t> log;

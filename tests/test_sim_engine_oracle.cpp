@@ -3,8 +3,8 @@
 // Seeded random scripts drive sim::Engine and a reference model side by
 // side.  The reference keeps its pending events in a std::map ordered by
 // (t, seq) -- the total order the engine promises -- and fires them one at a
-// time.  A script schedules (ties, near and far futures, backlogs deeper than
-// two refill chunks), cancels (live, fired, stale, self and default ids),
+// time.  A script schedules (ties, near and far futures, backlogs of a few
+// thousand events), cancels (live, fired, stale, self and default ids),
 // runs windows and drains; callbacks schedule and cancel reentrantly.  Both
 // sides consume one seeded stream in firing order, so any divergence in pop
 // order shows up as a different log.  After every step the two must agree
@@ -105,7 +105,7 @@ class Script {
           schedule(now + Time::ns(pick(2000)));
         }
         break;
-      case 3:  // a backlog past two refill chunks, at coarse times
+      case 3:  // a backlog of 2,100-4,100 events, at coarse times
         for (int n = 2100 + pick(2000), i = 0; i < n; ++i) {
           schedule(now + Time::ns(100 * pick(3000)));
         }
