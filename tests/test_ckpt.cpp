@@ -15,11 +15,13 @@
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/format.hpp"
 #include "ckpt/runner.hpp"
+#include "jobsvc/job.hpp"
 #include "phylo/bootstrap.hpp"
 #include "phylo/support.hpp"
 #include "runtime/mgps.hpp"
 #include "runtime/sim_runtime.hpp"
 #include "sim/fault.hpp"
+#include "util/crc32.hpp"
 
 namespace cbe::ckpt {
 namespace {
@@ -127,6 +129,26 @@ TEST(CkptFormat, PayloadRoundtripIsBitExact) {
   EXPECT_EQ(r.f64(), 1.0 / 3.0);
   EXPECT_EQ(r.str(), "hello");
   EXPECT_NO_THROW(r.expect_end());
+}
+
+// The encoder's exact output, pinned as (length, CRC-32 of the whole
+// image): a job snapshot and a bootstrap-run image.  Any change to the
+// encoder must leave both byte-identical.
+TEST(CkptFormat, EncodedImagesArePinned) {
+  jobsvc::JobSpec spec;
+  spec.id = 9;
+  spec.tenant = 1;
+  spec.priority = 2;
+  spec.steps = 24;
+  jobsvc::JobState st = jobsvc::make_initial_state(spec, 2026);
+  for (int i = 0; i < 10; ++i) jobsvc::run_step(st);
+  const std::vector<std::uint8_t> snap = jobsvc::snapshot_job(spec, st);
+  EXPECT_EQ(snap.size(), 157u);
+  EXPECT_EQ(util::crc32(snap.data(), snap.size()), 0x4d00db3cu);
+
+  const std::vector<std::uint8_t> image = to_image(sample_state()).serialize();
+  EXPECT_EQ(image.size(), 1037u);
+  EXPECT_EQ(util::crc32(image.data(), image.size()), 0xdebccf0du);
 }
 
 TEST(CkptFormat, RejectsTruncation) {
