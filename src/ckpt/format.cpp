@@ -1,5 +1,6 @@
 #include "ckpt/format.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -24,16 +25,14 @@ constexpr std::uint64_t kMagic = 0x3154504b43454243ull;
 constexpr std::size_t kHeaderSize = 8 + 4 + 8 + 8 + 4 + 4;
 constexpr std::size_t kTagSize = 4;
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+std::uint8_t* store_u32(std::uint8_t* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  return p + 4;
 }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+std::uint8_t* store_u64(std::uint8_t* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  return p + 8;
 }
 
 std::uint32_t get_u32(const std::uint8_t* p) {
@@ -86,19 +85,24 @@ std::uint64_t build_config_hash() noexcept {
 }
 
 void PayloadWriter::u8(std::uint8_t v) { bytes_.push_back(v); }
-void PayloadWriter::u32(std::uint32_t v) { put_u32(bytes_, v); }
-void PayloadWriter::u64(std::uint64_t v) { put_u64(bytes_, v); }
+
+// One insert per word, so a payload grows at most once per field and a
+// reserved one never does.
+void PayloadWriter::u32(std::uint32_t v) {
+  std::uint8_t b[4];
+  bytes_.insert(bytes_.end(), b, store_u32(b, v));
+}
+
+void PayloadWriter::u64(std::uint64_t v) {
+  std::uint8_t b[8];
+  bytes_.insert(bytes_.end(), b, store_u64(b, v));
+}
 
 void PayloadWriter::f64(double v) {
   std::uint64_t bits;
   static_assert(sizeof(bits) == sizeof(v));
   std::memcpy(&bits, &v, sizeof(bits));
   u64(bits);
-}
-
-void PayloadWriter::str(const std::string& s) {
-  u32(static_cast<std::uint32_t>(s.size()));
-  bytes_.insert(bytes_.end(), s.begin(), s.end());
 }
 
 PayloadReader::PayloadReader(const std::vector<std::uint8_t>& bytes,
@@ -141,14 +145,6 @@ double PayloadReader::f64() {
   return v;
 }
 
-std::string PayloadReader::str() {
-  const std::uint32_t n = u32();
-  need(n);
-  std::string s(reinterpret_cast<const char*>(p_ + pos_), n);
-  pos_ += n;
-  return s;
-}
-
 void PayloadReader::expect_end() const {
   if (pos_ != len_) {
     throw CkptError(ErrorKind::Malformed,
@@ -182,19 +178,24 @@ const Section& CheckpointImage::require(const std::string& tag) const {
 }
 
 std::vector<std::uint8_t> CheckpointImage::serialize() const {
-  std::vector<std::uint8_t> out;
-  put_u64(out, kMagic);
-  put_u32(out, kFormatVersion);
-  put_u64(out, build_config_hash());
-  put_u64(out, seed);
-  put_u32(out, static_cast<std::uint32_t>(sections_.size()));
-  put_u32(out, util::crc32(out.data(), out.size()));
+  // One pass into one allocation: the image size is known up front.
+  std::size_t size = kHeaderSize;
   for (const Section& s : sections_) {
-    const std::size_t start = out.size();
-    out.insert(out.end(), s.tag.begin(), s.tag.end());
-    put_u64(out, s.payload.size());
-    out.insert(out.end(), s.payload.begin(), s.payload.end());
-    put_u32(out, util::crc32(out.data() + start, out.size() - start));
+    size += kTagSize + 8 + s.payload.size() + 4;
+  }
+  std::vector<std::uint8_t> out(size);
+  std::uint8_t* p = store_u64(out.data(), kMagic);
+  p = store_u32(p, kFormatVersion);
+  p = store_u64(p, build_config_hash());
+  p = store_u64(p, seed);
+  p = store_u32(p, static_cast<std::uint32_t>(sections_.size()));
+  p = store_u32(p, util::crc32(out.data(), kHeaderSize - 4));
+  for (const Section& s : sections_) {
+    std::uint8_t* const start = p;
+    p = std::copy(s.tag.begin(), s.tag.end(), p);  // add() checked: 4 bytes
+    p = store_u64(p, s.payload.size());
+    p = std::copy(s.payload.begin(), s.payload.end(), p);
+    p = store_u32(p, util::crc32(start, static_cast<std::size_t>(p - start)));
   }
   return out;
 }

@@ -19,6 +19,7 @@
 // can prove exactly that.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -69,6 +70,11 @@ std::uint64_t build_config_hash() noexcept;
 /// Append-only little-endian encoder for one section payload.
 class PayloadWriter {
  public:
+  PayloadWriter() = default;
+  /// Reserves `capacity` bytes, so a payload of known size is one
+  /// allocation.
+  explicit PayloadWriter(std::size_t capacity) { bytes_.reserve(capacity); }
+
   void u8(std::uint8_t v);
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
@@ -76,7 +82,6 @@ class PayloadWriter {
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   /// IEEE-754 bit pattern; restore is bit-exact.
   void f64(double v);
-  void str(const std::string& s);
 
   std::vector<std::uint8_t> take() noexcept { return std::move(bytes_); }
 
@@ -96,7 +101,6 @@ class PayloadReader {
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64();
-  std::string str();
 
   /// Rejects trailing bytes (a length that disagrees with the content is
   /// corruption, not slack).

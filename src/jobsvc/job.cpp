@@ -13,6 +13,9 @@ constexpr std::uint64_t kJobSalt = 0x4a4f4253454e4f4eull;     // "JOBSENON"
 
 constexpr char kSpecTag[] = "JSPC";
 constexpr char kStateTag[] = "JSTA";
+// Payload sizes, so snapshot_job allocates each payload once.
+constexpr std::size_t kSpecBytes = 8 + 4 + 4 + 4 + 8;
+constexpr std::size_t kStateBytes = 4 * 8 + 8 + 1 + 8 + 8 + 4;
 
 constexpr std::uint32_t kMaxSteps = 1u << 24;
 
@@ -62,7 +65,7 @@ std::vector<std::uint8_t> snapshot_job(const JobSpec& spec,
   ckpt::CheckpointImage image;
   image.seed = spec.id;
   {
-    ckpt::PayloadWriter w;
+    ckpt::PayloadWriter w(kSpecBytes);
     w.u64(spec.id);
     w.u32(spec.tenant);
     w.i32(spec.priority);
@@ -71,7 +74,7 @@ std::vector<std::uint8_t> snapshot_job(const JobSpec& spec,
     image.add(kSpecTag, w.take());
   }
   {
-    ckpt::PayloadWriter w;
+    ckpt::PayloadWriter w(kStateBytes);
     for (std::uint64_t word : st.rng.s) w.u64(word);
     w.u64(st.rng.cached_normal_bits);
     w.u8(st.rng.has_cached_normal ? 1 : 0);

@@ -33,6 +33,10 @@ Engine::Slot* Engine::new_slot() {
 }
 
 void Engine::push(const Entry& e) {
+  if (!started_) {
+    timeline_.push_back(e);
+    return;
+  }
   heap_.push_back(e);
   std::size_t hole = heap_.size() - 1;
   while (hole > 0) {
@@ -47,6 +51,30 @@ void Engine::push(const Entry& e) {
 void Engine::pop() noexcept {
   std::pop_heap(heap_.begin(), heap_.end(), std::greater<Entry>{});
   heap_.pop_back();
+}
+
+Engine::Slot* Engine::pop_merged(Time limit) noexcept {
+  while (!timeline_.empty() && is_dead(timeline_.back())) {
+    free_slot(timeline_.back().slot);
+    timeline_.pop_back();
+    --dead_;
+  }
+  const bool from_timeline =
+      !timeline_.empty() &&
+      (heap_.empty() || timeline_.back() < heap_.front());
+  const Entry* next = from_timeline  ? &timeline_.back()
+                      : heap_.empty() ? nullptr
+                                      : &heap_.front();
+  if (next == nullptr || next->t > limit) return nullptr;
+  Slot* const s = next->slot;
+  assert(next->t >= now_);
+  now_ = next->t;
+  if (from_timeline) {
+    timeline_.pop_back();
+  } else {
+    pop();
+  }
+  return s;
 }
 
 void Engine::cancel(EventId id) noexcept {
@@ -77,23 +105,37 @@ void Engine::compact() noexcept {
   };
   heap_.erase(std::remove_if(heap_.begin(), heap_.end(), dead), heap_.end());
   std::make_heap(heap_.begin(), heap_.end(), std::greater<Entry>{});
+  // remove_if is stable, so the timeline stays sorted.
+  timeline_.erase(std::remove_if(timeline_.begin(), timeline_.end(), dead),
+                  timeline_.end());
   dead_ = 0;
 }
 
 Time Engine::run() { return run_until(Time::max()); }
 
 Time Engine::run_until(Time limit) {
+  if (!started_) {
+    started_ = true;
+    // The one sort of the pre-run backlog; (t, seq) is a total order.
+    std::sort(timeline_.begin(), timeline_.end(), std::greater<Entry>{});
+  }
   for (;;) {
     while (!heap_.empty() && is_dead(heap_.front())) {
       free_slot(heap_.front().slot);
       pop();
       --dead_;
     }
-    if (heap_.empty() || heap_.front().t > limit) break;
-    Slot* const s = heap_.front().slot;
-    assert(heap_.front().t >= now_);
-    now_ = heap_.front().t;
-    pop();
+    Slot* s;
+    if (timeline_.empty()) {
+      if (heap_.empty() || heap_.front().t > limit) break;
+      s = heap_.front().slot;
+      assert(heap_.front().t >= now_);
+      now_ = heap_.front().t;
+      pop();
+    } else {
+      s = pop_merged(limit);
+      if (s == nullptr) break;
+    }
     s->live = false;
     ++s->generation;
     --live_;

@@ -4,9 +4,14 @@
 // monotonically increasing sequence number breaks ties), so a given seed
 // always produces the same makespan regardless of host behaviour.
 //
-// Event queue (DESIGN.md §10): one binary min-heap of 24-byte (t, seq,
-// slot) entries, sifted by hand on a push.  The Cell model keeps a handful
-// of events pending, so most sifts touch one or two levels.
+// Event queue (DESIGN.md §10): a binary min-heap of 24-byte (t, seq, slot)
+// entries, sifted by hand on a push, beside a sorted timeline.  Events
+// scheduled before the first run_until go to the timeline, which that call
+// sorts once (next event at the back); every later schedule goes to the
+// heap, and a pop takes the smaller head.  So a backlog scheduled up front
+// (the job service's arrivals) never sits in the heap the run sifts
+// through.  The Cell model keeps a handful of events pending, so most sifts
+// touch one or two levels.
 //
 // Slots: a callback is constructed in its slot (`InlineFn::emplace`) and
 // runs there, so one event costs one construction and one call.  Slots live
@@ -80,7 +85,9 @@ class Engine {
   /// fix): dead <= max(live, compaction minimum) after every mutation.
   std::size_t events_dead() const noexcept { return dead_; }
   /// Resident queue entries, live + dead.
-  std::size_t queue_size() const noexcept { return heap_.size(); }
+  std::size_t queue_size() const noexcept {
+    return heap_.size() + timeline_.size();
+  }
   /// High-water marks, for bounded-memory assertions in long-running
   /// services: queue_peak() <= 2 * live_peak() + compaction minimum.
   std::size_t queue_peak() const noexcept { return queue_peak_; }
@@ -133,15 +140,22 @@ class Engine {
   /// front, so a slot never moves, and holds only the slots ever needed.
   Slot* new_slot();
   static bool is_dead(const Entry& e) noexcept { return !e.slot->live; }
-  /// Queues a new entry; the heap is sifted by hand so the new entry is
-  /// never reloaded.
+  /// Queues a new entry: on the timeline before the first run_until, else
+  /// on the heap, sifted by hand so the new entry is never reloaded.
   void push(const Entry& e);
   void pop() noexcept;
+  /// While the timeline holds entries: skims its dead head, then pops the
+  /// smaller of the two heads if it lies within `limit`, setting now().
+  /// Returns its slot, or nullptr when no event is due.
+  Slot* pop_merged(Time limit) noexcept;
   /// Drops every dead entry in O(n); no allocation, so cancel() stays
   /// noexcept.
   void compact() noexcept;
 
-  std::vector<Entry> heap_;  ///< min-heap on (t, seq)
+  std::vector<Entry> heap_;      ///< min-heap on (t, seq)
+  std::vector<Entry> timeline_;  ///< pre-run entries; sorted descending once
+                                 ///< the run starts, next event at the back
+  bool started_ = false;         ///< run_until has been called
 
   std::vector<std::vector<Slot>> chunks_;  ///< address-stable slots
   Slot* free_head_ = nullptr;              ///< intrusive free list

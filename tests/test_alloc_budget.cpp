@@ -1,5 +1,5 @@
-// Allocation budgets of the simulated off-load path (DESIGN.md §10) and of
-// the likelihood engine (DESIGN.md §9).
+// Allocation budgets of the simulated off-load path (DESIGN.md §10), of
+// the likelihood engine (DESIGN.md §9) and of a job snapshot (DESIGN.md §7).
 //
 // A fault-free run must not touch the heap per off-load: every continuation
 // of the chain fits its InlineFn buffer, attempt and loop records are
@@ -7,7 +7,8 @@
 // allocates is set-up (machine, processes, pools warming up to the peak
 // concurrency), so it must not grow with the number of tasks.  Likewise the
 // engine's kernels reuse its cached and scratch CLVs, so a search allocates
-// nothing per kernel call.  This binary replaces the global operator new to
+// nothing per kernel call, and a job snapshot sizes every buffer before it
+// writes the first byte.  This binary replaces the global operator new to
 // count allocations, which is why it is its own executable.
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include <new>
 #include <string>
 
+#include "jobsvc/job.hpp"
 #include "phylo/likelihood.hpp"
 #include "runtime/mgps.hpp"
 #include "runtime/policy.hpp"
@@ -157,3 +159,24 @@ TEST(AllocBudget, SearchDoesNotAllocatePerKernel) {
 
 }  // namespace
 }  // namespace cbe::phylo
+
+namespace cbe::jobsvc {
+namespace {
+
+// One allocation per payload, two for the section list and one for the
+// image: the job service takes a snapshot every few steps.
+TEST(AllocBudget, SnapshotAllocatesEachBufferOnce) {
+  JobSpec spec;
+  spec.id = 3;
+  spec.steps = 16;
+  JobState st = make_initial_state(spec, 2026);
+  run_step(st);
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::vector<std::uint8_t> snap = snapshot_job(spec, st);
+  const std::uint64_t used = g_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(snap.size(), 157u);
+  EXPECT_LE(used, 5u);
+}
+
+}  // namespace
+}  // namespace cbe::jobsvc

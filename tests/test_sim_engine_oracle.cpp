@@ -5,7 +5,11 @@
 // (t, seq) -- the total order the engine promises -- and fires them one at a
 // time.  A script schedules (ties, near and far futures, backlogs of a few
 // thousand events), cancels (live, fired, stale, self and default ids),
-// runs windows and drains; callbacks schedule and cancel reentrantly.  Both
+// runs windows and drains; callbacks schedule and cancel reentrantly.  A
+// second set of scripts opens with a pre-run backlog of several thousand
+// events, the engine's sorted timeline (DESIGN.md §10): ties, cancels and a
+// compaction before the run starts, windows that stop partway through it,
+// and a compaction while it still holds live events.  Both
 // sides consume one seeded stream in firing order, so any divergence in pop
 // order shows up as a different log.  After every step the two must agree
 // on the firing log, now(), events_processed() and events_pending(), and the
@@ -25,6 +29,7 @@
 #include <memory>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -71,6 +76,11 @@ class Reference {
   Time now() const { return now_; }
   std::uint64_t events_processed() const { return processed_; }
   std::size_t events_pending() const { return queue_.size(); }
+  /// Pending events among the first `n` ever scheduled.
+  std::size_t pending_among_first(std::uint64_t n) const {
+    return static_cast<std::size_t>(std::count_if(
+        when_.begin(), when_.end(), [n](const auto& w) { return w.first < n; }));
+  }
 
  private:
   using Key = std::pair<Time, std::uint64_t>;
@@ -141,6 +151,30 @@ class Script {
     }
   }
 
+  /// A backlog scheduled before the first window: 3,000-6,000 events at
+  /// coarse times (many equal-t ties), then either a few cancels or a mass
+  /// cancel that compacts the unsorted timeline.  Returns the number of
+  /// events scheduled.
+  std::size_t backlog() {
+    for (int n = 3000 + pick(3000), i = 0; i < n; ++i) {
+      schedule(Time::ns(100 * pick(2000)));
+    }
+    if (pick(2) == 0) {
+      for (std::size_t i = 0; i < ids_.size(); ++i) {
+        if (pick(10) < 8) q_.cancel(ids_[i]);
+      }
+    } else {
+      for (int n = 1 + pick(200), i = 0; i < n; ++i) cancel_any();
+    }
+    return ids_.size();
+  }
+  /// Cancels seven in eight of the first `n` ids: with the backlog still
+  /// pending, the compaction this triggers sweeps the timeline.
+  void cancel_first(std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i % 8 != 0) q_.cancel(ids_[i]);
+    }
+  }
   Q& queue() { return q_; }
   const std::vector<std::pair<std::size_t, std::int64_t>>& log() const {
     return log_;
@@ -213,6 +247,25 @@ class Script {
   std::vector<std::pair<std::size_t, std::int64_t>> log_;
 };
 
+/// The two sides agree on everything observable, and the engine keeps its
+/// dead-entry bound.
+void expect_agree(Script<Engine>& eng, Script<Reference>& ref,
+                  std::size_t& checked, const std::string& where) {
+  Engine& e = eng.queue();
+  Reference& r = ref.queue();
+  ASSERT_EQ(eng.log().size(), ref.log().size()) << where;
+  const auto from = static_cast<std::ptrdiff_t>(checked);
+  ASSERT_TRUE(std::equal(eng.log().begin() + from, eng.log().end(),
+                         ref.log().begin() + from))
+      << where;
+  checked = eng.log().size();
+  ASSERT_EQ(e.now(), r.now()) << where;
+  ASSERT_EQ(e.events_processed(), r.events_processed()) << where;
+  ASSERT_EQ(e.events_pending(), r.events_pending()) << where;
+  ASSERT_LE(e.events_dead(), std::max<std::size_t>(e.events_pending(), 64))
+      << where;
+}
+
 TEST(EngineOracle, RandomScriptsMatchTheOrderedReference) {
   constexpr int kSeeds = 12;
   constexpr int kSteps = 300;
@@ -250,6 +303,47 @@ TEST(EngineOracle, RandomScriptsMatchTheOrderedReference) {
     fired += eng.log().size();
   }
   EXPECT_GT(fired, 100000u);  // the scripts really exercise the queue
+}
+
+TEST(EngineOracle, PreRunBacklogMatchesTheOrderedReference) {
+  constexpr int kSeeds = 12;
+  constexpr int kSteps = 150;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    Script<Engine> eng(seed);
+    Script<Reference> ref(seed);
+    std::size_t checked = 0;
+    const std::string at = "seed " + std::to_string(seed);
+    const std::size_t n = eng.backlog();
+    ASSERT_EQ(ref.backlog(), n) << at;
+    expect_agree(eng, ref, checked, at + " backlog");
+    // Windows that stop partway through the backlog, on a tie instant and
+    // between two.
+    for (const std::int64_t end : {0, 15000, 15050, 40000}) {
+      eng.queue().run_until(Time::ns(end));
+      ref.queue().run_until(Time::ns(end));
+      expect_agree(eng, ref, checked,
+                   at + " window to " + std::to_string(end));
+    }
+    const std::size_t resident = eng.queue().queue_size();
+    eng.cancel_first(n);
+    ref.cancel_first(n);
+    expect_agree(eng, ref, checked, at + " mass cancel");
+    // A compaction ran (only compaction drops resident entries), and
+    // backlog events outlived it on the timeline.
+    EXPECT_LT(eng.queue().queue_size(), resident) << at;
+    EXPECT_GT(ref.queue().pending_among_first(n), 0u) << at;
+    for (int step = 0; step < kSteps; ++step) {
+      eng.step();
+      ref.step();
+      expect_agree(eng, ref, checked, at + " step " + std::to_string(step));
+    }
+    eng.queue().run();
+    ref.queue().run();
+    ASSERT_EQ(eng.log(), ref.log()) << at << " drain";
+    EXPECT_EQ(eng.queue().events_pending(), 0u);
+    EXPECT_EQ(eng.queue().events_dead(), 0u);
+    EXPECT_EQ(eng.queue().queue_size(), 0u);
+  }
 }
 
 TEST(EngineLifetime, CallbackThatGrowsTheSlotTableKeepsItsCapture) {
