@@ -83,6 +83,7 @@ class PayloadWriter {
   /// IEEE-754 bit pattern; restore is bit-exact.
   void f64(double v);
 
+  std::size_t size() const noexcept { return bytes_.size(); }
   std::vector<std::uint8_t> take() noexcept { return std::move(bytes_); }
 
  private:

@@ -1,5 +1,7 @@
 #include "jobsvc/job.hpp"
 
+#include <cassert>
+
 #include "ckpt/format.hpp"
 
 namespace cbe::jobsvc {
@@ -13,9 +15,6 @@ constexpr std::uint64_t kJobSalt = 0x4a4f4253454e4f4eull;     // "JOBSENON"
 
 constexpr char kSpecTag[] = "JSPC";
 constexpr char kStateTag[] = "JSTA";
-// Payload sizes, so snapshot_job allocates each payload once.
-constexpr std::size_t kSpecBytes = 8 + 4 + 4 + 4 + 8;
-constexpr std::size_t kStateBytes = 4 * 8 + 8 + 1 + 8 + 8 + 4;
 
 constexpr std::uint32_t kMaxSteps = 1u << 24;
 
@@ -64,23 +63,29 @@ std::vector<std::uint8_t> snapshot_job(const JobSpec& spec,
                                        const JobState& st) {
   ckpt::CheckpointImage image;
   image.seed = spec.id;
+  // Each payload is sized up front, so it is one allocation; the asserts
+  // keep the sizes in step with the fields written.
   {
-    ckpt::PayloadWriter w(kSpecBytes);
+    constexpr std::size_t kBytes = 8 + 4 + 4 + 4 + 8;
+    ckpt::PayloadWriter w(kBytes);
     w.u64(spec.id);
     w.u32(spec.tenant);
     w.i32(spec.priority);
     w.i32(spec.steps);
     w.f64(spec.step_cost_s);
+    assert(w.size() == kBytes);
     image.add(kSpecTag, w.take());
   }
   {
-    ckpt::PayloadWriter w(kStateBytes);
+    constexpr std::size_t kBytes = 4 * 8 + 8 + 1 + 8 + 8 + 4;
+    ckpt::PayloadWriter w(kBytes);
     for (std::uint64_t word : st.rng.s) w.u64(word);
     w.u64(st.rng.cached_normal_bits);
     w.u8(st.rng.has_cached_normal ? 1 : 0);
     w.u64(st.digest);
     w.f64(st.value);
     w.i32(st.steps_done);
+    assert(w.size() == kBytes);
     image.add(kStateTag, w.take());
   }
   return image.serialize();

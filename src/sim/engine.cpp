@@ -53,7 +53,12 @@ void Engine::pop() noexcept {
   heap_.pop_back();
 }
 
-Engine::Slot* Engine::pop_merged(Time limit) noexcept {
+Engine::Slot* Engine::pop_next(Time limit) noexcept {
+  while (!heap_.empty() && is_dead(heap_.front())) {
+    free_slot(heap_.front().slot);
+    pop();
+    --dead_;
+  }
   while (!timeline_.empty() && is_dead(timeline_.back())) {
     free_slot(timeline_.back().slot);
     timeline_.pop_back();
@@ -119,23 +124,7 @@ Time Engine::run_until(Time limit) {
     // The one sort of the pre-run backlog; (t, seq) is a total order.
     std::sort(timeline_.begin(), timeline_.end(), std::greater<Entry>{});
   }
-  for (;;) {
-    while (!heap_.empty() && is_dead(heap_.front())) {
-      free_slot(heap_.front().slot);
-      pop();
-      --dead_;
-    }
-    Slot* s;
-    if (timeline_.empty()) {
-      if (heap_.empty() || heap_.front().t > limit) break;
-      s = heap_.front().slot;
-      assert(heap_.front().t >= now_);
-      now_ = heap_.front().t;
-      pop();
-    } else {
-      s = pop_merged(limit);
-      if (s == nullptr) break;
-    }
+  while (Slot* const s = pop_next(limit)) {
     s->live = false;
     ++s->generation;
     --live_;

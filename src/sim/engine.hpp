@@ -144,10 +144,10 @@ class Engine {
   /// on the heap, sifted by hand so the new entry is never reloaded.
   void push(const Entry& e);
   void pop() noexcept;
-  /// While the timeline holds entries: skims its dead head, then pops the
+  /// Skims the dead heads of the heap and the timeline, then pops the
   /// smaller of the two heads if it lies within `limit`, setting now().
   /// Returns its slot, or nullptr when no event is due.
-  Slot* pop_merged(Time limit) noexcept;
+  Slot* pop_next(Time limit) noexcept;
   /// Drops every dead entry in O(n); no allocation, so cancel() stays
   /// noexcept.
   void compact() noexcept;

@@ -277,23 +277,9 @@ TEST(EngineOracle, RandomScriptsMatchTheOrderedReference) {
     for (int step = 0; step < kSteps; ++step) {
       eng.step();
       ref.step();
-      Engine& e = eng.queue();
-      Reference& r = ref.queue();
-      ASSERT_EQ(eng.log().size(), ref.log().size())
-          << "seed " << seed << " step " << step;
-      const auto from = static_cast<std::ptrdiff_t>(checked);
-      ASSERT_TRUE(std::equal(eng.log().begin() + from, eng.log().end(),
-                             ref.log().begin() + from))
-          << "seed " << seed << " step " << step;
-      checked = eng.log().size();
-      ASSERT_EQ(e.now(), r.now()) << "seed " << seed << " step " << step;
-      ASSERT_EQ(e.events_processed(), r.events_processed())
-          << "seed " << seed << " step " << step;
-      ASSERT_EQ(e.events_pending(), r.events_pending())
-          << "seed " << seed << " step " << step;
-      ASSERT_LE(e.events_dead(),
-                std::max<std::size_t>(e.events_pending(), 64))
-          << "seed " << seed << " step " << step;
+      ASSERT_NO_FATAL_FAILURE(expect_agree(
+          eng, ref, checked,
+          "seed " + std::to_string(seed) + " step " + std::to_string(step)));
     }
     eng.queue().run();
     ref.queue().run();
@@ -315,19 +301,20 @@ TEST(EngineOracle, PreRunBacklogMatchesTheOrderedReference) {
     const std::string at = "seed " + std::to_string(seed);
     const std::size_t n = eng.backlog();
     ASSERT_EQ(ref.backlog(), n) << at;
-    expect_agree(eng, ref, checked, at + " backlog");
+    ASSERT_NO_FATAL_FAILURE(expect_agree(eng, ref, checked, at + " backlog"));
     // Windows that stop partway through the backlog, on a tie instant and
     // between two.
     for (const std::int64_t end : {0, 15000, 15050, 40000}) {
       eng.queue().run_until(Time::ns(end));
       ref.queue().run_until(Time::ns(end));
-      expect_agree(eng, ref, checked,
-                   at + " window to " + std::to_string(end));
+      ASSERT_NO_FATAL_FAILURE(expect_agree(
+          eng, ref, checked, at + " window to " + std::to_string(end)));
     }
     const std::size_t resident = eng.queue().queue_size();
     eng.cancel_first(n);
     ref.cancel_first(n);
-    expect_agree(eng, ref, checked, at + " mass cancel");
+    ASSERT_NO_FATAL_FAILURE(
+        expect_agree(eng, ref, checked, at + " mass cancel"));
     // A compaction ran (only compaction drops resident entries), and
     // backlog events outlived it on the timeline.
     EXPECT_LT(eng.queue().queue_size(), resident) << at;
@@ -335,7 +322,8 @@ TEST(EngineOracle, PreRunBacklogMatchesTheOrderedReference) {
     for (int step = 0; step < kSteps; ++step) {
       eng.step();
       ref.step();
-      expect_agree(eng, ref, checked, at + " step " + std::to_string(step));
+      ASSERT_NO_FATAL_FAILURE(expect_agree(
+          eng, ref, checked, at + " step " + std::to_string(step)));
     }
     eng.queue().run();
     ref.queue().run();
