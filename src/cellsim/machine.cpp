@@ -10,9 +10,8 @@
 
 namespace cbe::cell {
 
-CellMachine::CellMachine(sim::Engine& eng, CellParams params,
-                         const task::ModuleRegistry& modules)
-    : eng_(eng), params_(params), modules_(&modules), mfc_(params),
+CellMachine::CellMachine(sim::Engine& eng, CellParams params)
+    : eng_(eng), params_(params), mfc_(params),
       tallies_(static_cast<std::size_t>(params_.num_cells)) {
   spes_.reserve(static_cast<std::size_t>(params_.total_spes()));
   for (int i = 0; i < params_.total_spes(); ++i) {
@@ -118,7 +117,8 @@ void CellMachine::degrade_spe(int spe_id, double factor) {
   ++fault_stats_.stragglers;
 }
 
-void CellMachine::quarantine_spe(int spe_id, int strikes, int threshold) {
+void CellMachine::quarantine_spe(int spe_id, [[maybe_unused]] int strikes,
+                                 [[maybe_unused]] int threshold) {
   require_faults("quarantine_spe");
   Spe& s = spe(spe_id);
   if (!s.usable()) return;
@@ -159,7 +159,7 @@ void CellMachine::ensure_module(int spe_id, std::uint16_t module,
     done();
     return;
   }
-  const auto& mod = modules_->get(module);
+  const task::CodeModule& mod = task::code_module(module);
   const std::size_t bytes =
       v == ModuleVariant::Parallel && mod.parallel_bytes > 0
           ? mod.parallel_bytes
@@ -334,7 +334,7 @@ sim::Time CellMachine::solo_dma_time(double bytes,
 
 sim::Time CellMachine::code_load_time(std::uint16_t module,
                                       ModuleVariant v) const {
-  const auto& mod = modules_->get(module);
+  const task::CodeModule& mod = task::code_module(module);
   const std::size_t bytes =
       v == ModuleVariant::Parallel && mod.parallel_bytes > 0
           ? mod.parallel_bytes

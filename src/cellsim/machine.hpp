@@ -37,12 +37,10 @@ class CellMachine {
       sim::InlineFn<void(bool ok, bool corrupt), sim::kContinuationBytes>;
   using FaultObserver = std::function<void(int spe)>;
 
-  CellMachine(sim::Engine& eng, CellParams params,
-              const task::ModuleRegistry& modules);
+  CellMachine(sim::Engine& eng, CellParams params);
 
   sim::Engine& engine() noexcept { return eng_; }
   const CellParams& params() const noexcept { return params_; }
-  const task::ModuleRegistry& modules() const noexcept { return *modules_; }
 
   int num_spes() const noexcept { return static_cast<int>(spes_.size()); }
   int num_cells() const noexcept { return params_.num_cells; }
@@ -153,7 +151,6 @@ class CellMachine {
 
   sim::Engine& eng_;
   CellParams params_;
-  const task::ModuleRegistry* modules_;
   Mfc mfc_;
   std::vector<SpeTally> tallies_;  ///< per Cell; sized before spes_ exists
   std::vector<Spe> spes_;

@@ -5,28 +5,9 @@
 
 namespace cbe::cell {
 
-bool MfcRules::valid_size(std::size_t bytes, const CellParams& p) noexcept {
-  if (bytes == 0 || bytes > p.max_dma_bytes) return false;
-  if (bytes == 1 || bytes == 2 || bytes == 4 || bytes == 8) return true;
-  return bytes % 16 == 0;
-}
-
-bool MfcRules::valid_alignment(std::size_t ls_addr, std::size_t ea_addr,
-                               std::size_t bytes) noexcept {
-  if (bytes >= 16) return ls_addr % 16 == 0 && ea_addr % 16 == 0;
-  // Sub-quadword transfers must be naturally aligned and LS/EA congruent
-  // within the quadword.
-  return ls_addr % bytes == 0 && ea_addr % bytes == 0 &&
-         ls_addr % 16 == ea_addr % 16;
-}
-
 int MfcRules::list_entries(std::size_t bytes, const CellParams& p) noexcept {
   if (bytes == 0) return 0;
   return static_cast<int>((bytes + p.max_dma_bytes - 1) / p.max_dma_bytes);
-}
-
-bool MfcRules::fits_one_list(std::size_t bytes, const CellParams& p) noexcept {
-  return list_entries(bytes, p) <= p.dma_list_max_entries;
 }
 
 int MfcRules::naive_chunks(std::size_t bytes) noexcept {

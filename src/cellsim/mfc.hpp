@@ -1,6 +1,5 @@
-// Memory Flow Controller model: validation rules for DMA requests (the real
-// MFC rejects misaligned or ill-sized transfers) and the transfer-time model
-// used by the machine.
+// Memory Flow Controller model: how many DMA requests a transfer takes and
+// the transfer-time model used by the machine.
 #pragma once
 
 #include <cstddef>
@@ -10,18 +9,12 @@
 
 namespace cbe::cell {
 
-/// Static validity rules from the Cell BE architecture documents
-/// (Section 4): sizes of 1, 2, 4, 8 bytes or multiples of 16; at most 16 KB
-/// per request; LS and EA addresses 16-byte aligned for >= 16-byte requests;
-/// naturally aligned below that.
+/// Request-count rules from the Cell BE architecture documents (Section 4):
+/// one request moves at most 16 KB, so an aggregated transfer is a DMA list
+/// of 16 KB entries.
 struct MfcRules {
-  static bool valid_size(std::size_t bytes, const CellParams& p) noexcept;
-  static bool valid_alignment(std::size_t ls_addr, std::size_t ea_addr,
-                              std::size_t bytes) noexcept;
   /// Number of DMA-list entries needed to move `bytes` (16 KB each).
   static int list_entries(std::size_t bytes, const CellParams& p) noexcept;
-  /// True if `bytes` can be moved with a single DMA list.
-  static bool fits_one_list(std::size_t bytes, const CellParams& p) noexcept;
   /// Request count for un-optimized code, which moves data in small ad-hoc
   /// transfers (~2 KB) instead of building DMA lists (Section 5.1: "the DMA
   /// transfers between the local storage and the main memory are not

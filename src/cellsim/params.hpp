@@ -55,7 +55,6 @@ struct CellParams {
   /// and synchronization overhead" on the memory-intensive ML code).
   double mem_gbps = 19.0;
   std::size_t max_dma_bytes = 16 * 1024;
-  int dma_list_max_entries = 2048;
 
   // Local store.
   std::size_t local_store_bytes = 256 * 1024;

@@ -131,8 +131,7 @@ RunReport run_job(RunState& st, const RunnerOptions& opt) {
   // so a resumed run derives the next replicate's stream identically.
   const int first = static_cast<int>(st.done.size());
   const int total = job.bootstraps;
-  util::Rng master(0);
-  master.set_state(st.master);
+  util::Rng master(st.master);
   std::vector<util::Rng> streams;
   std::vector<util::RngState> master_after;
   for (int i = first; i < total; ++i) {

@@ -36,8 +36,7 @@ JobState make_initial_state(const JobSpec& spec, std::uint64_t service_seed) {
 }
 
 void run_step(JobState& st) {
-  util::Rng rng(0);
-  rng.set_state(st.rng);
+  util::Rng rng(st.rng);
   // A phylo-flavoured work unit: a lognormal per-site weight accumulates
   // into the sum, and a raw draw chains through the digest.  Both fold the
   // *previous* accumulator in, so step order is load-bearing.

@@ -6,6 +6,7 @@
 #include <deque>
 #include <map>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "ckpt/format.hpp"
@@ -39,6 +40,14 @@ constexpr double kBreakerCooloffS = 2.0;
 constexpr double kCheckpointCostS = 0.002;
 /// Modeled dispatch overhead per (re)dispatch.
 constexpr double kDispatchCostS = 0.0005;
+
+/// p50 and p99 of `samples` from one sorted copy.  The caller's vector keeps
+/// its arrival order: export_metrics sums it in that order.
+std::pair<double, double> p50_p99(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return {util::percentile_sorted(samples, 50),
+          util::percentile_sorted(samples, 99)};
+}
 
 }  // namespace
 
@@ -365,7 +374,7 @@ class ServiceRun {
     try_dispatch();
   }
 
-  void reject(std::size_t j, RejectReason why) {
+  void reject(std::size_t j, [[maybe_unused]] RejectReason why) {
     Rec& rec = recs_[j];
     trace::ScopedSpan span(span_of(rec));
     CBE_TRACE_EVENT(now_ns(), trace::EventKind::JobReject, -1, jid(rec),
@@ -374,7 +383,7 @@ class ServiceRun {
     finish(rec, JobStatus::Rejected, /*tenant_admitted=*/false);
   }
 
-  void shed(std::size_t j, std::uint64_t displacing_id) {
+  void shed(std::size_t j, [[maybe_unused]] std::uint64_t displacing_id) {
     Rec& rec = recs_[j];
     trace::ScopedSpan span(span_of(rec));
     queue_.erase(std::find(queue_.begin(), queue_.end(), j));
@@ -638,7 +647,7 @@ class ServiceRun {
 
   /// Breaker bookkeeping for a failure attributed to `b`: a failed half-open
   /// probe re-opens immediately; a closed blade opens at the threshold.
-  void note_blade_failure(int blade_idx, Blade& b) {
+  void note_blade_failure([[maybe_unused]] int blade_idx, Blade& b) {
     ++b.consecutive_failures;
     const CircuitBreakerPolicy& p = cfg_.breaker;
     const bool reopen = b.breaker == BreakerState::HalfOpen;
@@ -786,10 +795,8 @@ class ServiceRun {
     static_cast<ServiceCounters&>(snap) = n_;
     snap.seq = statusz_seq_;
     snap.queue_depth = static_cast<int>(queue_.size());
-    if (!latency_samples_.empty()) {
-      snap.p50_latency_s = util::percentile(latency_samples_, 50);
-      snap.p99_latency_s = util::percentile(latency_samples_, 99);
-    }
+    std::tie(snap.p50_latency_s, snap.p99_latency_s) =
+        p50_p99(latency_samples_);
 
     // Tenant rollup straight off the job records: O(jobs) per snapshot,
     // which keeps the hot path free of extra bookkeeping.
@@ -908,16 +915,12 @@ class ServiceRun {
     rep.throughput_jps = rep.makespan_s > 0.0
                              ? static_cast<double>(n_.completed) / rep.makespan_s
                              : 0.0;
-    if (!latency_samples_.empty()) {
-      rep.p50_latency_s = util::percentile(latency_samples_, 50);
-      rep.p99_latency_s = util::percentile(latency_samples_, 99);
-    }
-    if (!queue_wait_samples_.empty()) {
-      rep.p50_queue_wait_s = util::percentile(queue_wait_samples_, 50);
-      rep.p99_queue_wait_s = util::percentile(queue_wait_samples_, 99);
-    }
+    std::tie(rep.p50_queue_wait_s, rep.p99_queue_wait_s) =
+        p50_p99(queue_wait_samples_);
     {
       const StatusSnapshot snap = build_snapshot();
+      rep.p50_latency_s = snap.p50_latency_s;  // one sort serves both
+      rep.p99_latency_s = snap.p99_latency_s;
       rep.statusz_json = statusz_json(snap);
       rep.statusz_text = statusz_text(snap);
       rep.statusz_snapshots = statusz_seq_;

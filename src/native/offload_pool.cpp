@@ -1,9 +1,8 @@
 #include "native/offload_pool.hpp"
 
 #include <algorithm>
+#include <chrono>
 
-#include "trace/metrics.hpp"
-#include "trace/recorder.hpp"
 #include "trace/trace.hpp"
 
 namespace cbe::native {
@@ -36,23 +35,6 @@ OffloadPool::OffloadPool(int workers) {
   for (int i = 0; i < workers; ++i) {
     threads_.emplace_back([this, i] { worker_loop(i); });
   }
-}
-
-void OffloadPool::set_trace(trace::FlightRecorder* rec) noexcept {
-#if CBE_TRACE_ENABLED
-  trace_rec_.store(rec, std::memory_order_release);
-#else
-  (void)rec;
-#endif
-}
-
-void OffloadPool::set_metrics(trace::MetricsRegistry* m) {
-#if CBE_TRACE_ENABLED
-  task_hist_.store(m != nullptr ? &m->histogram("native.task_us") : nullptr,
-                   std::memory_order_release);
-#else
-  (void)m;
-#endif
 }
 
 OffloadPool::~OffloadPool() {
@@ -122,10 +104,6 @@ bool OffloadPool::any_deque_nonempty() const noexcept {
   return false;
 }
 
-std::future<void> OffloadPool::offload(std::function<void()> task) {
-  return offload_result([task = std::move(task)] { task(); });
-}
-
 void OffloadPool::worker_loop(int index) {
   tls_worker = WorkerTls{this, index};
   WorkStealingDeque<Job>& own = *deques_[static_cast<std::size_t>(index)];
@@ -164,37 +142,13 @@ void OffloadPool::worker_loop(int index) {
     }
 
     // Re-install the submitter's span for the task's whole execution, so
-    // both trace records below and any nested enqueue() inherit it.
+    // trace events the task emits and any nested enqueue() inherit it.
     trace::ScopedSpan span(job->span);
-#if CBE_TRACE_ENABLED
-    trace::FlightRecorder* rec = trace_rec_.load(std::memory_order_acquire);
-    const auto task_id = static_cast<std::int32_t>(
-        next_task_id_.fetch_add(1, std::memory_order_relaxed));
-    const auto t0 = std::chrono::steady_clock::now();
-    if (rec != nullptr) {
-      rec->record(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(t0 - epoch_)
-              .count(),
-          trace::EventKind::TaskDispatch, index, task_id);
-    }
-#endif
     // Counted before the body runs: the body completes the caller's future,
     // and a caller that waited on it must read a count that includes it.
     tasks_executed_.fetch_add(1, std::memory_order_relaxed);
     job->fn();
     delete job;
-#if CBE_TRACE_ENABLED
-    const auto t1 = std::chrono::steady_clock::now();
-    if (rec != nullptr) {
-      rec->record(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - epoch_)
-              .count(),
-          trace::EventKind::TaskComplete, index, task_id);
-    }
-    if (trace::Histogram* h = task_hist_.load(std::memory_order_acquire)) {
-      h->observe(std::chrono::duration<double, std::micro>(t1 - t0).count());
-    }
-#endif
   }
 }
 

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -33,12 +32,6 @@
 #include <vector>
 
 #include "native/work_deque.hpp"
-
-namespace cbe::trace {
-class FlightRecorder;
-class Histogram;
-class MetricsRegistry;
-}  // namespace cbe::trace
 
 namespace cbe::native {
 
@@ -53,10 +46,8 @@ class OffloadPool {
 
   int workers() const noexcept { return static_cast<int>(threads_.size()); }
 
-  /// Off-loads a task; the returned future completes when it ran.
-  std::future<void> offload(std::function<void()> task);
-
-  /// Off-loads a computation with a result.
+  /// Off-loads a computation; the returned future holds its result (or its
+  /// exception) once it ran.
   template <typename F, typename R = std::invoke_result_t<F>>
   std::future<R> offload_result(F&& f) {
     auto prom = std::make_shared<std::promise<R>>();
@@ -98,23 +89,11 @@ class OffloadPool {
     return steals_.load(std::memory_order_relaxed);
   }
 
-  /// Streams per-task dispatch/complete events into `rec` (timestamps are
-  /// steady-clock ns since pool construction; spe=worker index).  Each
-  /// worker records into its own ring of `rec`, so recording is lock-free;
-  /// size the ring for the events to keep.  Pass nullptr to detach.  A task
-  /// that started while `rec` was installed still records its completion
-  /// into it, so `rec` must outlive every such task.  A no-op with
-  /// CBE_TRACE=OFF.
-  void set_trace(trace::FlightRecorder* rec) noexcept;
-  /// Records per-task latency into `m`'s "native.task_us" histogram.
-  /// Pass nullptr to detach.  A no-op with CBE_TRACE=OFF.
-  void set_metrics(trace::MetricsRegistry* m);
-
  private:
   /// A queued task plus the causal span of its submitter, captured at
   /// enqueue() so the span survives the thread hop: the worker re-installs
-  /// it before recording/running, and cell_profiler can attribute pool-side
-  /// TaskDispatch/TaskComplete events to the job that off-loaded them.
+  /// it while the task runs, so trace events the task emits (and tasks it
+  /// enqueues in turn) carry the span of the job that off-loaded it.
   struct Job {
     std::function<void()> fn;
     std::uint64_t span = 0;  // trace::kNoSpan
@@ -141,13 +120,6 @@ class OffloadPool {
   bool stop_ = false;
   std::atomic<std::uint64_t> tasks_executed_{0};
   std::atomic<std::uint64_t> steals_{0};
-
-  // Observability (see set_trace / set_metrics).
-  const std::chrono::steady_clock::time_point epoch_ =
-      std::chrono::steady_clock::now();
-  std::atomic<trace::FlightRecorder*> trace_rec_{nullptr};
-  std::atomic<trace::Histogram*> task_hist_{nullptr};
-  std::atomic<std::uint64_t> next_task_id_{0};
 };
 
 }  // namespace cbe::native

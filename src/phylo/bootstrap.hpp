@@ -39,7 +39,7 @@ struct TraceGenConfig {
   /// PPE-side search bookkeeping between consecutive off-loads, in cycles.
   /// The paper measured ~11 us between off-loads for RAxML (Section 5.2).
   double ppe_burst_cycles = 11.0 * 3.2e3;
-  std::uint16_t module_id = task::ModuleRegistry::kRaxmlModule;
+  std::uint16_t module_id = task::kRaxmlModule;
 };
 
 /// KernelObserver that renders kernel calls into a ProcessTrace.  A call

@@ -135,34 +135,6 @@ void Tree::nni(int edge, int variant) {
   ++revision_;
 }
 
-std::vector<Tree::TraversalStep> Tree::post_order(int root_edge) const {
-  const auto [ra, rb] = edge_nodes(root_edge);
-  std::vector<TraversalStep> out;
-  out.reserve(static_cast<std::size_t>(node_count()));
-  // Iterative DFS with explicit stack; children emitted before parents.
-  struct Frame {
-    int node, parent, edge;
-    bool expanded;
-  };
-  for (const auto& [root, rparent] : {std::pair{ra, rb}, std::pair{rb, ra}}) {
-    std::vector<Frame> stack{{root, rparent, root_edge, false}};
-    while (!stack.empty()) {
-      Frame f = stack.back();
-      stack.pop_back();
-      if (f.expanded || leaf(f.node)) {
-        out.push_back({f.node, f.parent, f.edge});
-        continue;
-      }
-      stack.push_back({f.node, f.parent, f.edge, true});
-      for (const auto& nb : adj_[static_cast<std::size_t>(f.node)]) {
-        if (nb.node == f.parent && nb.edge == f.edge) continue;
-        stack.push_back({nb.node, f.node, nb.edge, false});
-      }
-    }
-  }
-  return out;
-}
-
 namespace {
 
 struct NewickParser {

@@ -68,17 +68,6 @@ class Tree {
   /// subtree from each side (`variant` 0 or 1 picks which pair).
   void nni(int edge, int variant);
 
-  /// Rooted view for likelihood: (node, parent_node, edge_to_parent)
-  /// triples in post-order (children before parents), covering the whole
-  /// tree when "rooted" at `root_edge`'s midpoint.  The two endpoints of
-  /// root_edge appear last.
-  struct TraversalStep {
-    int node;
-    int parent;
-    int edge;
-  };
-  std::vector<TraversalStep> post_order(int root_edge) const;
-
   /// Newick with branch lengths, rooted arbitrarily at taxon 0's neighbor.
   std::string newick(const std::vector<std::string>* names = nullptr) const;
 

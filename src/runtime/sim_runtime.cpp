@@ -53,7 +53,7 @@ class Driver {
   Driver(const task::Workload& wl, SchedulerPolicy& policy,
          const RunConfig& cfg)
       : wl_(wl), policy_(policy), cfg_(cfg),
-        machine_(eng_, cfg.cell, modules_),
+        machine_(eng_, cfg.cell),
         loop_exec_(machine_) {
     for (auto& b : balancers_) b.set_adaptive(cfg.adaptive_balance);
 #if CBE_TRACE_ENABLED
@@ -213,7 +213,6 @@ class Driver {
   /// callback that still holds a record when the run is torn down.
   sim::RecordPool<Attempt> attempts_;
   sim::Engine eng_;
-  task::ModuleRegistry modules_;
   cell::CellMachine machine_;
   LoopExecutor loop_exec_;
   std::array<LoopBalancer, 4> balancers_;
@@ -477,7 +476,7 @@ void Driver::begin_offload(int pid, const std::vector<int>& idle,
     // hold its share of the task's working set next to the code image, so
     // large multi-gene alignments (the paper's 51,089-nucleotide mammal
     // data) require LLP independent of idle-SPE counts.
-    const auto& mod = modules_.get(t.module_id);
+    const task::CodeModule& mod = task::code_module(t.module_id);
     const double free_ls = static_cast<double>(
         cfg_.cell.local_store_bytes -
         std::max(mod.bytes, mod.parallel_bytes) -

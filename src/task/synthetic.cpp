@@ -39,7 +39,7 @@ Workload make_synthetic(int bootstraps, const SyntheticConfig& cfg) {
 
       TaskDesc& task = seg.task;
       task.kind = draw_kind(rng);
-      task.module_id = ModuleRegistry::kRaxmlModule;
+      task.module_id = kRaxmlModule;
 
       const double spe_cycles =
           rng.lognormal_mean_cv(cfg.mean_spe_task_us, cfg.duration_cv) *

@@ -1,17 +1,9 @@
 #include "task/task.hpp"
 
+#include <iterator>
 #include <stdexcept>
 
 namespace cbe::task {
-
-const char* kernel_name(KernelClass k) noexcept {
-  switch (k) {
-    case KernelClass::Newview: return "newview";
-    case KernelClass::Evaluate: return "evaluate";
-    case KernelClass::Makenewz: return "makenewz";
-    default: return "generic";
-  }
-}
 
 double ProcessTrace::total_spe_cycles() const noexcept {
   double s = 0.0;
@@ -19,28 +11,19 @@ double ProcessTrace::total_spe_cycles() const noexcept {
   return s;
 }
 
-double ProcessTrace::total_ppe_cycles() const noexcept {
-  double s = 0.0;
-  for (const auto& seg : segments) s += seg.ppe_burst_cycles;
-  return s;
-}
+namespace {
+// Paper, Section 5.1: the three ML functions merged into one module of
+// 117 KB; the variant with parallelized loops is a few KB larger.
+constexpr CodeModule kModules[] = {
+    {117 * 1024, 123 * 1024},  // kRaxmlModule
+};
+}  // namespace
 
-ModuleRegistry::ModuleRegistry() {
-  // Paper, Section 5.1: the three ML functions merged into one module of
-  // 117 KB; the variant with parallelized loops is a few KB larger.
-  modules_.push_back({"raxml_kernels", 117 * 1024, 123 * 1024});
-}
-
-std::uint16_t ModuleRegistry::add(CodeModule m) {
-  modules_.push_back(std::move(m));
-  return static_cast<std::uint16_t>(modules_.size() - 1);
-}
-
-const ModuleRegistry::CodeModule& ModuleRegistry::get(std::uint16_t id) const {
-  if (id >= modules_.size()) {
-    throw std::out_of_range("ModuleRegistry: bad module id");
+const CodeModule& code_module(std::uint16_t id) {
+  if (id >= std::size(kModules)) {
+    throw std::out_of_range("code_module: bad module id");
   }
-  return modules_[id];
+  return kModules[id];
 }
 
 }  // namespace cbe::task

@@ -8,8 +8,8 @@
 // for the work-sharing executor to split it across SPEs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace cbe::task {
@@ -20,8 +20,6 @@ enum class KernelClass : std::uint8_t {
   Makenewz,  ///< Newton branch-length optimization (iterative)
   Generic,   ///< anything else (tests, examples)
 };
-
-const char* kernel_name(KernelClass k) noexcept;
 
 /// The parallelizable for-loop enclosed in an off-loaded function.
 struct LoopDesc {
@@ -64,7 +62,6 @@ struct ProcessTrace {
   std::vector<Segment> segments;
 
   double total_spe_cycles() const noexcept;
-  double total_ppe_cycles() const noexcept;
 };
 
 /// A whole experiment: B independent bootstraps served master-worker style.
@@ -74,28 +71,18 @@ struct Workload {
   std::size_t size() const noexcept { return bootstraps.size(); }
 };
 
-/// Registry of off-loadable code modules and their local-store footprints.
-/// Module 0 is pre-registered as the merged RAxML kernel module (117 KB
-/// sequential variant per the paper; the loop-parallel variant is slightly
-/// larger).  Switching variants on an SPE costs a code DMA (Section 5.4).
-class ModuleRegistry {
- public:
-  struct CodeModule {
-    std::string name;
-    std::size_t bytes = 0;           ///< sequential (non-LLP) variant
-    std::size_t parallel_bytes = 0;  ///< loop-parallel variant (0 = none)
-  };
-
-  ModuleRegistry();
-
-  std::uint16_t add(CodeModule m);
-  const CodeModule& get(std::uint16_t id) const;
-  std::size_t count() const noexcept { return modules_.size(); }
-
-  static constexpr std::uint16_t kRaxmlModule = 0;
-
- private:
-  std::vector<CodeModule> modules_;
+/// An off-loadable code module's local-store footprint.  Switching variants
+/// on an SPE costs a code DMA (Section 5.4).
+struct CodeModule {
+  std::size_t bytes = 0;           ///< sequential (non-LLP) variant
+  std::size_t parallel_bytes = 0;  ///< loop-parallel variant (0 = none)
 };
+
+/// The merged RAxML kernel module, the only code module: 117 KB sequential
+/// variant per the paper; the loop-parallel variant is slightly larger.
+inline constexpr std::uint16_t kRaxmlModule = 0;
+
+/// The code module with id `id`; throws std::out_of_range for an unknown id.
+const CodeModule& code_module(std::uint16_t id);
 
 }  // namespace cbe::task

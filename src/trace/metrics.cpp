@@ -27,12 +27,6 @@ double Histogram::min() const { return percentile(0.0); }
 
 double Histogram::max() const { return percentile(100.0); }
 
-double Histogram::mean() const {
-  std::lock_guard lock(mu_);
-  return samples_.empty() ? 0.0
-                          : sum_ / static_cast<double>(samples_.size());
-}
-
 double Histogram::percentile(double p) const {
   std::lock_guard lock(mu_);
   if (samples_.empty()) return 0.0;

@@ -56,7 +56,6 @@ class Histogram {
   double sum() const;
   double min() const;  ///< 0 when empty
   double max() const;  ///< 0 when empty
-  double mean() const; ///< 0 when empty
   double percentile(double p) const;  ///< 0 when empty; p in [0, 100]
   void reset();
 

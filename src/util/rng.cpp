@@ -81,10 +81,6 @@ double Rng::normal() noexcept {
   return r * std::cos(theta);
 }
 
-double Rng::normal(double mean, double stddev) noexcept {
-  return mean + stddev * normal();
-}
-
 double Rng::lognormal_mean_cv(double mean, double cv) noexcept {
   if (cv <= 0.0) return mean;
   const double sigma2 = std::log(1.0 + cv * cv);

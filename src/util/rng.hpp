@@ -33,6 +33,8 @@ class Rng {
   using result_type = std::uint64_t;
 
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull) noexcept;
+  /// Resumes the stream captured by state().
+  explicit Rng(const RngState& st) noexcept { set_state(st); }
 
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept { return ~result_type{0}; }
@@ -49,8 +51,6 @@ class Rng {
   std::int64_t range(std::int64_t lo, std::int64_t hi) noexcept;
   /// Standard normal via Box-Muller (cached second variate).
   double normal() noexcept;
-  /// Normal with given mean and standard deviation.
-  double normal(double mean, double stddev) noexcept;
   /// Lognormal such that the *mean* of the distribution is `mean` and the
   /// coefficient of variation is `cv`.  Used for task-duration jitter.
   double lognormal_mean_cv(double mean, double cv) noexcept;

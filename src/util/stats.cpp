@@ -12,8 +12,12 @@ double mean(const std::vector<double>& v) noexcept {
 }
 
 double percentile(std::vector<double> v, double p) noexcept {
-  if (v.empty()) return 0.0;
   std::sort(v.begin(), v.end());
+  return percentile_sorted(v, p);
+}
+
+double percentile_sorted(const std::vector<double>& v, double p) noexcept {
+  if (v.empty()) return 0.0;
   p = std::clamp(p, 0.0, 100.0);
   const double idx = p / 100.0 * static_cast<double>(v.size() - 1);
   const auto lo = static_cast<std::size_t>(idx);

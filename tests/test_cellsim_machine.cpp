@@ -7,12 +7,11 @@ namespace {
 
 struct MachineTest : ::testing::Test {
   sim::Engine eng;
-  task::ModuleRegistry modules;
   CellParams params;
 };
 
 TEST_F(MachineTest, TopologySingleCell) {
-  CellMachine m(eng, params, modules);
+  CellMachine m(eng, params);
   EXPECT_EQ(m.num_spes(), 8);
   EXPECT_EQ(m.num_cells(), 1);
   EXPECT_EQ(m.count_idle_spes(), 8);
@@ -20,7 +19,7 @@ TEST_F(MachineTest, TopologySingleCell) {
 }
 
 TEST_F(MachineTest, TopologyBlade) {
-  CellMachine m(eng, CellParams::blade(), modules);
+  CellMachine m(eng, CellParams::blade());
   EXPECT_EQ(m.num_spes(), 16);
   EXPECT_EQ(m.num_cells(), 2);
   EXPECT_EQ(m.spe(7).cell(), 0);
@@ -28,7 +27,7 @@ TEST_F(MachineTest, TopologyBlade) {
 }
 
 TEST_F(MachineTest, IdleSpesPreferRequestedCell) {
-  CellMachine m(eng, CellParams::blade(), modules);
+  CellMachine m(eng, CellParams::blade());
   std::vector<int> pref1;
   m.idle_spes(1, pref1);
   ASSERT_EQ(pref1.size(), 16u);
@@ -37,7 +36,7 @@ TEST_F(MachineTest, IdleSpesPreferRequestedCell) {
 }
 
 TEST_F(MachineTest, IdleSpesSkipBusy) {
-  CellMachine m(eng, params, modules);
+  CellMachine m(eng, params);
   m.spe(0).reserve(eng.now());
   m.spe(3).reserve(eng.now());
   std::vector<int> idle = {42};  // the buffer is overwritten, not appended
@@ -51,7 +50,7 @@ TEST_F(MachineTest, IdleSpesSkipBusy) {
 }
 
 TEST_F(MachineTest, MaintainedCountsTrackReserveReleaseAndFailure) {
-  CellMachine m(eng, CellParams::blade(), modules);
+  CellMachine m(eng, CellParams::blade());
   const sim::FaultPlan plan;
   m.spe(1).reserve(eng.now());
   m.spe(9).reserve(eng.now());
@@ -72,7 +71,7 @@ TEST_F(MachineTest, MaintainedCountsTrackReserveReleaseAndFailure) {
 }
 
 TEST_F(MachineTest, EnsureModuleLoadsOnceThenFree) {
-  CellMachine m(eng, params, modules);
+  CellMachine m(eng, params);
   int done = 0;
   m.ensure_module(0, 0, ModuleVariant::Sequential, [&] { ++done; });
   eng.run();
@@ -85,7 +84,7 @@ TEST_F(MachineTest, EnsureModuleLoadsOnceThenFree) {
 }
 
 TEST_F(MachineTest, VariantSwapCostsAnotherLoad) {
-  CellMachine m(eng, params, modules);
+  CellMachine m(eng, params);
   m.ensure_module(0, 0, ModuleVariant::Sequential, [] {});
   eng.run();
   m.ensure_module(0, 0, ModuleVariant::Parallel, [] {});
@@ -95,7 +94,7 @@ TEST_F(MachineTest, VariantSwapCostsAnotherLoad) {
 }
 
 TEST_F(MachineTest, SpeComputeTakesCycleTime) {
-  CellMachine m(eng, params, modules);
+  CellMachine m(eng, params);
   sim::Time done_at;
   m.spe_compute(0, 3200.0, [&] { done_at = eng.now(); });  // 1 us at 3.2 GHz
   eng.run();
@@ -103,7 +102,7 @@ TEST_F(MachineTest, SpeComputeTakesCycleTime) {
 }
 
 TEST_F(MachineTest, DmaZeroBytesImmediate) {
-  CellMachine m(eng, params, modules);
+  CellMachine m(eng, params);
   bool done = false;
   m.dma(0, 0.0, 1, [&] { done = true; });
   EXPECT_TRUE(done);
@@ -111,7 +110,7 @@ TEST_F(MachineTest, DmaZeroBytesImmediate) {
 }
 
 TEST_F(MachineTest, DmaTracksInFlightCount) {
-  CellMachine m(eng, params, modules);
+  CellMachine m(eng, params);
   m.dma(0, 64 * 1024, 4, [] {});
   EXPECT_EQ(m.active_dmas(), 1);
   eng.run();
@@ -120,7 +119,7 @@ TEST_F(MachineTest, DmaTracksInFlightCount) {
 
 TEST_F(MachineTest, DmaCongestionIsPerCell) {
   // Busy SPEs on cell 1 must not slow a transfer on cell 0.
-  CellMachine m2(eng, CellParams::blade(), modules);
+  CellMachine m2(eng, CellParams::blade());
   for (int s = 8; s < 16; ++s) m2.spe(s).reserve(eng.now());
   sim::Time t_cell0;
   m2.dma(0, 64 * 1024, 4, [&] { t_cell0 = eng.now(); });
@@ -129,7 +128,7 @@ TEST_F(MachineTest, DmaCongestionIsPerCell) {
 
   // Same transfer but with the *local* cell busy.
   sim::Engine eng2;
-  CellMachine m3(eng2, CellParams::blade(), modules);
+  CellMachine m3(eng2, CellParams::blade());
   for (int s = 1; s < 8; ++s) m3.spe(s).reserve(eng2.now());
   sim::Time t_busy;
   m3.dma(0, 64 * 1024, 4, [&] { t_busy = eng2.now(); });
@@ -138,7 +137,7 @@ TEST_F(MachineTest, DmaCongestionIsPerCell) {
 }
 
 TEST_F(MachineTest, SignalAndPassLatencies) {
-  CellMachine m(eng, CellParams::blade(), modules);
+  CellMachine m(eng, CellParams::blade());
   EXPECT_EQ(m.signal_latency(0), params.mailbox_latency);
   EXPECT_EQ(m.pass_latency(0, 1), params.pass_latency_local);
   EXPECT_EQ(m.pass_latency(0, 9),
@@ -150,7 +149,7 @@ TEST_F(MachineTest, SignalAndPassLatencies) {
 }
 
 TEST_F(MachineTest, SoloTimingHelpersAreUncontended) {
-  CellMachine m(eng, params, modules);
+  CellMachine m(eng, params);
   for (int s = 0; s < 8; ++s) m.spe(s).reserve(eng.now());
   // solo_dma_time must ignore the congestion.
   const auto solo = m.solo_dma_time(19.0 * 1000.0, 1);
@@ -162,7 +161,7 @@ TEST_F(MachineTest, SoloTimingHelpersAreUncontended) {
 }
 
 TEST_F(MachineTest, MeanUtilizationAveragesSpes) {
-  CellMachine m(eng, params, modules);
+  CellMachine m(eng, params);
   m.spe(0).reserve(eng.now());
   eng.schedule_at(sim::Time::us(10.0), [&] { m.spe(0).release(eng.now()); });
   eng.run();

@@ -7,43 +7,12 @@ namespace {
 
 const CellParams kParams;
 
-TEST(MfcRules, ValidSizesMatchArchitecture) {
-  // 1, 2, 4, 8 bytes or multiples of 16, capped at 16 KB (Section 4).
-  for (std::size_t s : {1u, 2u, 4u, 8u, 16u, 32u, 4096u, 16384u}) {
-    EXPECT_TRUE(MfcRules::valid_size(s, kParams)) << s;
-  }
-  for (std::size_t s : {0u, 3u, 5u, 7u, 9u, 12u, 17u, 100u, 16400u}) {
-    EXPECT_FALSE(MfcRules::valid_size(s, kParams)) << s;
-  }
-}
-
-TEST(MfcRules, AlignmentQuadword) {
-  EXPECT_TRUE(MfcRules::valid_alignment(0, 16, 64));
-  EXPECT_TRUE(MfcRules::valid_alignment(128, 256, 16));
-  EXPECT_FALSE(MfcRules::valid_alignment(8, 16, 64));
-  EXPECT_FALSE(MfcRules::valid_alignment(16, 8, 64));
-}
-
-TEST(MfcRules, SubQuadwordNaturalAlignment) {
-  EXPECT_TRUE(MfcRules::valid_alignment(4, 4, 4));
-  EXPECT_TRUE(MfcRules::valid_alignment(20, 4, 4));   // congruent mod 16
-  EXPECT_FALSE(MfcRules::valid_alignment(4, 8, 4));   // not congruent
-  EXPECT_FALSE(MfcRules::valid_alignment(2, 2, 4));   // not naturally aligned
-  EXPECT_TRUE(MfcRules::valid_alignment(8, 8, 8));
-}
-
 TEST(MfcRules, ListEntriesCeil) {
   EXPECT_EQ(MfcRules::list_entries(0, kParams), 0);
   EXPECT_EQ(MfcRules::list_entries(1, kParams), 1);
   EXPECT_EQ(MfcRules::list_entries(16 * 1024, kParams), 1);
   EXPECT_EQ(MfcRules::list_entries(16 * 1024 + 1, kParams), 2);
   EXPECT_EQ(MfcRules::list_entries(160 * 1024, kParams), 10);
-}
-
-TEST(MfcRules, OneListLimit) {
-  // 2048 entries x 16 KB = 32 MB.
-  EXPECT_TRUE(MfcRules::fits_one_list(32ull * 1024 * 1024, kParams));
-  EXPECT_FALSE(MfcRules::fits_one_list(32ull * 1024 * 1024 + 1, kParams));
 }
 
 TEST(MfcRules, NaiveChunksAreSmall) {
@@ -112,17 +81,6 @@ TEST(Mfc, CrossCellPenalty) {
                   static_cast<double>(local.nanoseconds()),
               kParams.cross_cell_factor, 0.01);
 }
-
-class MfcSizeSweep : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(MfcSizeSweep, Multiple16AlwaysValidUpTo16K) {
-  const std::size_t s = GetParam() * 16;
-  EXPECT_EQ(MfcRules::valid_size(s, kParams), s > 0 && s <= 16384);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, MfcSizeSweep,
-                         ::testing::Values(0u, 1u, 2u, 64u, 512u, 1024u,
-                                           1025u, 4096u));
 
 }  // namespace
 }  // namespace cbe::cell

@@ -16,7 +16,7 @@ TEST(OffloadPool, ExecutesTasks) {
   std::atomic<int> count{0};
   std::vector<std::future<void>> futs;
   for (int i = 0; i < 20; ++i) {
-    futs.push_back(pool.offload([&count] { ++count; }));
+    futs.push_back(pool.offload_result([&count] { ++count; }));
   }
   for (auto& f : futs) f.get();
   EXPECT_EQ(count.load(), 20);
@@ -89,7 +89,7 @@ TEST(OffloadPool, NestedParallelForDoesNotDeadlock) {
   std::vector<std::future<void>> futs;
   std::atomic<int> done{0};
   for (int t = 0; t < 8; ++t) {
-    futs.push_back(pool.offload([&pool, &done] {
+    futs.push_back(pool.offload_result([&pool, &done] {
       std::atomic<int> inner{0};
       pool.parallel_for(0, 64, [&inner](std::int64_t lo, std::int64_t hi) {
         inner.fetch_add(static_cast<int>(hi - lo));
@@ -141,7 +141,7 @@ TEST(OffloadPool, ManySmallTasksStress) {
   std::atomic<int> count{0};
   std::vector<std::future<void>> futs;
   for (int i = 0; i < 2000; ++i) {
-    futs.push_back(pool.offload([&count] { ++count; }));
+    futs.push_back(pool.offload_result([&count] { ++count; }));
   }
   for (auto& f : futs) f.get();
   EXPECT_EQ(count.load(), 2000);

@@ -33,7 +33,7 @@ TEST(PoolStress, ManyExternalProducers) {
   for (int t = 0; t < kProducers; ++t) {
     producers.emplace_back([&, t] {
       for (int i = 0; i < kTasksPerProducer; ++i) {
-        futures[t].push_back(pool.offload(
+        futures[t].push_back(pool.offload_result(
             [&ran] { ran.fetch_add(1, std::memory_order_relaxed); }));
       }
     });
@@ -58,7 +58,7 @@ TEST(PoolStress, CountersAreExactOnceFuturesResolve) {
   for (int round = 0; round < 200; ++round) {
     OffloadPool pool(2);
     std::vector<std::future<void>> futs;
-    for (int i = 0; i < 20; ++i) futs.push_back(pool.offload([] {}));
+    for (int i = 0; i < 20; ++i) futs.push_back(pool.offload_result([] {}));
     for (auto& f : futs) {
       while (f.wait_for(0s) != std::future_status::ready) {
       }
@@ -75,9 +75,9 @@ TEST(PoolStress, BlockedSpawnerForcesStealing) {
   OffloadPool pool(4);
   constexpr int kSubtasks = 256;
   std::atomic<int> done{0};
-  pool.offload([&] {
+  pool.offload_result([&] {
         for (int i = 0; i < kSubtasks; ++i) {
-          pool.offload(
+          pool.offload_result(
               [&done] { done.fetch_add(1, std::memory_order_relaxed); });
         }
         while (done.load(std::memory_order_relaxed) < kSubtasks) {
@@ -99,9 +99,9 @@ TEST(PoolStress, DequeOverflowFallsBackToInjection) {
   std::atomic<int> ran{0};
   std::vector<std::future<void>> futures;
   futures.reserve(kFlood);
-  pool.offload([&] {
+  pool.offload_result([&] {
         for (int i = 0; i < kFlood; ++i) {
-          futures.push_back(pool.offload(
+          futures.push_back(pool.offload_result(
               [&ran] { ran.fetch_add(1, std::memory_order_relaxed); }));
         }
       })
@@ -299,7 +299,7 @@ TEST(PoolStress, ShutdownWithQueuedWorkDoesNotHangOrLeak) {
     {
       OffloadPool pool(2);
       for (int i = 0; i < 64; ++i) {
-        pool.offload([&ran] {
+        pool.offload_result([&ran] {
           ran.fetch_add(1, std::memory_order_relaxed);
           std::this_thread::sleep_for(50us);
         });

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <stdexcept>
 
 namespace cbe::phylo {
@@ -120,22 +119,6 @@ TEST(Tree, NniStormStaysConsistent) {
   EXPECT_EQ(t.edge_count(), 2 * 20 - 3);
 }
 
-TEST(Tree, PostOrderVisitsAllNodesChildrenFirst) {
-  util::Rng rng(8);
-  Tree t = Tree::random(9, rng);
-  const auto steps = t.post_order(0);
-  std::set<int> seen;
-  for (const auto& s : steps) {
-    // All children (neighbors except parent) must already be visited.
-    for (const auto& nb : t.neighbors(s.node)) {
-      if (nb.node == s.parent && nb.edge == s.edge) continue;
-      EXPECT_TRUE(seen.count(nb.node)) << "node " << s.node;
-    }
-    seen.insert(s.node);
-  }
-  EXPECT_EQ(static_cast<int>(seen.size()), t.node_count());
-}
-
 TEST(Tree, NewickIsWellFormed) {
   util::Rng rng(9);
   Tree t = Tree::random(7, rng);
@@ -189,7 +172,6 @@ TEST_P(TreeSizeSweep, RandomTreeHasCanonicalShape) {
   EXPECT_EQ(t.edge_count(), 2 * n - 3);
   EXPECT_EQ(t.node_count(), 2 * n - 2);
   t.check_consistency();
-  EXPECT_EQ(t.post_order(0).size(), static_cast<std::size_t>(t.node_count()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, TreeSizeSweep,

@@ -8,7 +8,7 @@ namespace cbe::rt {
 namespace {
 
 struct LoopTest : ::testing::Test {
-  LoopTest() : machine(eng, params, modules), exec(machine) {}
+  LoopTest() : machine(eng, params), exec(machine) {}
 
   task::TaskDesc make_task(std::uint32_t iters, double cycles_per_iter,
                            double nonloop = 1000.0) {
@@ -44,7 +44,6 @@ struct LoopTest : ::testing::Test {
 
   sim::Engine eng;
   cell::CellParams params;
-  task::ModuleRegistry modules;
   cell::CellMachine machine;
   LoopExecutor exec;
   LoopBalancer balancer;

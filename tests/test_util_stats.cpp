@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
+#include "util/rng.hpp"
+
 namespace cbe::util {
 namespace {
 
@@ -27,6 +32,23 @@ TEST(BatchStats, PercentileClampsOutOfRange) {
   std::vector<double> v = {1.0, 2.0};
   EXPECT_DOUBLE_EQ(percentile(v, -10.0), 1.0);
   EXPECT_DOUBLE_EQ(percentile(v, 200.0), 2.0);
+}
+
+TEST(BatchStats, PercentileSortedMatchesPercentileBitForBit) {
+  Rng rng(2024);
+  for (int round = 0; round < 200; ++round) {
+    std::vector<double> v(rng.below(64));
+    for (double& x : v) x = rng.lognormal_mean_cv(1.0, 2.0);
+    std::vector<double> sorted = v;
+    std::sort(sorted.begin(), sorted.end());
+    for (double p : {0.0, 1.0, 37.5, 50.0, 90.0, 99.0, 100.0,
+                     rng.uniform(-10.0, 110.0)}) {
+      const double a = percentile(v, p);
+      const double b = percentile_sorted(sorted, p);
+      EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0)
+          << "n=" << v.size() << " p=" << p << ": " << a << " vs " << b;
+    }
+  }
 }
 
 TEST(BatchStats, MedianOddEven) {
