@@ -40,6 +40,7 @@ int main(int argc, char** argv) {
   using namespace cbe;
   util::Cli cli(argc, argv);
   const int workers = static_cast<int>(cli.get_int("workers", 4));
+  cli.enforce_usage_or_exit("adaptive_offload [--workers=N]");
   native::NativeRuntime rt(workers);
   std::printf("pool: %d workers\n\n", rt.pool().workers());
 

@@ -5,7 +5,7 @@
 // under the MGPS scheduler.
 //
 //   build/examples/phylogenetics [--taxa=N] [--sites=L] [--inferences=K]
-//                                [--bootstraps=B]
+//                                [--bootstraps=B] [--seed=S]
 #include <cstdio>
 #include <memory>
 
@@ -27,6 +27,10 @@ int main(int argc, char** argv) {
   acfg.mean_branch_length = 0.02;  // enough signal for interesting searches
   const int inferences = static_cast<int>(cli.get_int("inferences", 3));
   const int bootstraps = static_cast<int>(cli.get_int("bootstraps", 4));
+  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 2024));
+  cli.enforce_usage_or_exit(
+      "phylogenetics [--taxa=N] [--sites=L] [--inferences=K] [--bootstraps=B]"
+      " [--seed=S]");
 
   std::printf("Generating a synthetic DNA alignment (%d taxa x %d sites)"
               "...\n", acfg.taxa, acfg.sites);
@@ -41,7 +45,7 @@ int main(int argc, char** argv) {
   phylo::SubstModel model(
       phylo::GtrParams::hky(2.5, patterns.base_frequencies()), 0.8);
   phylo::LikelihoodEngine engine(patterns, model);
-  util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 2024)));
+  util::Rng rng(seed);
 
   // Multiple inferences from distinct randomized starting trees.
   std::printf("Running %d independent ML searches:\n", inferences);
@@ -62,8 +66,7 @@ int main(int argc, char** argv) {
   // Bootstrap replicates (with trace capture for the scheduler replay).
   std::printf("Running %d bootstrap replicates:\n", bootstraps);
   task::Workload workload = phylo::make_phylo_workload(
-      patterns, model, bootstraps,
-      static_cast<std::uint64_t>(cli.get_int("seed", 2024)) + 1);
+      patterns, model, bootstraps, seed + 1);
   for (std::size_t b = 0; b < workload.bootstraps.size(); ++b) {
     const auto& trace = workload.bootstraps[b];
     std::printf("  replicate %zu: %zu off-loadable kernel calls, "
@@ -74,8 +77,7 @@ int main(int argc, char** argv) {
   // Bootstrap support for the best tree's internal branches (what the
   // replicates are *for*, Section 3.1).
   std::vector<phylo::Tree> replicate_trees;
-  util::Rng boot_rng(static_cast<std::uint64_t>(cli.get_int("seed", 2024)) +
-                     2);
+  util::Rng boot_rng(seed + 2);
   for (int b = 0; b < bootstraps; ++b) {
     replicate_trees.push_back(
         phylo::run_bootstrap(patterns, model, boot_rng).tree);

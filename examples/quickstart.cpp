@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   //    tasks calibrated to the paper's RAxML statistics.
   task::SyntheticConfig scfg;
   scfg.tasks_per_bootstrap = static_cast<int>(cli.get_int("tasks", 500));
+  cli.enforce_usage_or_exit("quickstart [--bootstraps=N] [--tasks=M]");
   const task::Workload workload = task::make_synthetic(bootstraps, scfg);
 
   // 2. A machine: one Cell BE (PPE + 8 SPEs) with default parameters.

@@ -35,7 +35,6 @@ namespace cbe::analysis {
 struct Interval {
   std::int64_t start_ns = 0;
   std::int64_t end_ns = 0;
-  std::int64_t length() const noexcept { return end_ns - start_ns; }
 };
 
 /// Busy/idle reconstruction for one SPE.  Invariant: busy_ns + idle_ns ==

@@ -263,7 +263,6 @@ void CellMachine::start_dma(int spe_id, double bytes, int chunks, bool ok,
     complete(done, true, false);
     return;
   }
-  ++active_dma_;
   dma_bytes_ += bytes;
   // Each Cell has its own XDR memory (512 MB per processor on the blade),
   // so DMA congestion is per-Cell: the busy SPEs of this SPE's Cell.
@@ -287,7 +286,6 @@ void CellMachine::start_dma(int spe_id, double bytes, int chunks, bool ok,
   }
   auto retire = [this, spe_id, id, ok, corrupt,
                  cb = std::move(done)]() mutable {
-    --active_dma_;
     CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::DmaRetire,
                     spe_id, id, ok ? 1 : 0,
                     spe(spe_id).usable() ? 1 : 0);
@@ -296,7 +294,6 @@ void CellMachine::start_dma(int spe_id, double bytes, int chunks, bool ok,
   };
 #else
   auto retire = [this, spe_id, ok, corrupt, cb = std::move(done)]() mutable {
-    --active_dma_;
     if (!spe(spe_id).usable()) return;
     complete(cb, ok, corrupt);
   };

@@ -133,7 +133,6 @@ class CellMachine {
 
   /// Aggregate SPE utilization in [0,1] over the simulation so far.
   double mean_spe_utilization() const noexcept;
-  int active_dmas() const noexcept { return active_dma_; }
   /// Total payload bytes moved by every DMA issued so far (code loads
   /// included); the trace invariant tests reconcile the event stream
   /// against this counter.
@@ -155,7 +154,6 @@ class CellMachine {
   std::vector<SpeTally> tallies_;  ///< per Cell; sized before spes_ exists
   std::vector<Spe> spes_;
   std::vector<std::unique_ptr<Ppe>> ppes_;
-  int active_dma_ = 0;
 
   const sim::FaultPlan* fault_plan_ = nullptr;
   std::vector<sim::EventId> fault_events_;

@@ -61,13 +61,6 @@ struct CellParams {
 
   int total_spes() const noexcept { return num_cells * spes_per_cell; }
   int cell_of_spe(int spe) const noexcept { return spe / spes_per_cell; }
-
-  /// Returns a two-Cell blade configuration (Section 5.5).
-  static CellParams blade() noexcept {
-    CellParams p;
-    p.num_cells = 2;
-    return p;
-  }
 };
 
 }  // namespace cbe::cell

@@ -23,8 +23,6 @@ class LocalStore {
  public:
   explicit LocalStore(std::size_t capacity) : capacity_(capacity) {}
 
-  std::size_t capacity() const noexcept { return capacity_; }
-  std::size_t code_bytes() const noexcept { return code_; }
   std::size_t free_bytes() const noexcept { return capacity_ - code_; }
 
   bool can_load(std::size_t code_bytes,
@@ -64,7 +62,6 @@ class Spe {
     if (tally_ != nullptr) ++tally_->idle;
   }
 
-  int id() const noexcept { return id_; }
   int cell() const noexcept { return cell_; }
 
   bool idle() const noexcept { return !busy_; }
@@ -97,7 +94,6 @@ class Spe {
                     0, 0);
   }
 
-  SpeHealth health() const noexcept { return health_; }
   bool usable() const noexcept { return health_ != SpeHealth::Failed; }
   /// Effective clock fraction: 1.0 when healthy, the derate factor when
   /// degraded.
@@ -129,8 +125,6 @@ class Spe {
     speed_ = factor < 0.01 ? 0.01 : (factor > 1.0 ? 1.0 : factor);
   }
 
-  std::uint16_t module() const noexcept { return module_; }
-  ModuleVariant variant() const noexcept { return variant_; }
   bool has_module(std::uint16_t m, ModuleVariant v) const noexcept {
     return variant_ != ModuleVariant::None && module_ == m && variant_ == v;
   }

@@ -221,8 +221,6 @@ class Service {
   /// `submit_s` arrival times) and reports.  Deterministic per config.
   ServiceReport run(const std::vector<JobSpec>& jobs);
 
-  const ServiceConfig& config() const noexcept { return cfg_; }
-
  private:
   ServiceConfig cfg_;
 };

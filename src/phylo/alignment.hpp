@@ -90,15 +90,11 @@ class PatternAlignment {
 
   int taxa() const noexcept { return taxa_; }
   int patterns() const noexcept { return static_cast<int>(weights_.size()); }
-  int total_sites() const noexcept { return total_sites_; }
   /// Pattern-major state access.
   std::uint8_t state(int taxon, int pattern) const {
     return states_[static_cast<std::size_t>(taxon) *
                        static_cast<std::size_t>(patterns()) +
                    static_cast<std::size_t>(pattern)];
-  }
-  double weight(int pattern) const {
-    return weights_[static_cast<std::size_t>(pattern)];
   }
   const std::vector<double>& weights() const noexcept { return weights_; }
   const std::array<double, 4>& base_frequencies() const noexcept {

@@ -80,8 +80,8 @@ class TraceGenerator final : public KernelObserver {
 };
 
 /// Convenience: runs `count` bootstrap replicates of a real phylogenetic
-/// analysis and returns one ProcessTrace per replicate (the Workload the
-/// Cell scheduler benches replay with --trace=phylo).
+/// analysis and returns one ProcessTrace per replicate, a Workload that
+/// the phylogenetics example replays on the simulated Cell.
 task::Workload make_phylo_workload(const PatternAlignment& alignment,
                                    const SubstModel& model, int count,
                                    std::uint64_t seed,

@@ -48,7 +48,6 @@ class LikelihoodEngine {
   LikelihoodEngine& operator=(const LikelihoodEngine&) = delete;
 
   const PatternAlignment& alignment() const noexcept { return *alignment_; }
-  const SubstModel& model() const noexcept { return *model_; }
 
   /// Binds a (possibly re-arranged) tree: invalidates all cached CLVs.
   void attach(const Tree& tree);

@@ -157,7 +157,7 @@ void jacobi_eigen(double* m, int n, double* values, double* vectors,
 }
 
 SubstModel::SubstModel(const GtrParams& params, double gamma_alpha)
-    : params_(params), alpha_(gamma_alpha),
+    : params_(params),
       gamma_rates_(discrete_gamma_rates(gamma_alpha)) {
   const auto& f = params_.freqs;
   const auto& r = params_.rates;

@@ -55,7 +55,6 @@ class SubstModel {
   const std::array<double, kRateCategories>& rates() const noexcept {
     return gamma_rates_;
   }
-  double gamma_alpha() const noexcept { return alpha_; }
   const std::array<double, kStates>& eigenvalues() const noexcept {
     return lambda_;
   }
@@ -72,7 +71,6 @@ class SubstModel {
 
  private:
   GtrParams params_;
-  double alpha_;
   std::array<double, kRateCategories> gamma_rates_;
   std::array<double, kStates> lambda_{};
   std::array<double, 16> left_{}, right_{};

@@ -19,18 +19,10 @@ class Bipartition {
  public:
   Bipartition(int n_taxa, const std::vector<bool>& side);
 
-  int taxa() const noexcept { return n_taxa_; }
-  bool contains(int taxon) const {
-    return (bits_[static_cast<std::size_t>(taxon) / 64] >>
-            (static_cast<std::size_t>(taxon) % 64)) & 1u;
-  }
   /// True for trivial splits (single taxon vs the rest), which every
   /// topology contains.
   bool trivial() const noexcept;
 
-  friend bool operator==(const Bipartition& a, const Bipartition& b) {
-    return a.n_taxa_ == b.n_taxa_ && a.bits_ == b.bits_;
-  }
   friend bool operator<(const Bipartition& a, const Bipartition& b) {
     return a.bits_ < b.bits_;
   }

@@ -15,7 +15,6 @@ Tree::Tree(int n_taxa, int t0, int t1, int t2, double initial_length)
     const int e = add_edge(t, x, initial_length);
     (void)e;
   }
-  inserted_ = 3;
 }
 
 int Tree::add_edge(int a, int b, double length) {
@@ -61,7 +60,6 @@ int Tree::insert_leaf(int leaf, int edge, double leaf_length) {
   replace_neighbor(b, a, x, e2);
 
   const int e3 = add_edge(x, leaf, leaf_length);
-  ++inserted_;
   ++revision_;
   return e3;
 }
@@ -243,7 +241,6 @@ Tree Tree::from_newick(const std::string& text,
   Tree t(n_taxa, 0, 0, 0);  // placeholder; rebuilt below
   t.edges_.clear();
   t.adj_.assign(static_cast<std::size_t>(n_taxa), {});
-  t.inserted_ = n_taxa;
 
   // Map parser nodes to tree node ids (leaves keep taxon ids).
   std::vector<int> id(parser.nodes.size(), -1);
@@ -347,7 +344,6 @@ Tree Tree::from_flat(const Flat& flat) {
       }
     }
   }
-  t.inserted_ = flat.n_taxa;
   t.revision_ = 0;
   try {
     t.check_consistency();

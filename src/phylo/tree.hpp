@@ -32,7 +32,6 @@ class Tree {
   int node_count() const noexcept { return static_cast<int>(adj_.size()); }
   int edge_count() const noexcept { return static_cast<int>(edges_.size()); }
   bool leaf(int node) const noexcept { return node < n_taxa_; }
-  bool complete() const noexcept { return inserted_ == n_taxa_; }
 
   const std::vector<Neighbor>& neighbors(int node) const {
     return adj_[static_cast<std::size_t>(node)];
@@ -110,7 +109,6 @@ class Tree {
   Neighbor& find_neighbor(int node, int other);
 
   int n_taxa_;
-  int inserted_ = 0;
   std::uint64_t revision_ = 0;
   std::vector<Edge> edges_;
   std::vector<std::vector<Neighbor>> adj_;

@@ -25,10 +25,6 @@ struct SmtMachineConfig {
   /// Slowdown of a context while its SMT sibling(s) are busy.
   double smt_slowdown = 1.35;
 
-  int contexts() const noexcept {
-    return sockets * cores_per_socket * threads_per_core;
-  }
-
   /// 2 x Intel Xeon with Hyper-Threading at 2 GHz (the paper used two
   /// processors of a 4-way PowerEdge 6650, stirring the comparison in the
   /// Xeon's favour).

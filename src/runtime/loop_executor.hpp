@@ -53,7 +53,6 @@ class LoopBalancer {
                double loop_span_us) noexcept;
 
   void set_adaptive(bool on) noexcept { adaptive_ = on; }
-  bool adaptive() const noexcept { return adaptive_; }
 
  private:
   double bias_ = 1.15;  ///< initial head-start compensation

@@ -104,7 +104,6 @@ class StaticHybridPolicy final : public SchedulerPolicy {
   int loop_degree(const RuntimeView&, const task::TaskDesc& t) override {
     return t.loop.parallelizable() ? degree_ : 1;
   }
-  int degree() const noexcept { return degree_; }
 
  private:
   int degree_;

@@ -82,7 +82,6 @@ class FaultPlan {
                                FaultConfig base = {});
 
   const std::vector<FaultEvent>& events() const noexcept { return events_; }
-  const FaultConfig& config() const noexcept { return cfg_; }
 
   /// Stateless oracle: does the `transfer_index`-th checked DMA fail?
   /// Hash-based so the answer depends only on (seed, index), never on call
@@ -97,11 +96,6 @@ class FaultPlan {
   /// Stateless oracle: does the `task_index`-th SPE task compute a
   /// wrong-but-well-framed result?
   bool result_corrupts(std::uint64_t task_index) const noexcept;
-
-  bool empty() const noexcept {
-    return events_.empty() && cfg_.dma_fail_rate <= 0.0 &&
-           cfg_.dma_bitflip_rate <= 0.0 && cfg_.result_corrupt_rate <= 0.0;
-  }
 
  private:
   FaultConfig cfg_;

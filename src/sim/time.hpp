@@ -46,15 +46,8 @@ class Time {
   friend constexpr double operator/(Time a, Time b) noexcept {
     return static_cast<double>(a.ns_) / static_cast<double>(b.ns_);
   }
-  friend constexpr Time operator/(Time a, double k) noexcept {
-    return Time(static_cast<std::int64_t>(static_cast<double>(a.ns_) / k));
-  }
   Time& operator+=(Time b) noexcept {
     ns_ += b.ns_;
-    return *this;
-  }
-  Time& operator-=(Time b) noexcept {
-    ns_ -= b.ns_;
     return *this;
   }
 

@@ -40,19 +40,6 @@ struct OpCounts {
     a += b;
     return a;
   }
-  friend OpCounts operator*(OpCounts a, double k) noexcept {
-    a.fp_mul *= k;
-    a.fp_add *= k;
-    a.fp_div *= k;
-    a.exp_calls *= k;
-    a.log_calls *= k;
-    a.loads *= k;
-    a.stores *= k;
-    a.int_ops *= k;
-    a.branches *= k;
-    return a;
-  }
-  double total_fp() const noexcept { return fp_mul + fp_add + fp_div; }
 };
 
 /// Thread-local tally written by Counting<T> arithmetic.

@@ -206,9 +206,6 @@ std::uint64_t set_current_span(std::uint64_t span) noexcept;
 class ScopedSpan {
  public:
   explicit ScopedSpan(std::uint64_t span) : prev_(set_current_span(span)) {}
-  ScopedSpan(std::uint64_t job, std::uint64_t attempt, std::uint64_t hop,
-             std::uint64_t task)
-      : ScopedSpan(make_span(job, attempt, hop, task)) {}
   ~ScopedSpan() { set_current_span(prev_); }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
@@ -251,7 +248,6 @@ class TraceSink {
   const std::vector<Event>& events() const noexcept { return events_; }
   std::size_t size() const noexcept { return events_.size(); }
   bool empty() const noexcept { return events_.empty(); }
-  void clear() { events_.clear(); }
 
   /// Number of recorded events of `kind`.
   std::uint64_t count(EventKind kind) const noexcept;

@@ -31,10 +31,6 @@ class Cli {
   /// Flags that were provided but never queried; used to reject typos.
   std::vector<std::string> unused() const;
 
-  /// Malformed values seen by the typed getters so far (e.g. --n=abc where
-  /// an integer was expected), as human-readable diagnostics.
-  const std::vector<std::string>& errors() const { return errors_; }
-
   /// Validates the parse after every flag has been queried: any recorded
   /// value error or unqueried (unknown) flag prints the diagnostics and
   /// `usage` to stderr and exits the process with code 2.

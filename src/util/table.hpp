@@ -28,9 +28,6 @@ class Table {
   /// Renders to stdout.
   void print() const;
 
-  /// Rows as raw cells (for tests asserting on bench output).
-  const std::vector<std::vector<std::string>>& rows() const { return rows_; }
-
  private:
   std::string title_;
   std::vector<std::string> header_;

@@ -1,7 +1,7 @@
 # CLI hardening: unknown flags, missing values, and non-numeric arguments
 # must exit with code 2 (the conventional usage-error status) and print a
-# usage line to stderr — for the explorer and for every bench that takes
-# flags.  Invoked by ctest as:
+# usage line to stderr — for every shipped binary that takes flags.
+# Invoked by ctest as:
 #   cmake -DBINDIR=<build-dir> -P cli_usage_errors.cmake
 cmake_minimum_required(VERSION 3.16)
 
@@ -62,12 +62,21 @@ expect_usage_error("${diff}" --no-such-flag a.json b.json)
 expect_usage_error("${diff}" --threshold=abc a.json b.json)
 expect_usage_error("${diff}" only-one-positional.json)
 
-# Every flag-taking bench rejects the same classes of bad input.
-foreach(b bench_table1 bench_table2 bench_fig7 bench_fig8 bench_fig9
-        bench_fig10 bench_ablation bench_cluster bench_faults
-        bench_opt_ladder bench_ckpt bench_jobs bench_engine)
-  expect_usage_error("${BINDIR}/bench/${b}" --no-such-flag)
-  expect_usage_error("${BINDIR}/bench/${b}" --seed=notanumber)
+# The status viewer rejects bad flags before it looks for its FILE.
+set(top "${BINDIR}/tools/cell_top")
+expect_usage_error("${top}" --no-such-flag)
+expect_usage_error("${top}" --seed=notanumber)
+
+# Every flag-taking bench and the remaining examples reject the same classes
+# of bad input.
+foreach(b bench/bench_table1 bench/bench_table2 bench/bench_fig7
+        bench/bench_fig8 bench/bench_fig9 bench/bench_fig10
+        bench/bench_ablation bench/bench_cluster bench/bench_faults
+        bench/bench_opt_ladder bench/bench_ckpt bench/bench_jobs
+        bench/bench_engine bench/bench_trace examples/quickstart
+        examples/phylogenetics examples/adaptive_offload)
+  expect_usage_error("${BINDIR}/${b}" --no-such-flag)
+  expect_usage_error("${BINDIR}/${b}" --seed=notanumber)
 endforeach()
 
 message(STATUS "cli-usage-errors: all binaries reject malformed flags with exit code 2")

@@ -120,7 +120,7 @@ TEST_F(AnalysisTest, BusyAndIdleTileTheRunExactly) {
         EXPECT_GT(iv.end_ns, iv.start_ns);
         EXPECT_LE(iv.end_ns, a.makespan_ns);
         prev_end = iv.end_ns;
-        total += iv.length();
+        total += iv.end_ns - iv.start_ns;
       }
       EXPECT_EQ(total, t.busy_ns);
     }

@@ -84,7 +84,7 @@ TEST_F(KernelTest, EvaluateMatchesBruteForceStar) {
 
   double want = 0.0;
   for (int p = 0; p < pa.patterns(); ++p) {
-    want += pa.weight(p) *
+    want += pa.weights()[static_cast<std::size_t>(p)] *
             std::log(brute_force_star(pa, model, p, t0, t1, t2));
   }
   EXPECT_NEAR(lnl, want, 1e-9 * std::fabs(want));

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "phylo/search.hpp"
 
@@ -226,10 +227,10 @@ TEST_F(EngineTest, SharedTipsAndWeightsAreValidated) {
 
 /// Every edge's lnL from `engine` against a from-scratch scalar pruning of
 /// the same tree, compared bit for bit.
-void expect_every_edge_matches_scalar(LikelihoodEngine& engine, const Tree& t,
+void expect_every_edge_matches_scalar(LikelihoodEngine& engine,
+                                      const SubstModel& model, const Tree& t,
                                       const char* when) {
   const PatternAlignment& pa = engine.alignment();
-  const SubstModel& model = engine.model();
   for (int e = 0; e < t.edge_count(); ++e) {
     const auto [a, b] = t.edge_nodes(e);
     const double ref = evaluate(scalar_dir(t, pa, model, e, a),
@@ -258,7 +259,10 @@ TEST_F(EngineTest, EveryEdgeMatchesScalarPruningBitForBit) {
                               0.8);
   LikelihoodEngine wide_engine(wide_pa, wide_model);
 
-  for (LikelihoodEngine* eng : {&engine, &wide_engine}) {
+  for (const auto& [eng, eng_model] :
+       {std::pair<LikelihoodEngine*, const SubstModel*>{&engine, &model},
+        std::pair<LikelihoodEngine*, const SubstModel*>{&wide_engine,
+                                                        &wide_model}}) {
     const int taxa = eng->alignment().taxa();
     SCOPED_TRACE(taxa);
     bool has_gap = false;
@@ -276,13 +280,13 @@ TEST_F(EngineTest, EveryEdgeMatchesScalarPruningBitForBit) {
       util::Rng rng(seed);
       Tree t = Tree::random(taxa, rng);
       eng->attach(t);
-      expect_every_edge_matches_scalar(*eng, t, "attached");
+      expect_every_edge_matches_scalar(*eng, *eng_model, t, "attached");
       eng->optimize_all_branches(t, 1);
-      expect_every_edge_matches_scalar(*eng, t, "optimized");
+      expect_every_edge_matches_scalar(*eng, *eng_model, t, "optimized");
       int accepted = 0;
       nni_hill_climb(*eng, t, SearchConfig{}, nullptr, &accepted);
       accepted_total += accepted;
-      expect_every_edge_matches_scalar(*eng, t, "after NNI");
+      expect_every_edge_matches_scalar(*eng, *eng_model, t, "after NNI");
     }
     EXPECT_GT(accepted_total, 0) << "no seed accepted an NNI";
   }

@@ -11,7 +11,6 @@ TEST(Tree, TripletConstruction) {
   Tree t(5, 0, 1, 2);
   EXPECT_EQ(t.taxa(), 5);
   EXPECT_EQ(t.edge_count(), 3);
-  EXPECT_FALSE(t.complete());
   EXPECT_TRUE(t.taxon_in_tree(0));
   EXPECT_FALSE(t.taxon_in_tree(3));
   t.check_consistency();
@@ -24,8 +23,7 @@ TEST(Tree, RejectsTooFewTaxa) {
 TEST(Tree, InsertLeafGrowsCorrectly) {
   Tree t(4, 0, 1, 2);
   const int e = t.insert_leaf(3, 0, 0.2);
-  EXPECT_TRUE(t.complete());
-  EXPECT_EQ(t.edge_count(), 5);  // 2n-3 for n=4
+  EXPECT_EQ(t.edge_count(), 5);  // 2n-3 for n=4: every taxon inserted
   EXPECT_DOUBLE_EQ(t.branch_length(e), 0.2);
   t.check_consistency();
   // Leaf degrees 1, internal degrees 3.
@@ -54,7 +52,6 @@ TEST(Tree, RandomTreesAreConsistent) {
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     util::Rng rng(seed);
     Tree t = Tree::random(12, rng);
-    EXPECT_TRUE(t.complete());
     EXPECT_EQ(t.edge_count(), 2 * 12 - 3);
     t.check_consistency();
   }

@@ -59,10 +59,13 @@ TEST(Platform, CompletionsCoverAllBootstraps) {
 }
 
 TEST(Platform, PublishedConfigsAreConsistent) {
+  const auto contexts = [](const SmtMachineConfig& c) {
+    return c.sockets * c.cores_per_socket * c.threads_per_core;
+  };
   const auto xeon = SmtMachineConfig::xeon();
-  EXPECT_EQ(xeon.contexts(), 4);  // two HT processors
+  EXPECT_EQ(contexts(xeon), 4);  // two HT processors
   const auto p5 = SmtMachineConfig::power5();
-  EXPECT_EQ(p5.contexts(), 4);    // dual-core, 2-way SMT
+  EXPECT_EQ(contexts(p5), 4);    // dual-core, 2-way SMT
   // Power5 is the far stronger FP machine per context.
   EXPECT_LT(p5.bootstrap_seconds, xeon.bootstrap_seconds);
 }

@@ -19,15 +19,13 @@ OpCounts sample_ops() {
   return c;
 }
 
-TEST(OpCounts, AdditionAndScaling) {
+TEST(OpCounts, AdditionIsElementwise) {
   OpCounts a = sample_ops();
   OpCounts b = sample_ops();
   const OpCounts s = a + b;
   EXPECT_DOUBLE_EQ(s.fp_mul, 2000.0);
+  EXPECT_DOUBLE_EQ(s.fp_add, 1600.0);
   EXPECT_DOUBLE_EQ(s.branches, 100.0);
-  const OpCounts h = a * 0.5;
-  EXPECT_DOUBLE_EQ(h.fp_add, 400.0);
-  EXPECT_DOUBLE_EQ(a.total_fp(), 1810.0);
 }
 
 TEST(Pipeline, EachOptimizationHelps) {
@@ -71,9 +69,9 @@ TEST(Pipeline, BranchFlagOnlyAffectsBranches) {
 TEST(Pipeline, CyclesLinearInCounts) {
   const OpCounts ops = sample_ops();
   const double one = spu_cycles(ops, OptFlags::optimized());
-  const double two = spu_cycles(ops * 2.0, OptFlags::optimized());
+  const double two = spu_cycles(ops + ops, OptFlags::optimized());
   EXPECT_NEAR(two, 2.0 * one, 1e-9);
-  EXPECT_NEAR(ppe_cycles(ops * 2.0), 2.0 * ppe_cycles(ops), 1e-9);
+  EXPECT_NEAR(ppe_cycles(ops + ops), 2.0 * ppe_cycles(ops), 1e-9);
 }
 
 TEST(Pipeline, EmptyCountsCostNothing) {

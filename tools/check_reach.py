@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Fails when library code that no shipped binary reaches comes back.
 
-Builds every shipped binary at -O0 with -ffunction-sections and links it
-with -Wl,--gc-sections, so each binary keeps exactly the functions it can
-reach.  Then lists the cbe:: functions that the src/ libraries define
-(nm types T and W, mangled _ZN3cbe... or _ZNK3cbe...) and that no binary
-kept.  That unreached set must equal the committed allowlist
-(tools/reach_allowlist.txt, one symbol and one reason per line):
+Builds every shipped binary at -O0 with -ffunction-sections and
+-fkeep-inline-functions and links it with -Wl,--gc-sections, so each
+binary keeps exactly the functions it can reach.  Then lists the cbe::
+functions that the src/ libraries define (nm types T and W, mangled
+_ZN3cbe... or _ZNK3cbe...) and that no binary kept.  That unreached set
+must equal the committed allowlist (tools/reach_allowlist.txt, one symbol
+and one reason per line):
 
   - a new unreached symbol fails: delete it, give it a caller in a binary,
     or allowlist it with the reason a test needs it;
-  - a stale allowlist entry fails: one a binary reaches again, or one no
-    library defines any more.
+  - a stale allowlist entry fails: one a binary reaches again, one no
+    library defines any more, or a special member (those are skipped).
 
 The shipped binaries are read from the build tree through the CMake file
 API: every executable target whose source directory is outside tests/.
@@ -19,9 +20,16 @@ The build is configured from bench/e2e, whose CMakeLists adds the whole
 repository, so cbe_e2e and cbe_e2e_compare are shipped binaries too, and a
 new example, bench or tool is covered without editing this script.
 
-Inline functions defined in headers are not covered.  A header inline is
-emitted only into the objects that call it, so one that no library source
-calls leaves no symbol in any library, and this check cannot see it.
+Inline functions defined in headers are covered: -fkeep-inline-functions
+emits every inline function that a library source sees, called or not, so
+an unused one in a header that some src/ source includes is reported like
+an out-of-line one.  (A header that no src/ source includes is not seen.)
+
+Special members are skipped, judged by their demangled names alone:
+destructors, default constructors, copy and move constructors, and copy
+and move assignment.  Most are compiler-generated (implicit or = default)
+and go when the code that uses them goes; a hand-written one with one of
+those signatures is skipped too.
 
 Usage: python3 tools/check_reach.py [--build-dir DIR]
 """
@@ -46,7 +54,7 @@ def configure_and_build(build_dir):
     subprocess.run(
         ["cmake", "-S", os.path.join(ROOT, "bench", "e2e"), "-B", build_dir,
          "-DCMAKE_BUILD_TYPE=Debug", "-DCMAKE_CXX_FLAGS_DEBUG=-O0",
-         "-DCMAKE_CXX_FLAGS=-ffunction-sections",
+         "-DCMAKE_CXX_FLAGS=-ffunction-sections -fkeep-inline-functions",
          "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections"],
         check=True, stdout=subprocess.DEVNULL)
     libraries, binaries = targets(build_dir)
@@ -96,6 +104,43 @@ def defined_functions(path, types):
     return names
 
 
+def parameters_at_end(name):
+    """(name before its parameter list, parameters) of a demangled function."""
+    name = re.sub(r"( const| volatile|&&|&)+$", "", name)
+    depth = 0
+    for i in range(len(name) - 1, -1, -1):
+        depth += {")": 1, "(": -1}.get(name[i], 0)
+        if depth == 0:
+            return name[:i], name[i + 1:-1]
+    return name, ""
+
+
+def scope_and_member(qualified):
+    """Splits a qualified name at its last '::' outside brackets."""
+    depth, cut = 0, -1
+    for i, c in enumerate(qualified):
+        if c in "(<{":
+            depth += 1
+        elif c in ")>}":
+            depth = max(depth - 1, 0)
+        elif depth == 0 and qualified.startswith("::", i):
+            cut = i
+    return qualified[:cut], qualified[cut + 2:]
+
+
+def special_member(demangled_name):
+    """Destructor, default/copy/move constructor or copy/move assignment."""
+    qualified, params = parameters_at_end(demangled_name)
+    cls, member = scope_and_member(qualified)
+    base = re.sub(r"<.*>$", "", scope_and_member(cls)[1])
+    copy_or_move = params in (cls + " const&", cls + "&&")
+    if member == "~" + base:
+        return params == ""
+    if member == base:
+        return params == "" or copy_or_move
+    return member == "operator=" and copy_or_move
+
+
 def read_allowlist():
     entries, errors = {}, []
     with open(ALLOWLIST) as f:
@@ -112,10 +157,15 @@ def read_allowlist():
     return entries, errors
 
 
-def demangled(symbols):
+def demangle(symbols):
+    symbols = sorted(symbols)
     out = subprocess.run(["c++filt"], input="\n".join(symbols), check=True,
                          capture_output=True, text=True).stdout
-    return [f"  {d}\n    {m}" for m, d in zip(symbols, out.splitlines())]
+    return dict(zip(symbols, out.splitlines()))
+
+
+def listed(symbols):
+    return [f"  {d}\n    {m}" for m, d in demangle(symbols).items()]
 
 
 def main():
@@ -129,6 +179,8 @@ def main():
     defined = set()
     for archive in libraries.values():
         defined |= defined_functions(archive, "TW")
+    defined = {m for m, d in demangle(defined).items()
+               if not special_member(d)}
     reached = set()
     for exe in binaries.values():
         reached |= defined_functions(exe, "TWtw")
@@ -139,15 +191,16 @@ def main():
     if new:
         errors.append("unreached by every shipped binary and not allowlisted "
                       "(delete it, call it from a binary, or allowlist it "
-                      "with a reason):\n" + "\n".join(demangled(new)))
+                      "with a reason):\n" + "\n".join(listed(new)))
     now_reached = sorted(allowed.keys() & defined & reached)
     if now_reached:
         errors.append("allowlisted but reached by a shipped binary (drop the "
-                      "entry):\n" + "\n".join(demangled(now_reached)))
+                      "entry):\n" + "\n".join(listed(now_reached)))
     gone = sorted(allowed.keys() - defined)
     if gone:
-        errors.append("allowlisted but no longer defined by any src/ library "
-                      "(drop the entry):\n" + "\n".join(demangled(gone)))
+        errors.append("allowlisted but not a checked function of any src/ "
+                      "library, as it is gone or a skipped special member "
+                      "(drop the entry):\n" + "\n".join(listed(gone)))
 
     print(f"{len(defined)} cbe:: functions in {len(libraries)} src/ "
           f"libraries; {len(binaries)} shipped binaries reach "
