@@ -19,13 +19,14 @@ void AdaptiveGovernor::on_departure(int stream_id, int live_streams) {
 
 void AdaptiveGovernor::evaluate(int live_streams) {
   const int u = static_cast<int>(window_streams_.size());
-  if (u <= pool_size_ / 2) {
-    // Unlike the Cell LLP protocol, host work-sharing with dynamic
-    // chunking has negligible per-worker overhead, so the degree may use
-    // the whole pool.
+  if (u < participants_) {
+    // Fewer streams than participants leaves some idle: share each loop
+    // ceil(participants / live streams) ways.  Unlike the Cell LLP
+    // protocol, host work-sharing with dynamic chunking has negligible
+    // per-worker overhead, so the degree may use the whole pool, and the
+    // chunking absorbs the remainder.
     const int t = std::max(1, live_streams);
-    degree_ = std::clamp(pool_size_ / t + (pool_size_ % t != 0 ? 1 : 0), 1,
-                         pool_size_);
+    degree_ = (participants_ + t - 1) / t;
   } else {
     degree_ = 1;
   }

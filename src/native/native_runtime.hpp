@@ -6,7 +6,9 @@
 // busy.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <mutex>
 #include <set>
 
@@ -21,7 +23,9 @@ class AdaptiveGovernor {
   /// kHistoryWindow completions (the paper's history window).
   static constexpr int kHistoryWindow = 8;
 
-  explicit AdaptiveGovernor(int pool_size) : pool_size_(pool_size) {}
+  /// `participants` counts every thread that runs pool work: the workers
+  /// plus the caller that waits on them.
+  explicit AdaptiveGovernor(int participants) : participants_(participants) {}
 
   /// Record an off-load request from logical stream `stream_id`.
   void on_offload(int stream_id);
@@ -35,7 +39,7 @@ class AdaptiveGovernor {
  private:
   void evaluate(int live_streams);
 
-  const int pool_size_;
+  const int participants_;
   mutable std::mutex mu_;
   std::set<int> window_streams_;
   std::uint64_t departures_ = 0;
@@ -43,11 +47,14 @@ class AdaptiveGovernor {
 };
 
 /// Convenience facade: off-load tasks from several logical streams and run
-/// governor-sized parallel loops.
+/// governor-sized parallel loops.  The thread that waits on an off-load is
+/// lent to the pool while it waits, so the governor counts it as one more
+/// participant.
 class NativeRuntime {
  public:
   explicit NativeRuntime(int workers = 0)
-      : pool_(workers), governor_(pool_.workers()) {}
+      : governor_(OffloadPool::resolve_workers(workers) + 1),
+        pool_(workers) {}
 
   OffloadPool& pool() noexcept { return pool_; }
   const AdaptiveGovernor& governor() const noexcept { return governor_; }
@@ -55,11 +62,20 @@ class NativeRuntime {
   /// Off-loads `task` on behalf of `stream_id`, driving the governor.  The
   /// departure is recorded whether the task returns or throws, and before
   /// its future resolves.
+  ///
+  /// The returned future is deferred: its get() or wait() runs queued jobs
+  /// of this pool on the waiting thread until the task's result is ready,
+  /// and sleeps on the result once nothing is queued.  So:
+  ///   - wait_for / wait_until report future_status::deferred;
+  ///   - do not wait while holding a lock that a pool job takes;
+  ///   - do not wait after this runtime is destroyed.
+  /// The task itself is a pool job, run by a worker or by some waiting
+  /// thread, so a future dropped without get() still has its task run.
   template <typename F>
   auto offload(int stream_id, F&& task, int live_streams)
       -> std::future<std::invoke_result_t<F>> {
     governor_.on_offload(stream_id);
-    return pool_.offload_result(
+    auto result = pool_.offload_result(
         [this, stream_id, live_streams,
          fn = std::forward<F>(task)]() mutable {
           struct Depart {
@@ -69,6 +85,14 @@ class NativeRuntime {
           } depart{governor_, stream_id, live_streams};
           return fn();
         });
+    return std::async(std::launch::deferred,
+                      [this, result = std::move(result)]() mutable {
+                        while (result.wait_for(std::chrono::seconds(0)) !=
+                               std::future_status::ready) {
+                          if (!pool_.try_run_one()) break;
+                        }
+                        return result.get();
+                      });
   }
 
   /// Work-shares a loop with the governor's current degree.
@@ -80,8 +104,10 @@ class NativeRuntime {
   }
 
  private:
-  OffloadPool pool_;
+  // Declared first so it outlives pool_: tasks that still run while the
+  // pool drains at destruction record their departures in it.
   AdaptiveGovernor governor_;
+  OffloadPool pool_;
 };
 
 }  // namespace cbe::native

@@ -21,12 +21,15 @@ thread_local WorkerTls tls_worker;
 
 }  // namespace
 
+int OffloadPool::resolve_workers(int workers) noexcept {
+  if (workers > 0) return workers;
+  return std::max(1u, std::thread::hardware_concurrency()) > 1
+             ? static_cast<int>(std::thread::hardware_concurrency()) - 1
+             : 1;
+}
+
 OffloadPool::OffloadPool(int workers) {
-  if (workers <= 0) {
-    workers = std::max(1u, std::thread::hardware_concurrency()) > 1
-                  ? static_cast<int>(std::thread::hardware_concurrency()) - 1
-                  : 1;
-  }
+  workers = resolve_workers(workers);
   deques_.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i) {
     deques_.push_back(std::make_unique<WorkStealingDeque<Job>>());
@@ -82,12 +85,21 @@ void OffloadPool::enqueue(std::function<void()> job) {
   cv_.notify_one();
 }
 
+OffloadPool::Job* OffloadPool::pop_injected() {
+  std::lock_guard lock(mu_);
+  if (queue_.empty()) return nullptr;
+  Job* job = queue_.front();
+  queue_.pop_front();
+  return job;
+}
+
 OffloadPool::Job* OffloadPool::try_steal(int self) noexcept {
   const int n = static_cast<int>(deques_.size());
   // Two sweeps so one lost CAS per victim doesn't abandon a loaded deque.
   for (int round = 0; round < 2; ++round) {
-    for (int k = 1; k < n; ++k) {
-      const int victim = (self + k) % n;
+    for (int k = 0; k < n; ++k) {
+      const int victim = (self + 1 + k) % n;
+      if (victim == self) continue;
       if (Job* j = deques_[static_cast<std::size_t>(victim)]->steal()) {
         steals_.fetch_add(1, std::memory_order_relaxed);
         return j;
@@ -110,13 +122,7 @@ void OffloadPool::worker_loop(int index) {
   for (;;) {
     // Own deque (LIFO, lock-free) -> injection queue -> steal (FIFO).
     Job* job = own.pop();
-    if (job == nullptr) {
-      std::lock_guard lock(mu_);
-      if (!queue_.empty()) {
-        job = queue_.front();
-        queue_.pop_front();
-      }
-    }
+    if (job == nullptr) job = pop_injected();
     if (job == nullptr) job = try_steal(index);
     if (job == nullptr) {
       std::unique_lock lock(mu_);
@@ -140,16 +146,27 @@ void OffloadPool::worker_loop(int index) {
       sleepers_.fetch_sub(1, std::memory_order_seq_cst);
       continue;
     }
-
-    // Re-install the submitter's span for the task's whole execution, so
-    // trace events the task emits and any nested enqueue() inherit it.
-    trace::ScopedSpan span(job->span);
-    // Counted before the body runs: the body completes the caller's future,
-    // and a caller that waited on it must read a count that includes it.
-    tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-    job->fn();
-    delete job;
+    run(job);
   }
+}
+
+void OffloadPool::run(Job* job) {
+  // Re-install the submitter's span for the task's whole execution, so
+  // trace events the task emits and any nested enqueue() inherit it.
+  trace::ScopedSpan span(job->span);
+  // Counted before the body runs: the body completes the caller's future,
+  // and a caller that waited on it must read a count that includes it.
+  tasks_executed_.fetch_add(1, std::memory_order_relaxed);
+  job->fn();
+  delete job;
+}
+
+bool OffloadPool::try_run_one() {
+  Job* job = pop_injected();
+  if (job == nullptr) job = try_steal(-1);
+  if (job == nullptr) return false;
+  run(job);
+  return true;
 }
 
 void OffloadPool::parallel_for(

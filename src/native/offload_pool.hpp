@@ -17,7 +17,9 @@
 // the injection queue, then steals FIFO from its peers (lock-free CAS);
 // only after all three come up empty does it park on a condition variable
 // with a short timeout backstop, so a lost wakeup race costs at most one
-// timeout period of latency, never liveness.
+// timeout period of latency, never liveness.  A thread outside the pool
+// that waits on it can lend itself too: try_run_one() runs one queued job
+// on the calling thread.
 #pragma once
 
 #include <atomic>
@@ -39,6 +41,8 @@ class OffloadPool {
  public:
   /// `workers` <= 0 selects hardware_concurrency - 1 (min 1).
   explicit OffloadPool(int workers = 0);
+  /// The number of workers OffloadPool(workers) starts.
+  static int resolve_workers(int workers) noexcept;
   ~OffloadPool();
 
   OffloadPool(const OffloadPool&) = delete;
@@ -81,10 +85,16 @@ class OffloadPool {
                         body,
                     int degree, std::int64_t grain = 256);
 
+  /// Runs one queued job on the calling thread: the injection queue first,
+  /// then a steal from every worker's deque.  False when nothing was
+  /// queued.  This is how a thread that waits on the pool lends itself to
+  /// it (NativeRuntime::offload's futures call it while they wait).
+  bool try_run_one();
+
   std::uint64_t tasks_executed() const noexcept {
     return tasks_executed_.load(std::memory_order_relaxed);
   }
-  /// Tasks a worker took from another worker's deque.
+  /// Tasks taken from a worker's deque by another thread.
   std::uint64_t steals() const noexcept {
     return steals_.load(std::memory_order_relaxed);
   }
@@ -101,9 +111,15 @@ class OffloadPool {
 
   void enqueue(std::function<void()> job);
   void worker_loop(int index);
+  /// The one run path of a job, whichever thread took it: re-install the
+  /// submitter's span, count the job, call it, delete it.
+  void run(Job* job);
   /// Wakes one parked worker iff any are parked (lock-free check first).
   void wake_one();
-  /// Steals one task from a peer deque, scanning from `self + 1`.
+  /// Pops the oldest job of the injection queue; nullptr when empty.
+  Job* pop_injected();
+  /// Steals one task from any deque but `self`, scanning from `self + 1`;
+  /// a non-worker passes -1 and scans every deque.
   Job* try_steal(int self) noexcept;
   bool any_deque_nonempty() const noexcept;
 

@@ -13,17 +13,22 @@ Cli::Cli(int argc, const char* const* argv) {
       positional_.push_back(std::move(arg));
       continue;
     }
-    arg.erase(0, 2);
     const auto eq = arg.find('=');
+    const std::string typed = arg.substr(2, eq - 2);  // all of it if no '='
+    std::string name = typed;
+    std::string value;
     if (eq != std::string::npos) {
-      flags_[arg.substr(0, eq)] = arg.substr(eq + 1);
-    } else if (arg.rfind("no-", 0) == 0) {
-      flags_[arg.substr(3)] = "false";
+      value = arg.substr(eq + 1);
+    } else if (typed.rfind("no-", 0) == 0) {
+      name = typed.substr(3);
+      value = "false";
     } else if (i + 1 < argc && argv[i + 1][0] != '-') {
-      flags_[arg] = argv[++i];
+      value = argv[++i];
     } else {
-      flags_[arg] = "true";
+      value = "true";
     }
+    flags_[name] = std::move(value);
+    typed_[name] = typed;
   }
 }
 
@@ -73,9 +78,8 @@ bool Cli::get_bool(const std::string& name, bool def) const {
 
 std::vector<std::string> Cli::unused() const {
   std::vector<std::string> out;
-  for (const auto& [k, v] : flags_) {
-    (void)v;
-    if (!queried_.count(k)) out.push_back(k);
+  for (const auto& [k, spelled] : typed_) {
+    if (!queried_.count(k)) out.push_back(spelled);
   }
   return out;
 }

@@ -28,7 +28,8 @@ class Cli {
   /// Positional (non-flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
-  /// Flags that were provided but never queried; used to reject typos.
+  /// Flags that were provided but never queried, spelled as typed (a bare
+  /// `--no-x` reads "no-x"); used to reject typos.
   std::vector<std::string> unused() const;
 
   /// Validates the parse after every flag has been queried: any recorded
@@ -38,6 +39,7 @@ class Cli {
 
  private:
   std::map<std::string, std::string> flags_;
+  std::map<std::string, std::string> typed_;  ///< flag -> name as typed
   mutable std::map<std::string, bool> queried_;
   mutable std::vector<std::string> errors_;
   std::vector<std::string> positional_;

@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 namespace cbe::native {
 namespace {
+
+using namespace std::chrono_literals;
 
 TEST(OffloadPool, ExecutesTasks) {
   OffloadPool pool(2);
@@ -190,7 +193,8 @@ TEST(NativeRuntime, OffloadDrivesGovernor) {
 
 TEST(NativeRuntime, ThrowingTasksStillDriveGovernor) {
   // A task that throws is still a departure: it closes the U window like a
-  // returning one, so one stream on a 3-worker pool shares loops 3 ways.
+  // returning one, so one stream on a 3-worker pool shares loops across
+  // all 4 participants (the workers plus the waiting caller).
   NativeRuntime rt(3);
   std::vector<std::future<int>> futs;
   for (int i = 0; i < AdaptiveGovernor::kHistoryWindow; ++i) {
@@ -198,7 +202,74 @@ TEST(NativeRuntime, ThrowingTasksStillDriveGovernor) {
         0, []() -> int { throw std::runtime_error("task failed"); }, 1));
   }
   for (auto& f : futs) EXPECT_THROW(f.get(), std::runtime_error);
-  EXPECT_EQ(rt.governor().loop_degree(), 3);
+  EXPECT_EQ(rt.governor().loop_degree(), 4);
+}
+
+/// Loop degree of a 3-worker runtime after one U window of `streams`
+/// round-robin streams.
+int degree_after_window(int streams) {
+  NativeRuntime rt(3);
+  std::vector<std::future<int>> futs;
+  for (int i = 0; i < AdaptiveGovernor::kHistoryWindow; ++i) {
+    futs.push_back(rt.offload(i % streams, [] { return 1; }, streams));
+  }
+  for (auto& f : futs) f.get();
+  return rt.governor().loop_degree();
+}
+
+TEST(Governor, ThreeWorkersPlusCallerAreFourParticipants) {
+  // U < 4 participants shares each loop ceil(4 / U) ways, so at U = 2 no
+  // worker idles; U >= 4 keeps loops sequential.
+  EXPECT_EQ(degree_after_window(1), 4);
+  EXPECT_EQ(degree_after_window(2), 2);
+  EXPECT_EQ(degree_after_window(8), 1);
+}
+
+TEST(NativeRuntime, WaitingCallerRunsQueuedTasks) {
+  // The only worker is held by a task that waits for a flag only a second
+  // task sets.  Waiting on the second future must run it on this thread;
+  // a caller that merely slept would see it run on the worker, after the
+  // first task's deadline.
+  NativeRuntime rt(1);
+  std::atomic<bool> started{false}, flag{false};
+  auto first = rt.offload(
+      0,
+      [&] {
+        started = true;
+        const auto deadline = std::chrono::steady_clock::now() + 3s;
+        while (!flag && std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::sleep_for(100us);
+        }
+        return flag.load();
+      },
+      2);
+  while (!started) std::this_thread::sleep_for(100us);
+  std::thread::id ran_on;
+  auto second = rt.offload(
+      1,
+      [&] {
+        ran_on = std::this_thread::get_id();
+        flag = true;
+      },
+      2);
+  second.get();
+  EXPECT_TRUE(flag.load());
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_TRUE(first.get());
+}
+
+TEST(NativeRuntime, DroppedFutureStillRunsItsTask) {
+  // The returned future is deferred, but the task is the pool's: dropping
+  // the future without get() must not drop the task.  The task may still
+  // run while the runtime is destroyed, so its departure must find the
+  // governor alive (TSan reports a use-after-free if the governor is
+  // destroyed before the pool).
+  std::atomic<int> ran{0};
+  {
+    NativeRuntime rt(1);
+    rt.offload(0, [&ran] { ran.fetch_add(1); }, 1);
+  }
+  EXPECT_EQ(ran.load(), 1);
 }
 
 TEST(NativeRuntime, ParallelForUsesGovernorDegree) {

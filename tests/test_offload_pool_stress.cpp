@@ -4,7 +4,9 @@
 // one contended edge: many external producers, stealing under load, deque
 // overflow into the injection queue, and the parallel_for corner cases (0
 // iterations, fewer iterations than workers, throwing bodies, nesting,
-// uneven tails).
+// uneven tails), and NativeRuntime callers that run pool work while they
+// wait on their off-loads.
+#include "native/native_runtime.hpp"
 #include "native/offload_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -288,6 +290,56 @@ TEST(PoolStress, MixedStorm) {
   EXPECT_EQ(resolved, kProducers * kTasksPerProducer);
   EXPECT_EQ(failed, throws.load());
   EXPECT_EQ(loop_sum.load(), 20 * 512);
+}
+
+TEST(PoolStress, WaitingCallersRunNestedLoopsExactlyOnce) {
+  // Several external threads off-load through one runtime and wait in
+  // batches, so each waiter runs other threads' tasks and their loops'
+  // helpers while it waits.  Every task must run once and every index of
+  // every task's nested parallel_for must be covered once.
+  NativeRuntime rt(3);
+  constexpr int kThreads = 4;
+  constexpr int kTasksPerThread = 48;
+  constexpr int kBatch = 3;
+  constexpr std::int64_t kN = 61;
+  constexpr int kTasks = kThreads * kTasksPerThread;
+  std::vector<std::atomic<int>> ran(kTasks);
+  std::vector<std::atomic<int>> hit(static_cast<std::size_t>(kTasks * kN));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<std::future<int>> batch;
+      for (int i = 0; i < kTasksPerThread; ++i) {
+        const int id = t * kTasksPerThread + i;
+        batch.push_back(rt.offload(
+            t,
+            [&, id] {
+              ran[static_cast<std::size_t>(id)].fetch_add(1);
+              rt.parallel_for(
+                  0, kN,
+                  [&, id](std::int64_t lo, std::int64_t hi) {
+                    for (std::int64_t j = lo; j < hi; ++j) {
+                      hit[static_cast<std::size_t>(id * kN + j)].fetch_add(1);
+                    }
+                  },
+                  5);
+              return id;
+            },
+            kThreads));
+        if (batch.size() == kBatch || i + 1 == kTasksPerThread) {
+          for (auto& f : batch) f.get();
+          batch.clear();
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int id = 0; id < kTasks; ++id) {
+    ASSERT_EQ(ran[static_cast<std::size_t>(id)].load(), 1) << "task " << id;
+  }
+  for (std::size_t j = 0; j < hit.size(); ++j) {
+    ASSERT_EQ(hit[j].load(), 1) << "index " << j;
+  }
 }
 
 TEST(PoolStress, ShutdownWithQueuedWorkDoesNotHangOrLeak) {

@@ -98,6 +98,15 @@ TEST(Cli, TracksUnusedFlags) {
   EXPECT_EQ(unused[0], "typo");
 }
 
+TEST(Cli, UnusedFlagsAreReportedAsTyped) {
+  // A bare --no-x is stored as x=false; an unknown one must still be
+  // reported as the user typed it, not as a flag they never typed.
+  const char* argv[] = {"prog", "--no-such-flag", "--typo=2", "--bare"};
+  Cli cli(4, argv);
+  EXPECT_EQ(cli.unused(),
+            (std::vector<std::string>{"bare", "no-such-flag", "typo"}));
+}
+
 TEST(Cli, DoubleParsing) {
   const char* argv[] = {"prog", "--rate=0.25"};
   Cli cli(2, argv);
