@@ -26,9 +26,10 @@ constexpr std::uint64_t kReferenceSalt = 0x5245464552454e43ull;  // "REFERENC"
 constexpr std::uint64_t kIntegritySalt = 0x494e544547524954ull;  // "INTEGRIT"
 
 // Replicates in flight at once.  Each holds a likelihood engine of about
-// 5.3 MB; two streams halve the job's wall time and still fit in the
-// footprint of the serial runner, whose reference engine stayed alive beside
-// each replicate's (DESIGN.md §7).
+// 3.5 MB (its CLVs span only the patterns its resample drew, about two
+// thirds of them); two streams halve the job's wall time and still fit in
+// the footprint of the serial runner, whose reference engine stayed alive
+// beside each replicate's (DESIGN.md §7).
 constexpr int kReplicateStreams = 2;
 
 std::atomic<int> g_fail_replicate{-1};

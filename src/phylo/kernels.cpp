@@ -19,8 +19,7 @@ void init_tip_clv(const PatternAlignment& a, int taxon, Clv<Real>& out) {
   std::fill(out.scale.begin(), out.scale.end(), 0);
   out.tip.resize(static_cast<std::size_t>(patterns));
   for (int p = 0; p < patterns; ++p) {
-    const std::uint8_t s = a.state(taxon, p);
-    const std::uint8_t code = s < kStates ? s : kTipGap;
+    const std::uint8_t code = tip_code(a.state(taxon, p));
     out.tip[static_cast<std::size_t>(p)] = code;
     for (int r = 0; r < kRateCategories; ++r) {
       Real* v = &out.data[(static_cast<std::size_t>(p) * kRateCategories +

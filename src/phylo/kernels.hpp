@@ -35,6 +35,10 @@ inline const double kLogTwoTo256 = 256.0 * 0.6931471805599453;
 inline constexpr std::uint8_t kTipGap = kStates;
 /// Number of distinct tip state codes.
 inline constexpr int kTipCodes = kStates + 1;
+/// The tip code of an alignment state: the base itself, or kTipGap.
+constexpr std::uint8_t tip_code(std::uint8_t state) noexcept {
+  return state < kStates ? state : kTipGap;
+}
 /// The CLV block a tip holds for each code: one-hot for a base, all ones
 /// for a gap (missing data).
 inline constexpr double kTipVectors[kTipCodes][kStates] = {
@@ -51,10 +55,11 @@ template <typename Real>
 struct Clv {
   std::vector<Real> data;
   std::vector<int> scale;
-  /// Per-pattern tip state codes (0-3 a base, kTipGap a gap), filled only by
-  /// init_tip_clv; empty for every other CLV.  When non-empty, `data` holds
-  /// exactly kTipVectors[code] in every rate block of each pattern, so the
-  /// vector kernels may look a tip operand's products up by code.
+  /// Per-pattern tip state codes (0-3 a base, kTipGap a gap); empty for
+  /// every inner CLV.  The vector kernels read a tip operand by its codes
+  /// only, so a tip's `data` is either empty (the likelihood engine's tips)
+  /// or, as init_tip_clv fills it for the scalar reference, exactly
+  /// kTipVectors[code] in every rate block of each pattern.
   std::vector<std::uint8_t> tip;
 
   /// Sizes the vectors and drops the tip codes.  Kept elements are not

@@ -98,6 +98,18 @@ template <bool Tip>
   }
 }
 
+/// One operand's (pattern, rate) block: kTipVectors[code] for a tip, whose
+/// `data` may be empty, the CLV's own block otherwise.
+template <bool Tip>
+[[gnu::always_inline]] inline const double* operand_block(
+    const Clv<double>& c, int p, std::size_t base) noexcept {
+  if constexpr (Tip) {
+    return kTipVectors[c.tip[static_cast<std::size_t>(p)]];
+  } else {
+    return &c.data[base];
+  }
+}
+
 template <bool LeftTip, bool RightTip>
 [[gnu::always_inline]] inline void newview_body(
     const Clv<double>& left, const BranchPT& plt, const TipTable& ltab,
@@ -135,7 +147,7 @@ template <bool LeftTip, bool RightTip>
   }
 }
 
-template <bool BTip>
+template <bool ATip, bool BTip>
 [[gnu::always_inline]] inline double evaluate_body(
     const Clv<double>& a, const Clv<double>& b, const BranchPT& pbt,
     const TipTable& btab, const SubstModel& model,
@@ -156,7 +168,8 @@ template <bool BTip>
       const vdouble4 inner = operand_dot<BTip>(b, pbt, btab, p, r, base);
       // Lane i = (pi[i] * a[i]) * inner_i — the reference's
       // `pi[i] * av[i] * inner` with its left-associative grouping.
-      const vdouble4 t = (piv * vload4(&a.data[base])) * inner;
+      const vdouble4 t =
+          (piv * vload4(operand_block<ATip>(a, p, base))) * inner;
       // The reference accumulates `term = term + t_i` for i = 0..3; repeat
       // that scalar chain so the additions round identically.
       double term = 0.0;
@@ -175,6 +188,36 @@ template <bool BTip>
            (logsite - static_cast<double>(sc) * kLogTwoTo256);
   }
   return lnl;
+}
+
+template <bool ATip, bool BTip>
+[[gnu::always_inline]] inline void sumtable_body(
+    const Clv<double>& a, const Clv<double>& b, const vdouble4 (&plrow)[4],
+    const vdouble4 (&rcol)[4], std::vector<double>& sumtable) noexcept {
+  const int patterns = a.patterns();
+  for (int p = 0; p < patterns; ++p) {
+    for (int r = 0; r < kRateCategories; ++r) {
+      const std::size_t base =
+          (static_cast<std::size_t>(p) * kRateCategories +
+           static_cast<std::size_t>(r)) *
+          kStates;
+      const double* av = operand_block<ATip>(a, p, base);
+      const double* bv = operand_block<BTip>(b, p, base);
+      // Lane k = pileft[0][k]*av[0] + pileft[1][k]*av[1] + ... — the
+      // reference's lhs chain, left-to-right.
+      vdouble4 lhs = plrow[0] * vsplat4(av[0]);
+      lhs = lhs + plrow[1] * vsplat4(av[1]);
+      lhs = lhs + plrow[2] * vsplat4(av[2]);
+      lhs = lhs + plrow[3] * vsplat4(av[3]);
+      // Lane k = right[k][0]*bv[0] + right[k][1]*bv[1] + ... — the rhs
+      // chain.
+      vdouble4 rhs = rcol[0] * vsplat4(bv[0]);
+      rhs = rhs + rcol[1] * vsplat4(bv[1]);
+      rhs = rhs + rcol[2] * vsplat4(bv[2]);
+      rhs = rhs + rcol[3] * vsplat4(bv[3]);
+      vstore4(&sumtable[base], lhs * rhs);
+    }
+  }
 }
 
 }  // namespace
@@ -216,13 +259,16 @@ double evaluate_simd(const Clv<double>& a, const Clv<double>& b,
       static_cast<int>(weights.size()) != patterns) {
     throw std::invalid_argument("evaluate_simd: size mismatch");
   }
+  const bool a_tip = !a.tip.empty();
   const BranchPT pbt = BranchPT::from(pb);
   TipTable btab;
   if (b.tip.empty()) {
-    return evaluate_body<false>(a, b, pbt, btab, model, weights);
+    return a_tip ? evaluate_body<true, false>(a, b, pbt, btab, model, weights)
+                 : evaluate_body<false, false>(a, b, pbt, btab, model, weights);
   }
   build_tip_table(pbt, btab);
-  return evaluate_body<true>(a, b, pbt, btab, model, weights);
+  return a_tip ? evaluate_body<true, true>(a, b, pbt, btab, model, weights)
+               : evaluate_body<false, true>(a, b, pbt, btab, model, weights);
 }
 
 CBE_SIMD_CLONES
@@ -258,28 +304,16 @@ void make_sumtable_simd(const Clv<double>& a, const Clv<double>& b,
                        right[static_cast<std::size_t>(3 * 4 + j)]};
   }
 
-  for (int p = 0; p < patterns; ++p) {
-    for (int r = 0; r < kRateCategories; ++r) {
-      const std::size_t base =
-          (static_cast<std::size_t>(p) * kRateCategories +
-           static_cast<std::size_t>(r)) *
-          kStates;
-      const double* av = &a.data[base];
-      const double* bv = &b.data[base];
-      // Lane k = pileft[0][k]*av[0] + pileft[1][k]*av[1] + ... — the
-      // reference's lhs chain, left-to-right.
-      vdouble4 lhs = plrow[0] * vsplat4(av[0]);
-      lhs = lhs + plrow[1] * vsplat4(av[1]);
-      lhs = lhs + plrow[2] * vsplat4(av[2]);
-      lhs = lhs + plrow[3] * vsplat4(av[3]);
-      // Lane k = right[k][0]*bv[0] + right[k][1]*bv[1] + ... — the rhs
-      // chain.
-      vdouble4 rhs = rcol[0] * vsplat4(bv[0]);
-      rhs = rhs + rcol[1] * vsplat4(bv[1]);
-      rhs = rhs + rcol[2] * vsplat4(bv[2]);
-      rhs = rhs + rcol[3] * vsplat4(bv[3]);
-      vstore4(&sumtable[base], lhs * rhs);
-    }
+  const bool a_tip = !a.tip.empty();
+  const bool b_tip = !b.tip.empty();
+  if (a_tip && b_tip) {
+    sumtable_body<true, true>(a, b, plrow, rcol, sumtable);
+  } else if (a_tip) {
+    sumtable_body<true, false>(a, b, plrow, rcol, sumtable);
+  } else if (b_tip) {
+    sumtable_body<false, true>(a, b, plrow, rcol, sumtable);
+  } else {
+    sumtable_body<false, false>(a, b, plrow, rcol, sumtable);
   }
 }
 

@@ -5,9 +5,12 @@
 // vectorize across the state dimension: each (pattern, rate) block of a
 // CLV is exactly kStates == 4 contiguous doubles, so the four per-state dot
 // products of the scalar reference become one 4-lane fused sweep over
-// pre-transposed P-matrix columns.  A tip operand (Clv::tip non-empty) has
-// only five distinct blocks, so newview_simd and evaluate_simd's `b` read
-// its products from a per-call table built by the same arithmetic.
+// pre-transposed P-matrix columns.  Every tip operand (Clv::tip non-empty)
+// is read by its codes, never through its `data`, which may be empty: a tip
+// has only five distinct blocks, so newview_simd and evaluate_simd's `b`
+// read its products from a per-call table built by the same arithmetic, and
+// evaluate_simd's `a` and both make_sumtable_simd operands load
+// kTipVectors[code] in place of the block.
 //
 // The contract — enforced by tests/test_kernels_differential.cpp — is that
 // every SIMD kernel is BIT-IDENTICAL to its scalar reference in

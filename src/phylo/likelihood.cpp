@@ -7,9 +7,15 @@
 namespace cbe::phylo {
 
 TipClvs make_tip_clvs(const PatternAlignment& alignment) {
+  const int patterns = alignment.patterns();
   TipClvs tips(static_cast<std::size_t>(alignment.taxa()));
   for (int t = 0; t < alignment.taxa(); ++t) {
-    init_tip_clv(alignment, t, tips[static_cast<std::size_t>(t)]);
+    Clv<double>& tip = tips[static_cast<std::size_t>(t)];
+    tip.scale.assign(static_cast<std::size_t>(patterns), 0);
+    tip.tip.resize(static_cast<std::size_t>(patterns));
+    for (int p = 0; p < patterns; ++p) {
+      tip.tip[static_cast<std::size_t>(p)] = tip_code(alignment.state(t, p));
+    }
   }
   return tips;
 }
@@ -40,6 +46,29 @@ LikelihoodEngine::LikelihoodEngine(const PatternAlignment& alignment,
   if (weights_.size() != static_cast<std::size_t>(alignment.patterns())) {
     throw std::invalid_argument("LikelihoodEngine: one weight per pattern");
   }
+  // A pattern of weight 0 adds exactly +-0 to every sum the kernels take,
+  // so it is dropped: the weights and the tips keep only the live patterns,
+  // and every CLV and sumtable sizes itself from the tips.
+  std::vector<std::size_t> live;
+  for (std::size_t p = 0; p < weights_.size(); ++p) {
+    if (weights_[p] != 0.0) {
+      weights_[live.size()] = weights_[p];
+      live.push_back(p);
+    }
+  }
+  if (live.size() == weights_.size()) return;
+  weights_.resize(live.size());
+  own_tips_.resize(tips.size());
+  for (std::size_t t = 0; t < tips.size(); ++t) {
+    Clv<double>& tip = own_tips_[t];
+    tip.scale.resize(live.size());
+    tip.tip.resize(live.size());
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      tip.scale[i] = tips[t].scale[live[i]];
+      tip.tip[i] = tips[t].tip[live[i]];
+    }
+  }
+  tips_ = &own_tips_;
 }
 
 void LikelihoodEngine::attach(const Tree& tree) {

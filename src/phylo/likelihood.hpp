@@ -24,9 +24,11 @@ class KernelObserver {
                          int newton_iters) = 0;
 };
 
-/// Tip CLVs of an alignment, one per taxon.  They depend only on the
-/// alignment's states, not on its weights, so every engine of one job (the
-/// reference search and each bootstrap replicate) can read one shared set.
+/// Tip CLVs of an alignment, one per taxon: state codes and zero scale
+/// counts, no `data` (the vector kernels read a tip by its codes).  They
+/// depend only on the alignment's states, not on its weights, so every
+/// engine of one job (the reference search and each bootstrap replicate) can
+/// read one shared set.
 using TipClvs = std::vector<Clv<double>>;
 TipClvs make_tip_clvs(const PatternAlignment& alignment);
 
@@ -35,10 +37,14 @@ class LikelihoodEngine {
   /// Builds its own tip CLVs and scores with the alignment's weights.
   LikelihoodEngine(const PatternAlignment& alignment, const SubstModel& model,
                    KernelObserver* observer = nullptr);
-  /// Reads the shared `tips` (make_tip_clvs(alignment); must outlive the
-  /// engine) and scores with `weights`, one per pattern, in place of the
-  /// alignment's own.  A bootstrap replicate passes its resampled weights
-  /// here, so the alignment itself is never modified.
+  /// Scores with `weights`, one per pattern, in place of the alignment's
+  /// own, over the shared `tips` (make_tip_clvs(alignment); must outlive the
+  /// engine).  A bootstrap replicate passes its resampled weights here, so
+  /// the alignment itself is never modified.  Patterns of weight 0 are
+  /// dropped at construction: the engine gathers its own tips over the live
+  /// patterns and runs every kernel over those alone, which changes no bit
+  /// of any result.  The observer is still told the alignment's pattern
+  /// count, so the kernel trace does not depend on the weights.
   LikelihoodEngine(const PatternAlignment& alignment, const SubstModel& model,
                    const TipClvs& tips, std::vector<double> weights,
                    KernelObserver* observer = nullptr);
@@ -88,9 +94,11 @@ class LikelihoodEngine {
   const SubstModel* model_;
   KernelObserver* observer_;
   const Tree* tree_ = nullptr;
-  TipClvs own_tips_;  ///< empty when the engine reads a shared set
+  /// Built from the alignment, or gathered from the shared set over the
+  /// live patterns; empty when the engine reads the shared set as it is.
+  TipClvs own_tips_;
   const TipClvs* tips_;
-  std::vector<double> weights_;
+  std::vector<double> weights_;  ///< one per live pattern
   std::vector<DirClv> dir_;
   // Scratch outputs of the scoring and branch-length kernels.  Owning them
   // here keeps every kernel call allocation-free once they are sized.

@@ -12,6 +12,7 @@
 // count allocations, which is why it is its own executable.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -19,6 +20,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <utility>
 
 #include "jobsvc/job.hpp"
 #include "phylo/likelihood.hpp"
@@ -126,15 +128,18 @@ void search_round(LikelihoodEngine& engine, Tree& tree) {
   }
 }
 
-TEST(AllocBudget, SearchDoesNotAllocatePerKernel) {
+PatternAlignment search_alignment() {
   SyntheticAlignmentConfig acfg;
   acfg.taxa = 10;
   acfg.sites = 240;
-  const PatternAlignment pa(make_synthetic_alignment(acfg));
-  const SubstModel model(GtrParams::hky(2.5, pa.base_frequencies()), 0.8);
+  return PatternAlignment(make_synthetic_alignment(acfg));
+}
+
+/// Search rounds on `engine` allocate nothing per kernel call once its CLV
+/// cache has filled.
+void expect_search_flat(LikelihoodEngine& engine) {
   util::Rng rng(5);
-  Tree tree = Tree::random(pa.taxa(), rng);
-  LikelihoodEngine engine(pa, model);
+  Tree tree = Tree::random(engine.alignment().taxa(), rng);
   engine.attach(tree);
   search_round(engine, tree);  // warm-up: the CLV cache fills once
 
@@ -155,6 +160,26 @@ TEST(AllocBudget, SearchDoesNotAllocatePerKernel) {
   // not per kernel.
   EXPECT_LE(ten, one + 8) << one << " allocations in 1 round, " << ten
                           << " in 10";
+}
+
+TEST(AllocBudget, SearchDoesNotAllocatePerKernel) {
+  const PatternAlignment pa = search_alignment();
+  const SubstModel model(GtrParams::hky(2.5, pa.base_frequencies()), 0.8);
+  LikelihoodEngine engine(pa, model);
+  expect_search_flat(engine);
+}
+
+// A bootstrap replicate's engine drops the patterns its resample never drew
+// and gathers its own tips: that happens once, at construction.
+TEST(AllocBudget, ResampledSearchDoesNotAllocatePerKernel) {
+  const PatternAlignment pa = search_alignment();
+  const SubstModel model(GtrParams::hky(2.5, pa.base_frequencies()), 0.8);
+  const TipClvs tips = make_tip_clvs(pa);
+  util::Rng rng(6);
+  std::vector<double> weights = pa.bootstrap_weights(rng);
+  ASSERT_GT(std::count(weights.begin(), weights.end(), 0.0), 0);
+  LikelihoodEngine engine(pa, model, tips, std::move(weights));
+  expect_search_flat(engine);
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // reference in phylo/kernels.cpp, across randomized models, branch lengths,
 // pattern counts (including the 0 / 1 / odd tails a lane-width bug would
 // hit first), random CLV contents, tip operands (which the vector kernels
-// read through a per-call lookup table), and inputs tiny enough to force
-// the 2^256 rescaling path.
+// read by their codes alone, through a per-call lookup table or the code's
+// block), and inputs tiny enough to force the 2^256 rescaling path.
 #include "phylo/kernels_simd.hpp"
 
 #include <gtest/gtest.h>
@@ -360,6 +360,70 @@ TEST(KernelsDifferential, EvaluateTipOperandBitIdentical) {
       ASSERT_TRUE(bits_equal(evaluate(tips.a, tips.b, pb, model, weights),
                              evaluate_simd(tips.a, tips.b, pb, model, weights)))
           << "tip x tip patterns=" << patterns << " rep=" << rep;
+    }
+  }
+}
+
+/// `tip` with its codes and scale counts but no `data`, as the likelihood
+/// engine holds its tips: a kernel that read the blocks would fault or read
+/// past the end.
+Clv<double> code_only(const Clv<double>& tip) {
+  Clv<double> c;
+  c.scale = tip.scale;
+  c.tip = tip.tip;
+  return c;
+}
+
+TEST(KernelsDifferential, CodeOnlyTipsBitIdenticalAsEveryOperand) {
+  // Every vector kernel reads a tip by its codes alone: with the blocks
+  // gone, each operand position must still give the scalar reference's bits
+  // on init_tip_clv tips.
+  std::mt19937_64 rng(0xC0DEu);
+  for (int patterns : kPatternTails) {
+    for (int rep = 0; rep < 3; ++rep) {
+      const SubstModel model = random_model(rng);
+      std::uniform_real_distribution<double> blen(0.001, 1.5);
+      const BranchP pl = BranchP::at(model, blen(rng));
+      const BranchP pb = BranchP::at(model, blen(rng));
+      const TipPair tips = random_tips(patterns, rng, 0.2);
+      const Clv<double> ca = code_only(tips.a);
+      const Clv<double> cb = code_only(tips.b);
+      ASSERT_TRUE(ca.data.empty());
+      ASSERT_EQ(ca.patterns(), patterns);
+      const Clv<double> inner = random_clv(patterns, rng, 0.2);
+      const std::vector<double> weights = random_weights(patterns, rng);
+      const std::string where = " patterns=" + std::to_string(patterns) +
+                                " rep=" + std::to_string(rep);
+
+      struct Operands {
+        const char* name;
+        const Clv<double>& ref_a;
+        const Clv<double>& ref_b;
+        const Clv<double>& a;
+        const Clv<double>& b;
+      };
+      for (const Operands& o : {Operands{"tip x inner", tips.a, inner, ca,
+                                         inner},
+                                Operands{"inner x tip", inner, tips.b, inner,
+                                         cb},
+                                Operands{"tip x tip", tips.a, tips.b, ca,
+                                         cb}}) {
+        const std::string what = o.name + where;
+        ASSERT_TRUE(
+            bits_equal(evaluate(o.ref_a, o.ref_b, pb, model, weights),
+                       evaluate_simd(o.a, o.b, pb, model, weights)))
+            << "evaluate " << what;
+        std::vector<double> st_ref, st_simd;
+        make_sumtable(o.ref_a, o.ref_b, model, st_ref);
+        make_sumtable_simd(o.a, o.b, model, st_simd);
+        ASSERT_TRUE(bits_equal(st_ref, st_simd)) << "sumtable " << what;
+        Clv<double> nv_ref, nv_simd;
+        newview(o.ref_a, pl, o.ref_b, pb, nv_ref);
+        newview_simd(o.a, pl, o.b, pb, nv_simd);
+        ASSERT_TRUE(bits_equal(nv_ref.data, nv_simd.data))
+            << "newview " << what;
+        ASSERT_EQ(nv_ref.scale, nv_simd.scale) << "newview " << what;
+      }
     }
   }
 }

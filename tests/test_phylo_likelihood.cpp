@@ -226,17 +226,19 @@ TEST_F(EngineTest, SharedTipsAndWeightsAreValidated) {
 }
 
 /// Every edge's lnL from `engine` against a from-scratch scalar pruning of
-/// the same tree, compared bit for bit.
+/// the same tree over every pattern, scored with `weights` (the engine's
+/// own, one per pattern), compared bit for bit.
 void expect_every_edge_matches_scalar(LikelihoodEngine& engine,
                                       const SubstModel& model, const Tree& t,
-                                      const char* when) {
+                                      const char* when,
+                                      const std::vector<double>& weights) {
   const PatternAlignment& pa = engine.alignment();
   for (int e = 0; e < t.edge_count(); ++e) {
     const auto [a, b] = t.edge_nodes(e);
     const double ref = evaluate(scalar_dir(t, pa, model, e, a),
                                 scalar_dir(t, pa, model, e, b),
                                 BranchP::at(model, t.branch_length(e)), model,
-                                pa.weights());
+                                weights);
     const double got = engine.loglik(e);
     EXPECT_EQ(std::memcmp(&ref, &got, sizeof ref), 0)
         << when << ", edge " << e << ": " << got << " vs " << ref;
@@ -279,16 +281,140 @@ TEST_F(EngineTest, EveryEdgeMatchesScalarPruningBitForBit) {
       SCOPED_TRACE(seed);
       util::Rng rng(seed);
       Tree t = Tree::random(taxa, rng);
+      const std::vector<double>& weights = eng->alignment().weights();
       eng->attach(t);
-      expect_every_edge_matches_scalar(*eng, *eng_model, t, "attached");
+      expect_every_edge_matches_scalar(*eng, *eng_model, t, "attached",
+                                       weights);
       eng->optimize_all_branches(t, 1);
-      expect_every_edge_matches_scalar(*eng, *eng_model, t, "optimized");
+      expect_every_edge_matches_scalar(*eng, *eng_model, t, "optimized",
+                                       weights);
       int accepted = 0;
       nni_hill_climb(*eng, t, SearchConfig{}, nullptr, &accepted);
       accepted_total += accepted;
-      expect_every_edge_matches_scalar(*eng, *eng_model, t, "after NNI");
+      expect_every_edge_matches_scalar(*eng, *eng_model, t, "after NNI",
+                                       weights);
     }
     EXPECT_GT(accepted_total, 0) << "no seed accepted an NNI";
+  }
+}
+
+/// Resampled weights with at least one pattern drawn zero times, so an
+/// engine built with them drops that pattern.
+std::vector<double> resampled_weights(const PatternAlignment& pa,
+                                      std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<double> weights = pa.bootstrap_weights(rng);
+  int dropped = 0;
+  for (const double w : weights) dropped += w == 0.0 ? 1 : 0;
+  EXPECT_GT(dropped, 0) << "seed " << seed << " drew every pattern";
+  EXPECT_LT(dropped, pa.patterns()) << "seed " << seed << " drew none";
+  return weights;
+}
+
+TEST_F(EngineTest, ResampledEngineMatchesFullPatternScalarBitForBit) {
+  // An engine built with resampled weights runs its kernels over only the
+  // patterns drawn at least once.  Every edge's lnL must still equal, bit for
+  // bit, a scalar pruning over every pattern with the full weight vector: on
+  // a fresh tree, after a branch-length sweep and after an NNI climb.
+  // Few random starts accept an NNI (see the test above); seed 12 does.
+  const TipClvs tips = make_tip_clvs(pa);
+  int accepted_total = 0;
+  for (const std::uint64_t seed : {4u, 11u, 12u}) {
+    SCOPED_TRACE(seed);
+    const std::vector<double> weights = resampled_weights(pa, seed);
+    LikelihoodEngine eng(pa, model, tips, weights);
+    util::Rng rng(seed);
+    Tree t = Tree::random(pa.taxa(), rng);
+    eng.attach(t);
+    expect_every_edge_matches_scalar(eng, model, t, "attached", weights);
+    eng.optimize_all_branches(t, 1);
+    expect_every_edge_matches_scalar(eng, model, t, "optimized", weights);
+    int accepted = 0;
+    nni_hill_climb(eng, t, SearchConfig{}, nullptr, &accepted);
+    accepted_total += accepted;
+    expect_every_edge_matches_scalar(eng, model, t, "after NNI", weights);
+  }
+  EXPECT_GT(accepted_total, 0) << "no seed accepted an NNI";
+}
+
+TEST_F(EngineTest, ResampledEngineNewtonMatchesFullPatternScalar) {
+  // Each branch length optimize_branch picks must equal, bit for bit,
+  // Newton on a scalar sumtable over every pattern with the full weights,
+  // and so must the lnL it reports.  The sweep runs on one tree, so each
+  // edge starts from the lengths the earlier edges were given.
+  const TipClvs tips = make_tip_clvs(pa);
+  const std::vector<double> weights = resampled_weights(pa, 7);
+  LikelihoodEngine eng(pa, model, tips, weights);
+  util::Rng rng(7);
+  Tree t = Tree::random(pa.taxa(), rng);
+  eng.attach(t);
+  for (int round = 0; round < 2; ++round) {
+    for (int e = 0; e < t.edge_count(); ++e) {
+      SCOPED_TRACE(e);
+      const auto [a, b] = t.edge_nodes(e);
+      const Clv<double> ca = scalar_dir(t, pa, model, e, a);
+      const Clv<double> cb = scalar_dir(t, pa, model, e, b);
+      std::vector<double> sumtable;
+      make_sumtable(ca, cb, model, sumtable);
+      std::vector<int> scale_sum(ca.scale.size());
+      for (std::size_t p = 0; p < scale_sum.size(); ++p) {
+        scale_sum[p] = ca.scale[p] + cb.scale[p];
+      }
+      const double want = newton_branch_length(sumtable, scale_sum, model,
+                                               weights, t.branch_length(e));
+      const double want_lnl =
+          sumtable_loglik(sumtable, scale_sum, model, weights, want);
+
+      const double got_lnl = eng.optimize_branch(t, e);
+      const double got = t.branch_length(e);
+      EXPECT_EQ(std::memcmp(&want, &got, sizeof want), 0)
+          << got << " vs " << want;
+      EXPECT_EQ(std::memcmp(&want_lnl, &got_lnl, sizeof want_lnl), 0)
+          << got_lnl << " vs " << want_lnl;
+    }
+  }
+}
+
+TEST_F(EngineTest, ResampledEngineReportsTheAlignmentsPatternCount) {
+  // The kernel trace models the alignment's loop, whatever the weights
+  // dropped: the observer is told pa.patterns() on every kernel.
+  struct Patterns : KernelObserver {
+    std::vector<int> seen;
+    void on_kernel(task::KernelClass, int patterns, int) override {
+      seen.push_back(patterns);
+    }
+  } observer;
+  const TipClvs tips = make_tip_clvs(pa);
+  LikelihoodEngine eng(pa, model, tips, resampled_weights(pa, 3), &observer);
+  util::Rng rng(3);
+  Tree t = Tree::random(pa.taxa(), rng);
+  eng.attach(t);
+  (void)eng.loglik();
+  eng.optimize_branch(t, 0);
+  (void)eng.insertion_score(0, 2);
+  (void)eng.nni_score(t.internal_edges().front(), 1);
+  ASSERT_EQ(observer.seen.size(), eng.kernel_calls());
+  for (const int patterns : observer.seen) EXPECT_EQ(patterns, pa.patterns());
+}
+
+TEST_F(EngineTest, AllZeroWeightsScoreZeroAndKeepLengths) {
+  // Every pattern dropped: as with the full-pattern kernels, the lnL is
+  // +0.0 and Newton sees a zero gradient, so no branch length moves.
+  const TipClvs tips = make_tip_clvs(pa);
+  LikelihoodEngine eng(pa, model, tips,
+                       std::vector<double>(static_cast<std::size_t>(
+                                               pa.patterns()),
+                                           0.0));
+  util::Rng rng(12);
+  Tree t = Tree::random(pa.taxa(), rng);
+  eng.attach(t);
+  const double lnl = eng.loglik();
+  EXPECT_EQ(lnl, 0.0);
+  EXPECT_FALSE(std::signbit(lnl));
+  for (int e = 0; e < t.edge_count(); ++e) {
+    const double before = t.branch_length(e);
+    EXPECT_EQ(eng.optimize_branch(t, e), 0.0) << "edge " << e;
+    EXPECT_EQ(t.branch_length(e), before) << "edge " << e;
   }
 }
 
