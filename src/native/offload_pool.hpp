@@ -8,18 +8,12 @@
 // across the *idle* workers, master-participating — the host analogue of the
 // paper's LLP executor.
 //
-// Execution is work-stealing (DESIGN.md §9): each worker owns a bounded
-// Chase–Lev deque.  A task submitted from a worker thread of this pool is
-// pushed lock-free onto that worker's own deque (the fast path — nested
-// off-loads and parallel_for helpers never touch a lock); tasks submitted
-// from outside, and overflow from a full deque, go through a mutex-guarded
-// shared injection queue.  An idle worker drains its own deque LIFO, then
-// the injection queue, then steals FIFO from its peers (lock-free CAS);
-// only after all three come up empty does it park on a condition variable
-// with a short timeout backstop, so a lost wakeup race costs at most one
-// timeout period of latency, never liveness.  A thread outside the pool
-// that waits on it can lend itself too: try_run_one() runs one queued job
-// on the calling thread.
+// Execution mirrors the EDTLP runtime's one wait queue (DESIGN.md §9): every
+// job, whichever thread submits it, goes onto one mutex-guarded FIFO, and
+// the submitter notifies one parked worker.  An idle worker takes the
+// oldest job or parks on a plain condition-variable wait.  A thread outside
+// the pool that waits on it can lend itself too: try_run_one() runs one
+// queued job on the calling thread.
 #pragma once
 
 #include <atomic>
@@ -32,8 +26,6 @@
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "native/work_deque.hpp"
 
 namespace cbe::native {
 
@@ -85,16 +77,18 @@ class OffloadPool {
                         body,
                     int degree, std::int64_t grain = 256);
 
-  /// Runs one queued job on the calling thread: the injection queue first,
-  /// then a steal from every worker's deque.  False when nothing was
-  /// queued.  This is how a thread that waits on the pool lends itself to
-  /// it (NativeRuntime::offload's futures call it while they wait).
+  /// Runs the oldest queued job on the calling thread; false when nothing
+  /// was queued.  This is how a thread that waits on the pool lends itself
+  /// to it (NativeRuntime::offload's futures call it while they wait).
   bool try_run_one();
 
   std::uint64_t tasks_executed() const noexcept {
     return tasks_executed_.load(std::memory_order_relaxed);
   }
-  /// Tasks taken from a worker's deque by another thread.
+  /// Jobs run through try_run_one(), by a thread waiting on the pool rather
+  /// than by a worker's own loop.  (The name predates the single queue: it
+  /// once counted jobs stolen from a peer worker's deque, and `cbe_e2e`
+  /// reports it as `native.steals`.)
   std::uint64_t steals() const noexcept {
     return steals_.load(std::memory_order_relaxed);
   }
@@ -110,28 +104,19 @@ class OffloadPool {
   };
 
   void enqueue(std::function<void()> job);
-  void worker_loop(int index);
+  void worker_loop();
   /// The one run path of a job, whichever thread took it: re-install the
-  /// submitter's span, count the job, call it, delete it.
-  void run(Job* job);
-  /// Wakes one parked worker iff any are parked (lock-free check first).
-  void wake_one();
-  /// Pops the oldest job of the injection queue; nullptr when empty.
-  Job* pop_injected();
-  /// Steals one task from any deque but `self`, scanning from `self + 1`;
-  /// a non-worker passes -1 and scans every deque.
-  Job* try_steal(int self) noexcept;
-  bool any_deque_nonempty() const noexcept;
+  /// submitter's span, count the job, call it.
+  void run(Job& job);
+  /// Moves the oldest job out of the queue; the caller holds mu_ and has
+  /// seen the queue non-empty.
+  Job pop_locked();
 
-  // Shared injection queue (external submitters + deque overflow) and the
-  // park/wake channel; `mu_` guards queue_, stop_, work_epoch_, sleepers_.
-  mutable std::mutex mu_;
+  // The one job queue; `mu_` guards queue_ and stop_, and cv_ parks idle
+  // workers until either changes.
+  std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<Job*> queue_;
-  std::uint64_t work_epoch_ = 0;  ///< bumped per lock-free push, for waits
-  std::atomic<int> sleepers_{0};  ///< parked workers (producers peek at it)
-  // Per-worker Chase–Lev deques; stable addresses across the pool's life.
-  std::vector<std::unique_ptr<WorkStealingDeque<Job>>> deques_;
+  std::deque<Job> queue_;
   std::vector<std::thread> threads_;
   bool stop_ = false;
   std::atomic<std::uint64_t> tasks_executed_{0};

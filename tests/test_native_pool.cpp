@@ -256,6 +256,8 @@ TEST(NativeRuntime, WaitingCallerRunsQueuedTasks) {
   EXPECT_TRUE(flag.load());
   EXPECT_EQ(ran_on, std::this_thread::get_id());
   EXPECT_TRUE(first.get());
+  // Only the second task left the worker's hands.
+  EXPECT_EQ(rt.pool().steals(), 1u);
 }
 
 TEST(NativeRuntime, DroppedFutureStillRunsItsTask) {

@@ -1,11 +1,11 @@
-// Stress suite for the work-stealing offload pool — the tests the TSan CI
-// job (CBE_SANITIZE=thread) runs to prove the Chase–Lev deques, the
-// injection queue and the park/wake protocol race-free.  Each test hammers
-// one contended edge: many external producers, stealing under load, deque
-// overflow into the injection queue, and the parallel_for corner cases (0
-// iterations, fewer iterations than workers, throwing bodies, nesting,
-// uneven tails), and NativeRuntime callers that run pool work while they
-// wait on their off-loads.
+// Stress suite for the offload pool — the tests the TSan CI job
+// (CBE_SANITIZE=thread) runs to prove its one job queue and the park/wake
+// protocol race-free.  Each test hammers one contended edge: many external
+// producers, a worker blocked on subtasks that its peers must run, a park
+// between every job, the parallel_for corner cases (0 iterations, fewer
+// iterations than workers, throwing bodies, nesting, uneven tails), and
+// NativeRuntime callers that run pool work while they wait on their
+// off-loads.
 #include "native/native_runtime.hpp"
 #include "native/offload_pool.hpp"
 
@@ -17,8 +17,6 @@
 #include <stdexcept>
 #include <thread>
 #include <vector>
-
-#include "native/work_deque.hpp"
 
 namespace cbe::native {
 namespace {
@@ -69,86 +67,60 @@ TEST(PoolStress, CountersAreExactOnceFuturesResolve) {
   }
 }
 
-TEST(PoolStress, BlockedSpawnerForcesStealing) {
-  // One worker spawns subtasks (they land in its own deque via the
-  // lock-free fast path) and then blocks until they all finish.  Since the
-  // spawner cannot drain its own deque while blocked, every subtask must
-  // be stolen by a peer — steals() has to move.
+TEST(PoolStress, BlockedSpawnerSubtasksRunOnPeers) {
+  // One worker spawns subtasks and then blocks until they all finish.  The
+  // spawner never takes a job while blocked, so its peers must run every
+  // subtask, each exactly once.
   OffloadPool pool(4);
   constexpr int kSubtasks = 256;
+  std::vector<std::atomic<int>> ran(kSubtasks);
   std::atomic<int> done{0};
+  std::atomic<int> on_spawner{0};
   pool.offload_result([&] {
+        const std::thread::id spawner = std::this_thread::get_id();
         for (int i = 0; i < kSubtasks; ++i) {
-          pool.offload_result(
-              [&done] { done.fetch_add(1, std::memory_order_relaxed); });
+          pool.offload_result([&, spawner, i] {
+            ran[static_cast<std::size_t>(i)].fetch_add(1);
+            if (std::this_thread::get_id() == spawner) on_spawner.fetch_add(1);
+            done.fetch_add(1, std::memory_order_release);
+          });
         }
-        while (done.load(std::memory_order_relaxed) < kSubtasks) {
+        while (done.load(std::memory_order_acquire) < kSubtasks) {
           std::this_thread::yield();
         }
       })
       .get();
-  EXPECT_EQ(done.load(), kSubtasks);
-  EXPECT_GT(pool.steals(), 0u);
+  for (int i = 0; i < kSubtasks; ++i) {
+    EXPECT_EQ(ran[static_cast<std::size_t>(i)].load(), 1) << "subtask " << i;
+  }
+  EXPECT_EQ(on_spawner.load(), 0);
 }
 
-TEST(PoolStress, DequeOverflowFallsBackToInjection) {
-  // A single-worker pool: the spawner is the only worker, so nothing
-  // drains its deque while it floods more tasks than the deque holds.
-  // The overflow must spill to the injection queue, and every task must
-  // still run exactly once after the spawner returns.
-  OffloadPool pool(1);
-  constexpr int kFlood = 6000;  // > the 4096-slot deque
-  std::atomic<int> ran{0};
-  std::vector<std::future<void>> futures;
-  futures.reserve(kFlood);
-  pool.offload_result([&] {
-        for (int i = 0; i < kFlood; ++i) {
-          futures.push_back(pool.offload_result(
-              [&ran] { ran.fetch_add(1, std::memory_order_relaxed); }));
-        }
-      })
-      .get();
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(ran.load(), kFlood);
-}
-
-TEST(PoolStress, RawDequeOwnerVersusThieves) {
-  // The deque itself, outside the pool: one owner pushing/popping against
-  // three thieves.  Every pushed value must be consumed exactly once.
-  WorkStealingDeque<int> dq(64);
-  constexpr int kItems = 20000;
-  std::vector<int> values(kItems);
-  std::atomic<int> consumed{0};
-  std::vector<std::atomic<int>> seen(kItems);
-  std::atomic<bool> owner_done{false};
-  auto consume = [&](int* v) {
-    seen[static_cast<std::size_t>(v - values.data())].fetch_add(1);
-    consumed.fetch_add(1, std::memory_order_relaxed);
+TEST(PoolStress, SequentialRoundTripsNeverStall) {
+  // One job at a time, each waited for before the next is submitted, so
+  // the serving worker parks between every pair of jobs and must be woken
+  // for each.  A lost wakeup hangs this test instead of slowing it down.
+  constexpr int kRoundTrips = 10000;
+  auto round_trips = [](OffloadPool& pool) {
+    int sum = 0;
+    for (int i = 0; i < kRoundTrips; ++i) {
+      sum += pool.offload_result([i] { return i & 1; }).get();
+    }
+    return sum;
   };
-  std::vector<std::thread> thieves;
-  for (int t = 0; t < 3; ++t) {
-    thieves.emplace_back([&] {
-      while (!owner_done.load(std::memory_order_acquire) ||
-             dq.maybe_nonempty()) {
-        if (int* v = dq.steal()) consume(v);
-      }
-    });
+  {
+    OffloadPool pool(1);
+    EXPECT_EQ(round_trips(pool), kRoundTrips / 2);
+    EXPECT_EQ(pool.tasks_executed(), static_cast<std::uint64_t>(kRoundTrips));
   }
-  for (int i = 0; i < kItems; ++i) {
-    while (!dq.push(&values[static_cast<std::size_t>(i)])) {
-      if (int* v = dq.pop()) consume(v);  // full: help drain
-    }
-    if ((i & 7) == 0) {
-      if (int* v = dq.pop()) consume(v);  // owner LIFO pops interleaved
-    }
-  }
-  while (int* v = dq.pop()) consume(v);
-  owner_done.store(true, std::memory_order_release);
-  for (auto& t : thieves) t.join();
-  while (int* v = dq.steal()) consume(v);  // anything thieves left behind
-  EXPECT_EQ(consumed.load(), kItems);
-  for (int i = 0; i < kItems; ++i) {
-    EXPECT_EQ(seen[static_cast<std::size_t>(i)].load(), 1) << "item " << i;
+  {
+    // The same loop inside a pool job: one worker submits and waits, the
+    // other serves it.
+    OffloadPool pool(2);
+    EXPECT_EQ(pool.offload_result([&] { return round_trips(pool); }).get(),
+              kRoundTrips / 2);
+    EXPECT_EQ(pool.tasks_executed(),
+              static_cast<std::uint64_t>(kRoundTrips + 1));
   }
 }
 
@@ -224,8 +196,8 @@ TEST(PoolStress, ParallelForThrowingBodyPropagatesAndPoolSurvives) {
 
 TEST(PoolStress, NestedParallelForStorm) {
   // parallel_for bodies that themselves parallel_for — the nesting case
-  // that deadlocks naive fork-join pools.  Helpers spawned from workers go
-  // through the own-deque fast path, so this also churns the steal path.
+  // that deadlocks naive fork-join pools.  Workers enqueue helpers while
+  // their peers take jobs, so this also churns the one queue.
   OffloadPool pool(4);
   std::atomic<std::int64_t> total{0};
   pool.parallel_for(
