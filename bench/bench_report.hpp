@@ -13,7 +13,6 @@
 
 #include "analysis/analysis.hpp"
 #include "trace/export.hpp"
-#include "trace/recorder.hpp"
 #include "trace/trace.hpp"
 #include "util/cli.hpp"
 #include "util/crc32.hpp"
@@ -190,18 +189,6 @@ class BenchReport {
 inline void report_attribution(BenchReport& r, const trace::TraceSink& sink) {
   if (!sink.empty()) {
     r.attribution(analysis::attribute_makespan(sink.events(), -1));
-  }
-}
-
-/// Surfaces the flight recorder's loss counters in the report's "counters"
-/// object (informational, not gated — see counter()).  Reads the
-/// process-wide installed recorder; a no-op when none is installed, so every
-/// bench can call it unconditionally.
-inline void report_recorder_counters(BenchReport& r) {
-  if (const trace::FlightRecorder* rec = trace::installed_flight_recorder()) {
-    r.counter("recorder_recorded", rec->recorded());
-    r.counter("recorder_overwritten", rec->overwritten());
-    r.counter("recorder_dumps", trace::flight_dumps_written());
   }
 }
 

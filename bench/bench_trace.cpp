@@ -4,8 +4,8 @@
 //
 // Series (cbe-bench-v1):
 //   off_wall        service run with no trace sink at all
-//   recorder_wall   same run with a trace::FlightRecorder as the sink (the
-//                   always-on production configuration)
+//   recorder_wall   same run with a bounded trace::TraceSink (--ring events)
+//                   as the sink: the always-on flight recorder
 //   full_wall       same run with an unbounded trace::TraceSink (what
 //                   --trace costs)
 //   ratio/recorder_over_off, ratio/full_over_off
@@ -27,7 +27,6 @@
 
 #include "bench_report.hpp"
 #include "jobsvc/service.hpp"
-#include "trace/recorder.hpp"
 #include "trace/trace.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
@@ -57,7 +56,8 @@ int main(int argc, char** argv) {
   const int blades = static_cast<int>(cli.get_int("blades", 8));
   const int slots = static_cast<int>(cli.get_int("slots", 4));
   const int reps = static_cast<int>(cli.get_int("reps", 5));
-  const int ring = static_cast<int>(cli.get_int("ring", 4096));
+  const auto ring = static_cast<int>(
+      cli.get_count("ring", 4096, 4096, trace::TraceSink::kMaxCapacity));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
   const double blade_fail_rate = cli.get_double("blade-fail-rate", 0.4);
   bench::BenchReport report(cli, "trace");
@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
       off_wall.push_back(run_once(cfg, specs));
     }
     {
-      trace::FlightRecorder rec(static_cast<std::size_t>(ring));
+      trace::TraceSink rec(static_cast<std::size_t>(ring));
       jobsvc::ServiceConfig cfg = base;
       cfg.trace = &rec;
       recorder_wall.push_back(run_once(cfg, specs));

@@ -15,14 +15,12 @@
 // Exit status: 0 when every admitted job completed, 1 otherwise (some jobs
 // rejected/shed/failed — expected under overload configs).
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "jobsvc/service.hpp"
 #include "sim/fault.hpp"
 #include "trace/export.hpp"
 #include "trace/metrics.hpp"
-#include "trace/recorder.hpp"
 #include "trace/trace.hpp"
 #include "util/cli.hpp"
 #include "util/log.hpp"
@@ -73,9 +71,9 @@ output:
   --trace=FILE         write the event trace as text ("-" for stdout)
 
 observability (DESIGN.md section 12):
-  --flight-recorder[=N]  keep the last N trace events per thread in a bounded
-                       ring (bare flag: 4096) and dump them on crash or
-                       nonzero exit
+  --flight-recorder[=N]  keep the last N trace events (1 to 16777216, bare
+                       flag: 4096) in a bounded ring and dump them on crash
+                       or nonzero exit
   --flight-dump=FILE   where the flight-recorder dump goes
                        (default flight.trace)
   --die-at-event=N     kill the process (SIGKILL) at the Nth executed step --
@@ -85,18 +83,6 @@ observability (DESIGN.md section 12):
   --statusz-text=FILE  also write the text rendering of each snapshot
   --statusz-every=S    virtual seconds between snapshots (default 0.05)
 )";
-
-/// Forwards every event to both sinks: lets --trace (full stream) and
-/// --flight-recorder (bounded tail) observe one run simultaneously.
-struct TeeSink final : cbe::trace::TraceSink {
-  cbe::trace::TraceSink* a = nullptr;
-  cbe::trace::TraceSink* b = nullptr;
-  void record(std::int64_t t_ns, cbe::trace::EventKind kind, int spe, int pid,
-              std::int64_t x = 0, std::int64_t y = 0) override {
-    if (a != nullptr) a->record(t_ns, kind, spe, pid, x, y);
-    if (b != nullptr) b->record(t_ns, kind, spe, pid, x, y);
-  }
-};
 
 // --results / --metrics accept an optional file: bare flag -> stdout,
 // --flag=FILE -> the file.  Returns false on write failure.
@@ -146,7 +132,8 @@ int main(int argc, char** argv) {
   const std::string metrics_dest = cli.get("metrics", "");
   const std::string trace_path = cli.get("trace", "");
 
-  const std::string recorder_flag = cli.get("flight-recorder", "");
+  const auto ring = static_cast<std::size_t>(cli.get_count(
+      "flight-recorder", 0, 4096, trace::TraceSink::kMaxCapacity));
   const std::string flight_dump = cli.get("flight-dump", "flight.trace");
   const std::int64_t die_at = cli.get_int("die-at-event", 0);
   cfg.statusz.json_path = cli.get("statusz", "");
@@ -156,35 +143,20 @@ int main(int argc, char** argv) {
   }
   cli.enforce_usage_or_exit(kUsage);
 
-  trace::TraceSink sink;
+  // One sink serves both flags: --trace needs every event, so it stays
+  // unbounded then; the flight recorder alone needs only the ring.  Either
+  // way the dump writes the newest `ring` events.
+  trace::TraceSink sink(trace_path.empty() ? ring : 0);
   trace::MetricsRegistry metrics;
-  std::size_t ring = 0;
-  if (!recorder_flag.empty()) {
-    ring = recorder_flag == "true"
-               ? 4096
-               : static_cast<std::size_t>(std::strtoull(
-                     recorder_flag.c_str(), nullptr, 10));
-    if (ring == 0) ring = 4096;
-  }
-  trace::FlightRecorder recorder(ring == 0 ? 16 : ring);
-  TeeSink tee;
   if (ring != 0) {
-    trace::install_flight_recorder(&recorder, flight_dump);
+    trace::install_flight_recorder(&sink, ring, flight_dump);
     // Dump the recorder as the process's last act when the crash clock
     // kills it: the whole point of --die-at-event + --flight-recorder.
     sim::set_crash_clock_hook(
         []() noexcept { cbe::trace::dump_flight_recorder("crash-clock",
                                                          /*force=*/true); });
-    if (!trace_path.empty()) {
-      tee.a = &sink;
-      tee.b = &recorder;
-      cfg.trace = &tee;
-    } else {
-      cfg.trace = &recorder;
-    }
-  } else if (!trace_path.empty()) {
-    cfg.trace = &sink;
   }
+  if (ring != 0 || !trace_path.empty()) cfg.trace = &sink;
   if (die_at > 0) sim::arm_crash_clock(die_at);
   cfg.metrics = &metrics;
 

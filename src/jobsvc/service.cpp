@@ -14,7 +14,6 @@
 #include "sim/engine.hpp"
 #include "trace/export.hpp"
 #include "trace/metrics.hpp"
-#include "trace/recorder.hpp"
 #include "trace/trace.hpp"
 #include "util/log.hpp"
 #include "util/stats.hpp"

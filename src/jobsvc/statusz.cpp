@@ -3,7 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "trace/recorder.hpp"
+#include "trace/trace.hpp"
 #include "util/table.hpp"
 
 namespace cbe::jobsvc {
@@ -45,11 +45,8 @@ void kv_b(std::string& out, const char* k, bool v, bool last) {
 }  // namespace
 
 void fill_recorder_status(StatusSnapshot& s) {
-  if (const trace::FlightRecorder* rec = trace::installed_flight_recorder()) {
-    s.recorder_installed = true;
-    s.recorder_recorded = rec->recorded();
-    s.recorder_overwritten = rec->overwritten();
-  }
+  s.recorder_installed = trace::flight_recorder_counts(
+      s.recorder_recorded, s.recorder_overwritten);
   s.recorder_dumps = trace::flight_dumps_written();
 }
 

@@ -7,9 +7,10 @@
 // a bit-identical trace, which is what makes traces usable as golden
 // regression fixtures (tests/golden/).
 //
-// The native thread pool records into a FlightRecorder (trace/recorder.hpp)
-// instead: each worker owns a single-writer ring (no locking on the record
-// path; attaching a new thread's ring is the only synchronized step).
+// A sink has one writer, the thread that installed it.  Built with a
+// capacity it is a bounded ring that keeps only the newest events: the
+// always-on flight recorder, which a process can register for crash dumps
+// (install_flight_recorder below).
 //
 // Tracing compiles out entirely with -DCBE_TRACE=OFF: CBE_TRACE_EVENT
 // expands to nothing and the hot paths carry zero tracing code.  When
@@ -18,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -226,34 +228,47 @@ struct Event {
 
 /// Single-writer event recorder.  The simulator installs one as the ambient
 /// sink for the duration of a run; the golden tests snapshot its contents.
-/// record() is virtual so bounded recorders (trace::FlightRecorder) can be
-/// installed anywhere a TraceSink* is accepted.
-class TraceSink {
+/// Unbounded by default.  Given a capacity it is a ring that holds the newest
+/// `capacity` events: once full, each record overwrites the oldest, so it
+/// always keeps the causal tail of what just happened.
+class TraceSink final {
  public:
+  static constexpr std::size_t kMinCapacity = 16;
+  /// Largest capacity the command-line tools accept (640 MiB of events).
+  static constexpr std::size_t kMaxCapacity = std::size_t{1} << 24;
+
   TraceSink() = default;
-  virtual ~TraceSink() = default;
-  // Movable (tests return sinks by value); copying a polymorphic sink would
-  // slice derived state, so it stays deleted.
+  /// `capacity` 0 means unbounded; smaller than kMinCapacity clamps up.  A
+  /// bounded sink allocates its whole ring here.
+  explicit TraceSink(std::size_t capacity);
+  /// Unregisters the sink if it is the installed flight recorder.
+  ~TraceSink();
   TraceSink(const TraceSink&) = delete;
   TraceSink& operator=(const TraceSink&) = delete;
   TraceSink(TraceSink&&) = default;
   TraceSink& operator=(TraceSink&&) = default;
 
-  virtual void record(std::int64_t t_ns, EventKind kind, int spe, int pid,
-                      std::int64_t a = 0, std::int64_t b = 0) {
-    events_.push_back(Event{t_ns, a, b, pid, static_cast<std::int16_t>(spe),
-                            kind, current_span()});
-  }
+  void record(std::int64_t t_ns, EventKind kind, int spe, int pid,
+              std::int64_t a = 0, std::int64_t b = 0);
 
+  /// Storage order: record order, until a bounded sink wraps.
   const std::vector<Event>& events() const noexcept { return events_; }
+  /// The held events in record order, oldest first.
+  std::vector<Event> tail() const;
   std::size_t size() const noexcept { return events_.size(); }
   bool empty() const noexcept { return events_.empty(); }
+  /// Every event ever recorded; overwritten() of them fell off the ring.
+  std::uint64_t recorded() const noexcept { return size() + overwritten_; }
+  std::uint64_t overwritten() const noexcept { return overwritten_; }
 
-  /// Number of recorded events of `kind`.
+  /// Number of held events of `kind`.
   std::uint64_t count(EventKind kind) const noexcept;
 
  private:
   std::vector<Event> events_;
+  std::size_t limit_ = static_cast<std::size_t>(-1);  ///< max events_ size
+  std::size_t oldest_ = 0;  ///< the slot the next overwrite replaces
+  std::uint64_t overwritten_ = 0;
 };
 
 /// The calling thread's ambient sink (null when none installed).
@@ -272,6 +287,44 @@ class ScopedTrace {
  private:
   TraceSink* prev_;
 };
+
+// -- Crash dumps --------------------------------------------------------------
+//
+// A process registers one sink as its flight recorder.  dump_flight_recorder
+// writes the sink's newest `window` events as a strict `# cbe-trace v1` file
+// (the reason and the loss counters ride in a `#` comment line), so every
+// crash artifact feeds straight into cell_profiler.  Dump sites: the
+// --die-at-event crash clock (via sim::set_crash_clock_hook), the jobsvc
+// quarantine and watchdog paths, and nonzero-exit paths in cell_jobsvc.  A
+// dump reads the sink, so it runs on the sink's recording thread.  Dumps are
+// budgeted per process; the crash clock's bypasses the budget (`force`)
+// because the final dump is the one that matters.
+
+/// Registers `sink` as the process's flight recorder, dumped to `dump_path`
+/// as its newest `window` events (clamped up to TraceSink::kMinCapacity).
+/// Pass nullptr to unregister.  `max_dumps` bounds how many non-forced dumps
+/// one process may write (each overwrites the file).
+void install_flight_recorder(const TraceSink* sink, std::size_t window,
+                             std::string dump_path, int max_dumps = 8);
+
+/// The registered sink's counters as its dump reports them: events recorded,
+/// and how many of those fell outside the dump window.  False, leaving both
+/// untouched, when none is registered.
+bool flight_recorder_counts(std::uint64_t& recorded,
+                            std::uint64_t& overwritten) noexcept;
+
+/// Writes the registered sink's dump, tagged with `reason`.  Returns false
+/// when none is registered, the per-process dump budget is exhausted (unless
+/// `force`), or the write fails.  Safe to call immediately before a SIGKILL.
+bool dump_flight_recorder(const char* reason, bool force = false) noexcept;
+
+/// Dumps written so far (for statusz and tests).
+std::uint64_t flight_dumps_written() noexcept;
+
+/// The dump text: `sink`'s newest `window` events plus a
+/// `# flight-recorder ...` comment line.  Exposed for tests.
+std::string flight_dump_text(const TraceSink& sink, std::size_t window,
+                             const char* reason);
 
 }  // namespace cbe::trace
 

@@ -76,6 +76,21 @@ bool Cli::get_bool(const std::string& name, bool def) const {
   return def;
 }
 
+std::int64_t Cli::get_count(const std::string& name, std::int64_t def,
+                            std::int64_t bare, std::int64_t max) const {
+  const std::string v = get(name, "");
+  if (v.empty()) return def;
+  if (v == "true") return bare;
+  char* end = nullptr;
+  const long long parsed = std::strtoll(v.c_str(), &end, 10);
+  if (end == v.c_str() || *end != '\0' || parsed < 1 || parsed > max) {
+    errors_.push_back("--" + name + " expects an integer in [1, " +
+                      std::to_string(max) + "], got '" + v + "'");
+    return def;
+  }
+  return parsed;
+}
+
 std::vector<std::string> Cli::unused() const {
   std::vector<std::string> out;
   for (const auto& [k, spelled] : typed_) {

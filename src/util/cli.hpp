@@ -24,6 +24,10 @@ class Cli {
   std::int64_t get_int(const std::string& name, std::int64_t def) const;
   double get_double(const std::string& name, double def) const;
   bool get_bool(const std::string& name, bool def) const;
+  /// A count flag: `def` when absent, `bare` for a bare `--name`, otherwise
+  /// an integer in [1, max]; any other value is a usage error.
+  std::int64_t get_count(const std::string& name, std::int64_t def,
+                         std::int64_t bare, std::int64_t max) const;
 
   /// Positional (non-flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }

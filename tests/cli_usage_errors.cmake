@@ -49,6 +49,16 @@ expect_usage_error("${jobsvc}" --jobs=many)
 expect_usage_error("${jobsvc}" --blade-fail-rate=high)
 expect_usage_error("${jobsvc}" --fault-bitflip-rate=lots)
 expect_usage_error("${jobsvc}" --verify-fraction=half)
+# Ring sizes: a positive integer small enough to allocate.
+expect_usage_error("${jobsvc}" --flight-recorder=-5)
+expect_usage_error("${jobsvc}" --flight-recorder=0)
+expect_usage_error("${jobsvc}" --flight-recorder=abc)
+expect_usage_error("${jobsvc}" --flight-recorder=99999999999999999999)
+expect_usage_error("${jobsvc}" --flight-recorder=16777217)
+expect_usage_error("${BINDIR}/bench/bench_trace" --ring=-5)
+expect_usage_error("${BINDIR}/bench/bench_trace" --ring=0)
+expect_usage_error("${BINDIR}/bench/bench_trace" --ring=abc)
+expect_usage_error("${BINDIR}/bench/bench_trace" --ring=16777217)
 
 # The fault-script minimizer is under the same contract.
 set(shrink "${BINDIR}/tools/fault_shrink")

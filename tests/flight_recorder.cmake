@@ -6,7 +6,8 @@
 #      crash hook's last act is dumping the recorder;
 #   2. the dump must exist, be a strict `# cbe-trace v1` stream with the
 #      `# flight-recorder reason=crash-clock` comment, and carry causal span
-#      tails (` s=`) for the job lifecycle events;
+#      tails (` s=`) for the job lifecycle events; it holds at most the
+#      ring's 256 events, and recorded - overwritten equals that count;
 #   3. cell_profiler must refuse the mixed multi-job dump without --span,
 #      name the jobs it found, and analyze cleanly with --span=<job>;
 #   4. the statusz export of a healthy run must parse and render through
@@ -63,6 +64,21 @@ if(NOT dump MATCHES "# flight-recorder reason=crash-clock")
 endif()
 if(NOT dump MATCHES " s=[0-9]")
   message(FATAL_ERROR "dump carries no causal span tails")
+endif()
+# Loss accounting: the ring holds at most its 256 events, and the comment's
+# counters explain every event that is not in the file.
+file(STRINGS "${WORKDIR}/crash.trace" event_lines REGEX "^[^#]")
+list(LENGTH event_lines n_events)
+if(n_events EQUAL 0 OR n_events GREATER 256)
+  message(FATAL_ERROR "dump holds ${n_events} events; the ring keeps 1..256")
+endif()
+if(NOT dump MATCHES "recorded=([0-9]+) overwritten=([0-9]+)")
+  message(FATAL_ERROR "dump lost its recorded=/overwritten= counters")
+endif()
+math(EXPR held "${CMAKE_MATCH_1} - ${CMAKE_MATCH_2}")
+if(NOT held EQUAL n_events)
+  message(FATAL_ERROR "dump says recorded=${CMAKE_MATCH_1} "
+          "overwritten=${CMAKE_MATCH_2} but holds ${n_events} events")
 endif()
 
 # --- 3. cell_profiler: mixed-trace guard, then per-span analysis -------------

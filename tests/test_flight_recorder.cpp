@@ -1,19 +1,18 @@
-// Flight-recorder invariants (DESIGN.md §12): bounded storage, newest-wins
-// overwrite ordering, loss accounting, span capture, dump formatting, and
-// race-freedom of concurrent record()/tail() under the TSan CI leg.
+// Flight-recorder invariants (DESIGN.md §12): a bounded TraceSink keeps
+// exactly the newest events in record order with exact loss accounting, it
+// matches the tail of an unbounded run, spans ride along, dumps parse
+// strictly, and per-thread ambient sinks stay separate under the TSan CI leg.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
-#include <optional>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "analysis/trace_parse.hpp"
+#include "jobsvc/service.hpp"
 #include "trace/export.hpp"
-#include "trace/recorder.hpp"
 #include "trace/trace.hpp"
 
 namespace {
@@ -22,7 +21,7 @@ using namespace cbe;
 using trace::EventKind;
 
 TEST(FlightRecorderTest, HoldsEverythingUnderCapacity) {
-  trace::FlightRecorder rec(64);
+  trace::TraceSink rec(64);
   for (int i = 0; i < 50; ++i) {
     rec.record(i, EventKind::TaskDispatch, 0, i);
   }
@@ -34,7 +33,6 @@ TEST(FlightRecorderTest, HoldsEverythingUnderCapacity) {
   }
   EXPECT_EQ(rec.recorded(), 50u);
   EXPECT_EQ(rec.overwritten(), 0u);
-  EXPECT_EQ(rec.threads_attached(), 1u);
 }
 
 // The load-bearing invariant: when the ring wraps, what survives is exactly
@@ -43,7 +41,7 @@ TEST(FlightRecorderTest, HoldsEverythingUnderCapacity) {
 TEST(FlightRecorderTest, OverwriteKeepsExactlyTheNewestInOrder) {
   constexpr int kCapacity = 64;
   constexpr int kTotal = 5 * kCapacity + 17;
-  trace::FlightRecorder rec(kCapacity);
+  trace::TraceSink rec(kCapacity);
   for (int i = 0; i < kTotal; ++i) {
     rec.record(i, EventKind::TaskDispatch, 0, i);
   }
@@ -60,12 +58,15 @@ TEST(FlightRecorderTest, OverwriteKeepsExactlyTheNewestInOrder) {
 }
 
 TEST(FlightRecorderTest, CapacityClampsToMinimum) {
-  trace::FlightRecorder rec(1);
-  EXPECT_GE(rec.capacity(), 16u);
+  trace::TraceSink rec(1);
+  for (int i = 0; i < 40; ++i) rec.record(i, EventKind::TaskDispatch, 0, i);
+  EXPECT_EQ(rec.size(), trace::TraceSink::kMinCapacity);
+  EXPECT_EQ(rec.tail().front().t_ns,
+            40 - static_cast<int>(trace::TraceSink::kMinCapacity));
 }
 
 TEST(FlightRecorderTest, CapturesAmbientSpan) {
-  trace::FlightRecorder rec(64);
+  trace::TraceSink rec(64);
   rec.record(1, EventKind::TaskDispatch, 0, 0);
   {
     trace::ScopedSpan span(trace::make_span(7, 2, 1, 3));
@@ -82,113 +83,81 @@ TEST(FlightRecorderTest, CapturesAmbientSpan) {
   EXPECT_EQ(p.task, 3u);
 }
 
-// Each thread gets its own ring: per-thread capacity, per-thread ordering,
-// merged tail sorted by timestamp.
-TEST(FlightRecorderTest, PerThreadRingsMergeByTimestamp) {
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 32;
-  trace::FlightRecorder rec(64);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&rec, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        rec.record(i * kThreads + t, EventKind::TaskDispatch, t, i);
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  const std::vector<trace::Event> tail = rec.tail();
-  ASSERT_EQ(tail.size(), static_cast<std::size_t>(kThreads * kPerThread));
+trace::TraceSink run_chaos_service(std::size_t capacity) {
+  jobsvc::JobMixConfig mix;
+  mix.jobs = 60;
+  jobsvc::ServiceConfig cfg;
+  cfg.fleet = platform::BladeFleetConfig::uniform(4, 4);
+  cfg.seed = 2026;
+  cfg.fault.seed = 7;
+  cfg.fault.blade_fail_rate = 0.3;
+  trace::TraceSink sink(capacity);
+  cfg.trace = &sink;
+  jobsvc::Service svc(cfg);
+  svc.run(jobsvc::make_job_mix(mix));
+  return sink;
+}
+
+// The bounded mode is the unbounded one with the front cut off: one seeded
+// service run, recorded both ways, leaves the ring holding exactly the last
+// `capacity` events of the full stream, in the same (time-monotone) order.
+TEST(FlightRecorderTest, BoundedSinkHoldsTheUnboundedRunsNewestEvents) {
+  constexpr std::size_t kCapacity = 256;
+  const trace::TraceSink full = run_chaos_service(0);
+  const trace::TraceSink ring = run_chaos_service(kCapacity);
+  const std::vector<trace::Event>& all = full.events();
+  EXPECT_EQ(ring.recorded(), all.size());
+  EXPECT_EQ(ring.recorded() - ring.overwritten(), ring.size());
+#if CBE_TRACE_ENABLED
+  ASSERT_GT(all.size(), kCapacity);
+  EXPECT_EQ(ring.size(), kCapacity);
+#endif
+  const std::size_t kept = ring.size();
+  const std::vector<trace::Event> newest(
+      all.end() - static_cast<std::ptrdiff_t>(kept), all.end());
+  const std::vector<trace::Event> tail = ring.tail();
+  EXPECT_EQ(trace::to_text(tail), trace::to_text(newest));
   for (std::size_t i = 1; i < tail.size(); ++i) {
     EXPECT_LE(tail[i - 1].t_ns, tail[i].t_ns);
   }
-  EXPECT_EQ(rec.threads_attached(), static_cast<std::size_t>(kThreads));
 }
 
-// A thread that outlives a recorder must not carry the dead recorder's ring
-// into a new recorder built at the same address: B gets a ring of its own
-// and holds exactly what was recorded into it.
-TEST(FlightRecorderTest, NewRecorderAtADestroyedRecordersAddress) {
-  std::optional<trace::FlightRecorder> slot;
-  slot.emplace(64);
-  const trace::FlightRecorder* a = &*slot;
-  std::atomic<int> step{0};
-  auto await = [&step](int s) {
-    while (step.load(std::memory_order_acquire) != s) std::this_thread::yield();
-  };
-  std::thread writer([&] {
-    slot->record(1, EventKind::TaskDispatch, 0, 1);  // recorder A
-    step.store(1, std::memory_order_release);
-    await(2);
-    slot->record(2, EventKind::TaskComplete, 0, 2);  // recorder B
-    step.store(3, std::memory_order_release);
-  });
-
-  await(1);
-  EXPECT_EQ(slot->recorded(), 1u);
-  slot.reset();
-  slot.emplace(64);
-  ASSERT_EQ(&*slot, a);  // B occupies A's storage
-  step.store(2, std::memory_order_release);
-  await(3);
-  writer.join();
-
-  EXPECT_EQ(slot->recorded(), 1u);
-  EXPECT_EQ(slot->threads_attached(), 1u);
-  const std::vector<trace::Event> tail = slot->tail();
-  ASSERT_EQ(tail.size(), 1u);
-  EXPECT_EQ(tail[0].t_ns, 2);
-  EXPECT_EQ(tail[0].kind, EventKind::TaskComplete);
-}
-
-// TSan stress: writers hammer their rings while a reader snapshots
-// concurrently.  The memory-model contract (slot store, then release-store
-// of the head; tail() acquires heads) must hold race-free, and every
-// mid-flight snapshot must stay well-formed: bounded size, monotone
-// timestamps, and only whole events a writer produced (every field of one
-// event derives from the same (writer, i), so a torn slot shows).
-TEST(FlightRecorderStressTest, ConcurrentRecordAndTail) {
-  static constexpr int kWriters = 4;
-  static constexpr int kEvents = 20000;
-  trace::FlightRecorder rec(128);
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&rec, w] {
-      for (int i = 0; i < kEvents; ++i) {
-        rec.record(i, EventKind::TaskDispatch, w, i, w, i);
-      }
-    });
-  }
-  std::thread reader([&rec, &stop] {
-    while (!stop.load(std::memory_order_acquire)) {
-      const std::vector<trace::Event> snap = rec.tail();
-      EXPECT_LE(snap.size(), rec.capacity() * kWriters);
-      for (std::size_t i = 1; i < snap.size(); ++i) {
-        EXPECT_LE(snap[i - 1].t_ns, snap[i].t_ns);
-      }
-      for (const trace::Event& e : snap) {
-        EXPECT_GE(e.t_ns, 0);
-        EXPECT_LT(e.t_ns, kEvents);
-        EXPECT_GE(e.spe, 0);
-        EXPECT_LT(e.spe, kWriters);
-        EXPECT_EQ(e.a, e.spe);
-        EXPECT_EQ(e.pid, e.t_ns);
-        EXPECT_EQ(e.b, e.t_ns);
-      }
+// A sink has one writer: two threads record at once, each into the ambient
+// sink it installed itself (one bounded, one unbounded), and each sink sees
+// only its own thread's events and spans.  Run under TSan in CI.
+TEST(FlightRecorderStressTest, EachThreadRecordsIntoItsOwnAmbientSink) {
+  static constexpr int kEvents = 5000;
+  trace::TraceSink sinks[2] = {trace::TraceSink(0), trace::TraceSink(128)};
+  std::atomic<int> ready{0};
+  auto writer = [&sinks, &ready](int t) {
+    trace::ScopedTrace install(&sinks[t]);
+    trace::ScopedSpan span(trace::make_span(static_cast<std::uint64_t>(t),
+                                            0, 0, 0));
+    ready.fetch_add(1, std::memory_order_acq_rel);
+    while (ready.load(std::memory_order_acquire) < 2) std::this_thread::yield();
+    for (int i = 0; i < kEvents; ++i) {
+      trace::current()->record(i, EventKind::TaskDispatch, t, i);
     }
-  });
-  for (std::thread& th : writers) th.join();
-  stop.store(true, std::memory_order_release);
-  reader.join();
+  };
+  std::thread a(writer, 0);
+  std::thread b(writer, 1);
+  a.join();
+  b.join();
 
-  // Quiescent now: the final snapshot is exact.
-  const std::vector<trace::Event> tail = rec.tail();
-  EXPECT_EQ(tail.size(), rec.capacity() * kWriters);
-  EXPECT_EQ(rec.recorded(),
-            static_cast<std::uint64_t>(kWriters) * kEvents);
-  EXPECT_EQ(rec.overwritten(),
-            rec.recorded() - static_cast<std::uint64_t>(tail.size()));
+  for (int t = 0; t < 2; ++t) {
+    const trace::TraceSink& sink = sinks[t];
+    EXPECT_EQ(sink.recorded(), static_cast<std::uint64_t>(kEvents));
+    const std::vector<trace::Event> tail = sink.tail();
+    ASSERT_EQ(tail.size(), t == 0 ? std::size_t{kEvents} : std::size_t{128});
+    const int first = kEvents - static_cast<int>(tail.size());
+    for (std::size_t i = 0; i < tail.size(); ++i) {
+      EXPECT_EQ(tail[i].spe, t);
+      EXPECT_EQ(tail[i].pid, first + static_cast<int>(i));
+      EXPECT_EQ(trace::span_parts(tail[i].span).job,
+                static_cast<std::uint32_t>(t));
+    }
+  }
+  EXPECT_EQ(trace::current(), nullptr);
 }
 
 // A span survives the full text round trip: tagged events render with a
@@ -245,15 +214,22 @@ TEST(SpanPackingTest, SaturatesInsteadOfBleedingAcrossFields) {
 // The dump text is a strict `# cbe-trace v1` stream (comments carry the
 // reason and loss counters), so every crash artifact feeds cell_profiler.
 TEST(FlightDumpTest, DumpTextParsesStrictAndCarriesReason) {
-  trace::FlightRecorder rec(32);
+  trace::TraceSink rec(32);
+  trace::TraceSink full;
   {
     trace::ScopedSpan span(trace::make_span(3, 1, 0, 2));
     for (int i = 0; i < 40; ++i) {
       rec.record(i, EventKind::TaskDispatch, 0, i);
+      full.record(i, EventKind::TaskDispatch, 0, i);
     }
   }
-  const std::string text = trace::flight_dump_text(rec, rec.tail(), "test");
-  EXPECT_NE(text.find("# flight-recorder reason=test"), std::string::npos);
+  const std::string text = trace::flight_dump_text(rec, 32, "test");
+  EXPECT_NE(text.find("# flight-recorder reason=test recorded=40 "
+                      "overwritten=8 capacity=32\n"),
+            std::string::npos);
+  // An unbounded sink dumped through the same window writes the same file
+  // (cell_jobsvc --trace with --flight-recorder).
+  EXPECT_EQ(trace::flight_dump_text(full, 32, "test"), text);
   std::vector<trace::Event> parsed;
   std::string err;
   ASSERT_TRUE(analysis::parse_text_trace(text, parsed, &err)) << err;
@@ -265,17 +241,22 @@ TEST(FlightDumpTest, DumpTextParsesStrictAndCarriesReason) {
 TEST(FlightDumpTest, InstallDumpBudgetAndForce) {
   const std::string path =
       testing::TempDir() + "/flight_recorder_dump_test.trace";
-  trace::FlightRecorder rec(32);
+  trace::TraceSink rec(32);
   rec.record(1, EventKind::TaskDispatch, 0, 0);
   const std::uint64_t before = trace::flight_dumps_written();
-  trace::install_flight_recorder(&rec, path, /*max_dumps=*/1);
-  EXPECT_EQ(trace::installed_flight_recorder(), &rec);
+  trace::install_flight_recorder(&rec, 32, path, /*max_dumps=*/1);
+  std::uint64_t recorded = 0;
+  std::uint64_t overwritten = 1;
+  ASSERT_TRUE(trace::flight_recorder_counts(recorded, overwritten));
+  EXPECT_EQ(recorded, 1u);
+  EXPECT_EQ(overwritten, 0u);
   EXPECT_TRUE(trace::dump_flight_recorder("first"));
   EXPECT_FALSE(trace::dump_flight_recorder("budget-exhausted"));
   EXPECT_TRUE(trace::dump_flight_recorder("forced", /*force=*/true));
   EXPECT_EQ(trace::flight_dumps_written(), before + 2);
-  trace::install_flight_recorder(nullptr, "");
+  trace::install_flight_recorder(nullptr, 0, "");
   EXPECT_FALSE(trace::dump_flight_recorder("uninstalled"));
+  EXPECT_FALSE(trace::flight_recorder_counts(recorded, overwritten));
   std::remove(path.c_str());
 }
 

@@ -64,6 +64,26 @@ TEST(Cli, ParsesSpaceForm) {
   EXPECT_EQ(cli.get_int("count", 0), 17);
 }
 
+TEST(Cli, CountFlags) {
+  const char* argv[] = {"prog", "--n=256", "--bare", "--top=8"};
+  Cli cli(4, argv);
+  EXPECT_EQ(cli.get_count("n", 0, 4096, 1000), 256);
+  EXPECT_EQ(cli.get_count("bare", 0, 4096, 1000), 4096);
+  EXPECT_EQ(cli.get_count("top", 0, 4096, 8), 8);
+  EXPECT_EQ(cli.get_count("absent", 7, 4096, 1000), 7);
+  cli.enforce_usage_or_exit("usage");  // all valid: returns
+
+  for (const char* bad : {"--n=0", "--n=-5", "--n=abc", "--n=1001"}) {
+    const char* argv_bad[] = {"prog", bad};
+    Cli bad_cli(2, argv_bad);
+    EXPECT_EQ(bad_cli.get_count("n", 3, 4096, 1000), 3);
+    EXPECT_EXIT(bad_cli.enforce_usage_or_exit("usage"),
+                testing::ExitedWithCode(2),
+                "expects an integer in \\[1, 1000\\]")
+        << bad;
+  }
+}
+
 TEST(Cli, BooleanFlags) {
   const char* argv[] = {"prog", "--fast", "--no-slow"};
   Cli cli(3, argv);
