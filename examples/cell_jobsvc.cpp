@@ -27,7 +27,7 @@
 
 namespace {
 
-constexpr const char* kUsage = R"(usage: cell_jobsvc [options]
+constexpr const char* kUsage = R"(cell_jobsvc [options]
 
 fleet:
   --blades=N           number of blades (default 4)

@@ -25,24 +25,25 @@ constexpr std::uint64_t kReferenceSalt = 0x5245464552454e43ull;  // "REFERENC"
 // function of (job, index) — identical whether or not the run was resumed.
 constexpr std::uint64_t kIntegritySalt = 0x494e544547524954ull;  // "INTEGRIT"
 
-// Replicates in flight at once.  Each holds a likelihood engine of about
-// 3.5 MB (its CLVs span only the patterns its resample drew, about two
-// thirds of them); two streams halve the job's wall time and still fit in
-// the footprint of the serial runner, whose reference engine stayed alive
-// beside each replicate's (DESIGN.md §7).
+// Replicate searches in flight at once.  Each holds a likelihood engine of
+// about 3.5 MB (its CLVs span only the patterns its resample drew, about
+// two thirds of them); two search streams fit in the footprint of the
+// serial runner, whose reference engine stayed alive beside each
+// replicate's.  The thread that calls run_job replays and commits, so the
+// job keeps three cores busy without a third engine (DESIGN.md §7).
 constexpr int kReplicateStreams = 2;
 
 std::atomic<int> g_fail_replicate{-1};
 
-/// What one replicate hands back to the ordered commit.
+/// What one replicate's search hands to the commit stage: its result and
+/// its kernel calls, recorded but not yet rendered (12 B a call against
+/// 88 B a rendered segment).
 struct ReplicateOut {
   phylo::BootstrapResult result;
-  std::uint64_t kernels = 0;  ///< kernel calls in the replicate's trace
-  rt::RunResult replay;       ///< the trace replayed on the simulated Cell
+  phylo::TraceGenerator gen;
 };
 
-// One replicate: a bootstrap search, then its kernel trace replayed through
-// the simulated Cell under MGPS.  It only reads the shared inputs, so
+// One replicate's bootstrap search.  It only reads the shared inputs, so
 // replicates run concurrently.
 ReplicateOut run_replicate(const BootstrapJob& job,
                            const phylo::PatternAlignment& patterns,
@@ -56,12 +57,13 @@ ReplicateOut run_replicate(const BootstrapJob& job,
   phylo::TraceGenerator gen;
   phylo::BootstrapResult result =
       phylo::run_bootstrap(patterns, model, rng, job.search, &gen, &tips);
-  // Rendered here, after the search has freed its engine.
-  task::Workload wl;
-  wl.bootstraps.push_back(gen.take_trace());
-  const auto kernels =
-      static_cast<std::uint64_t>(wl.bootstraps.front().segments.size());
+  return ReplicateOut{std::move(result), std::move(gen)};
+}
 
+// The replicate's kernel trace replayed through the simulated Cell under
+// MGPS, with the replicate's own corruption plan.
+rt::RunResult replay(const BootstrapJob& job, const task::Workload& wl,
+                     int index) {
   rt::MgpsPolicy mgps;
   rt::RunConfig rcfg;
   if (job.dma_bitflip_rate > 0.0 || job.result_corrupt_rate > 0.0 ||
@@ -74,8 +76,7 @@ ReplicateOut run_replicate(const BootstrapJob& job,
     rcfg.integrity.verify_fraction = job.verify_fraction;
     rcfg.integrity.crc_framing = job.verify_fraction > 0.0;
   }
-  return ReplicateOut{std::move(result), kernels,
-                      rt::run_workload(wl, mgps, rcfg)};
+  return rt::run_workload(wl, mgps, rcfg);
 }
 
 }  // namespace
@@ -140,8 +141,10 @@ RunReport run_job(RunState& st, const RunnerOptions& opt) {
     master_after.push_back(master.state());
   }
 
-  // The reference search and the replicates run as work items on the pool's
-  // streams; this thread commits the results strictly in replicate order.
+  // A two-stage pipeline.  The reference search and the replicate searches
+  // run as work items on the pool's streams; this thread takes each
+  // replicate strictly in order, renders and replays its trace, and
+  // commits it.
   // The pool is declared after everything its tasks read, and its
   // destructor runs every queued task and joins, so no task outlives those
   // locals.  `stop` is set on every exit first: a task that has not started
@@ -182,11 +185,13 @@ RunReport run_job(RunState& st, const RunnerOptions& opt) {
     const auto k = static_cast<std::size_t>(i - first);
     // A replicate that threw rethrows here, in replicate order.
     ReplicateOut out = *replicate_done[k].get();
+    task::Workload wl;
+    wl.bootstraps.push_back(out.gen.take_trace());
+    const rt::RunResult rr = replay(job, wl, i);
 
     // The replay's counters are independent per replicate, hence additive
     // and resume-invariant.
-    const rt::RunResult& rr = out.replay;
-    st.sched.kernels += out.kernels;
+    st.sched.kernels += wl.bootstraps.front().segments.size();
     st.sched.offloads += rr.offloads;
     st.sched.loop_splits += rr.loop_splits;
     st.sched.ppe_fallbacks += rr.ppe_fallbacks;

@@ -213,77 +213,6 @@ double sumtable_loglik(const std::vector<double>& sumtable,
   return lnl;
 }
 
-double newton_branch_length(const std::vector<double>& sumtable,
-                            const std::vector<int>& scale_sum,
-                            const SubstModel& model,
-                            const std::vector<double>& weights, double t0,
-                            int max_iter, int* iterations_out) {
-  (void)scale_sum;  // scale terms are t-independent: they drop from d/dt
-  const auto patterns = static_cast<int>(weights.size());
-  const auto& lambda = model.eigenvalues();
-  const auto& rates = model.rates();
-  constexpr double kMinBranch = 1e-8;
-  constexpr double kMaxBranch = 50.0;
-
-  double t = std::clamp(t0, kMinBranch, kMaxBranch);
-  int iters = 0;
-  for (; iters < max_iter; ++iters) {
-    std::array<double, kRateCategories * kStates> e{}, lam{}, lam2{};
-    for (int r = 0; r < kRateCategories; ++r) {
-      for (int k = 0; k < kStates; ++k) {
-        const double l = lambda[static_cast<std::size_t>(k)] *
-                         rates[static_cast<std::size_t>(r)];
-        const auto idx = static_cast<std::size_t>(r * kStates + k);
-        e[idx] = std::exp(l * t);
-        lam[idx] = l;
-        lam2[idx] = l * l;
-      }
-    }
-    double d1 = 0.0, d2 = 0.0;
-    for (int p = 0; p < patterns; ++p) {
-      double site = 0.0, dsite = 0.0, d2site = 0.0;
-      for (int r = 0; r < kRateCategories; ++r) {
-        const std::size_t base =
-            (static_cast<std::size_t>(p) * kRateCategories +
-             static_cast<std::size_t>(r)) *
-            kStates;
-        for (int k = 0; k < kStates; ++k) {
-          const auto idx = static_cast<std::size_t>(r * kStates + k);
-          const double v = sumtable[base + static_cast<std::size_t>(k)] *
-                           e[idx];
-          site += v;
-          dsite += v * lam[idx];
-          d2site += v * lam2[idx];
-        }
-      }
-      site = std::max(site, 1e-300);
-      const double w = weights[static_cast<std::size_t>(p)];
-      const double ratio = dsite / site;
-      d1 += w * ratio;
-      d2 += w * (d2site / site - ratio * ratio);
-    }
-    if (std::fabs(d1) < 1e-10) break;
-    double step;
-    if (d2 < 0.0) {
-      step = d1 / d2;  // Newton toward the maximum
-    } else {
-      // Non-concave region: fall back to a gradient step.
-      step = d1 > 0.0 ? -0.5 * t : 0.5 * t;
-    }
-    double tn = t - step;
-    if (tn <= kMinBranch) tn = 0.5 * (t + kMinBranch);
-    if (tn >= kMaxBranch) tn = 0.5 * (t + kMaxBranch);
-    if (std::fabs(tn - t) < 1e-12) {
-      t = tn;
-      ++iters;
-      break;
-    }
-    t = tn;
-  }
-  if (iterations_out != nullptr) *iterations_out = iters;
-  return t;
-}
-
 // ---- Operation-count formulas ----
 // Verified by tests/test_phylo_counts.cpp against Counting<double> runs.
 // Loads/stores/int_ops are structural estimates (8-byte element accesses);

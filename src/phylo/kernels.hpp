@@ -113,17 +113,10 @@ template <typename Real>
 void make_sumtable(const Clv<Real>& a, const Clv<Real>& b,
                    const SubstModel& model, std::vector<Real>& sumtable);
 
-/// makenewz phase 2: safeguarded Newton-Raphson on d lnL / dt.  Returns the
-/// optimized branch length; `iterations_out` (optional) receives the number
-/// of Newton steps taken.
-double newton_branch_length(const std::vector<double>& sumtable,
-                            const std::vector<int>& scale_sum,
-                            const SubstModel& model,
-                            const std::vector<double>& weights, double t0,
-                            int max_iter = 32, int* iterations_out = nullptr);
+// makenewz phase 2 (Newton) is newton_branch_length in phylo/kernels_simd.hpp.
 
-/// Log-likelihood from a sumtable at branch length t (shared by Newton and
-/// by tests).
+/// Log-likelihood from a sumtable at branch length t (shared by the engine's
+/// makenewz and by tests).
 double sumtable_loglik(const std::vector<double>& sumtable,
                        const std::vector<int>& scale_sum,
                        const SubstModel& model,

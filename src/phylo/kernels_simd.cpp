@@ -1,5 +1,6 @@
 #include "phylo/kernels_simd.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -7,7 +8,9 @@
 
 // Bit-identity discipline: every arithmetic statement below mirrors one
 // statement of the scalar reference in kernels.cpp, with the state loop
-// mapped onto vector lanes.  Lane-wise vector ops are IEEE-754 per lane and
+// mapped onto vector lanes (Newton: of the per-pattern oracle in
+// tests/test_kernels_differential.cpp, with the pattern loop mapped onto
+// lanes).  Lane-wise vector ops are IEEE-754 per lane and
 // left-associative expressions keep the reference's rounding order; the
 // translation unit is compiled with -ffp-contract=off (see
 // src/phylo/CMakeLists.txt) so no mul+add fuses into an FMA on either side.
@@ -220,6 +223,56 @@ template <bool ATip, bool BTip>
   }
 }
 
+/// Newton's derivative sums over N consecutive blocks of four patterns of
+/// the transposed sumtable, starting at block q: lane l of block q+j runs
+/// the reference's three chains over the terms, in term order, for pattern
+/// 4(q+j)+l, and its `w * ratio` and `w * (d2site / site - ratio * ratio)`
+/// are added to d1 and d2 pattern by pattern, as the reference adds them.
+/// The N blocks' chains are independent, so running them side by side hides
+/// the add latency.
+template <int N>
+[[gnu::always_inline]] inline void newton_blocks(
+    const std::vector<double>& scratch, int q,
+    const double (&e)[kRateCategories * kStates],
+    const double (&lam)[kRateCategories * kStates],
+    const double (&lam2)[kRateCategories * kStates],
+    const std::vector<double>& weights, double& d1, double& d2) noexcept {
+  constexpr int kTerms = kRateCategories * kStates;
+  const double* blocks = &scratch[static_cast<std::size_t>(q) * kTerms * 4];
+  vdouble4 site[N], dsite[N], d2site[N];
+  for (int j = 0; j < N; ++j) {
+    site[j] = vsplat4(0.0);
+    dsite[j] = vsplat4(0.0);
+    d2site[j] = vsplat4(0.0);
+  }
+  for (int i = 0; i < kTerms; ++i) {
+    const vdouble4 ei = vsplat4(e[i]);
+    const vdouble4 li = vsplat4(lam[i]);
+    const vdouble4 l2i = vsplat4(lam2[i]);
+    for (int j = 0; j < N; ++j) {
+      const vdouble4 v = vload4(blocks + (j * kTerms + i) * 4) * ei;
+      site[j] = site[j] + v;
+      dsite[j] = dsite[j] + v * li;
+      d2site[j] = d2site[j] + v * l2i;
+    }
+  }
+  const vdouble4 site_floor = vsplat4(1e-300);
+  const auto patterns = static_cast<int>(weights.size());
+  for (int j = 0; j < N; ++j) {
+    // std::max(site, 1e-300), lane by lane.
+    const vdouble4 s = site[j] < site_floor ? site_floor : site[j];
+    const vdouble4 ratio = dsite[j] / s;
+    const vdouble4 curv = d2site[j] / s - ratio * ratio;
+    const int first = (q + j) * 4;
+    const int lanes = std::min(4, patterns - first);
+    for (int l = 0; l < lanes; ++l) {
+      const double w = weights[static_cast<std::size_t>(first + l)];
+      d1 += w * ratio[l];
+      d2 += w * curv[l];
+    }
+  }
+}
+
 }  // namespace
 
 CBE_SIMD_CLONES
@@ -315,6 +368,82 @@ void make_sumtable_simd(const Clv<double>& a, const Clv<double>& b,
   } else {
     sumtable_body<false, false>(a, b, plrow, rcol, sumtable);
   }
+}
+
+CBE_SIMD_CLONES
+double newton_branch_length(const std::vector<double>& sumtable,
+                            const SubstModel& model,
+                            const std::vector<double>& weights, double t0,
+                            std::vector<double>& scratch, int max_iter,
+                            int* iterations_out) {
+  constexpr int kTerms = kRateCategories * kStates;
+  const auto patterns = static_cast<int>(weights.size());
+  if (sumtable.size() != static_cast<std::size_t>(patterns) * kTerms) {
+    throw std::invalid_argument("newton_branch_length: size mismatch");
+  }
+  const auto& lambda = model.eigenvalues();
+  const auto& rates = model.rates();
+  constexpr double kMinBranch = 1e-8;
+  constexpr double kMaxBranch = 50.0;
+
+  // The sumtable is fixed across iterations, so it is transposed once:
+  // lane l of term i in block q holds pattern 4q+l's term i.  Lanes past
+  // the last pattern hold 0 and are never summed.
+  const int blocks = (patterns + 3) / 4;
+  scratch.resize(static_cast<std::size_t>(blocks) * kTerms * 4);
+  for (int q = 0; q < blocks; ++q) {
+    double* block = &scratch[static_cast<std::size_t>(q) * kTerms * 4];
+    for (int l = 0; l < 4; ++l) {
+      const int p = q * 4 + l;
+      for (int i = 0; i < kTerms; ++i) {
+        block[i * 4 + l] =
+            p < patterns ? sumtable[static_cast<std::size_t>(p) * kTerms +
+                                    static_cast<std::size_t>(i)]
+                         : 0.0;
+      }
+    }
+  }
+
+  double t = std::clamp(t0, kMinBranch, kMaxBranch);
+  int iters = 0;
+  for (; iters < max_iter; ++iters) {
+    double e[kTerms], lam[kTerms], lam2[kTerms];
+    for (int r = 0; r < kRateCategories; ++r) {
+      for (int k = 0; k < kStates; ++k) {
+        const double l = lambda[static_cast<std::size_t>(k)] *
+                         rates[static_cast<std::size_t>(r)];
+        const int i = r * kStates + k;
+        e[i] = std::exp(l * t);
+        lam[i] = l;
+        lam2[i] = l * l;
+      }
+    }
+    double d1 = 0.0, d2 = 0.0;
+    int q = 0;
+    for (; q + 2 <= blocks; q += 2) {
+      newton_blocks<2>(scratch, q, e, lam, lam2, weights, d1, d2);
+    }
+    if (q < blocks) newton_blocks<1>(scratch, q, e, lam, lam2, weights, d1, d2);
+    if (std::fabs(d1) < 1e-10) break;
+    double step;
+    if (d2 < 0.0) {
+      step = d1 / d2;  // Newton toward the maximum
+    } else {
+      // Non-concave region: fall back to a gradient step.
+      step = d1 > 0.0 ? -0.5 * t : 0.5 * t;
+    }
+    double tn = t - step;
+    if (tn <= kMinBranch) tn = 0.5 * (t + kMinBranch);
+    if (tn >= kMaxBranch) tn = 0.5 * (t + kMaxBranch);
+    if (std::fabs(tn - t) < 1e-12) {
+      t = tn;
+      ++iters;
+      break;
+    }
+    t = tn;
+  }
+  if (iterations_out != nullptr) *iterations_out = iters;
+  return t;
 }
 
 }  // namespace cbe::phylo

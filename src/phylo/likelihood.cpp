@@ -2,6 +2,7 @@
 
 #include "phylo/kernels_simd.hpp"
 
+#include <bit>
 #include <stdexcept>
 
 namespace cbe::phylo {
@@ -75,8 +76,15 @@ void LikelihoodEngine::attach(const Tree& tree) {
   tree_ = &tree;
   last_revision_ = tree.revision();
   // Invalidate in place: the slots keep their storage for the next newview.
-  dir_.resize(static_cast<std::size_t>(tree.edge_count()) * 2);
+  // The matrices stay: each is keyed by its branch length.
   for (DirClv& d : dir_) d.valid = false;
+  fit_edges();
+}
+
+void LikelihoodEngine::fit_edges() {
+  const auto edges = static_cast<std::size_t>(tree_->edge_count());
+  if (dir_.size() < edges * 2) dir_.resize(edges * 2);
+  if (edge_p_.size() < edges) edge_p_.resize(edges);
 }
 
 void LikelihoodEngine::sync(const Tree& tree) {
@@ -97,16 +105,22 @@ void LikelihoodEngine::notify(task::KernelClass kind, int iters) {
   }
 }
 
-BranchP LikelihoodEngine::branch_p(int edge) const {
-  return BranchP::at(*model_, tree_->branch_length(edge));
+const BranchP& LikelihoodEngine::branch_p(int edge) {
+  EdgeP& slot = edge_p_[static_cast<std::size_t>(edge)];
+  const double length = tree_->branch_length(edge);
+  const auto bits = std::bit_cast<std::uint64_t>(length);
+  if (!slot.filled || slot.length_bits != bits) {
+    slot.p = BranchP::at(*model_, length);
+    slot.length_bits = bits;
+    slot.filled = true;
+  }
+  return slot.p;
 }
 
 const Clv<double>& LikelihoodEngine::compute_dir(int edge, int node) {
   if (tree_->leaf(node)) return (*tips_)[static_cast<std::size_t>(node)];
-  // Grow the cache if the tree gained edges since attach (leaf insertion).
-  if (dir_.size() < static_cast<std::size_t>(tree_->edge_count()) * 2) {
-    dir_.resize(static_cast<std::size_t>(tree_->edge_count()) * 2);
-  }
+  // Grow the caches if the tree gained edges since attach (leaf insertion).
+  fit_edges();
   DirClv& slot = dir_[dir_index(edge, node)];
   if (slot.valid) return slot.clv;
 
@@ -158,8 +172,9 @@ double LikelihoodEngine::optimize_branch(Tree& tree, int edge) {
   }
   int iters = 0;
   const double t =
-      newton_branch_length(sumtable_, scale_sum_, *model_, weights_,
-                           tree.branch_length(edge), 32, &iters);
+      newton_branch_length(sumtable_, *model_, weights_,
+                           tree.branch_length(edge), newton_scratch_, 32,
+                           &iters);
   notify(task::KernelClass::Makenewz, iters);
   tree.set_branch_length(edge, t);
   last_revision_ = tree.revision();

@@ -83,12 +83,26 @@ class LikelihoodEngine {
     Clv<double> clv;
     bool valid = false;
   };
+  /// One edge's transition matrices, valid for the branch length whose bit
+  /// pattern they were built from.  Keyed by the length itself, not by the
+  /// tree's revision, so a re-attached tree or a re-used edge index never
+  /// reads matrices built for another length.
+  struct EdgeP {
+    BranchP p;
+    std::uint64_t length_bits = 0;
+    bool filled = false;
+  };
 
   void sync(const Tree& tree);
+  /// Grows the per-edge caches to the attached tree's edge count.  Only
+  /// called before a kernel's operands are fetched, so growing never
+  /// invalidates a reference into them that an expression still holds.
+  void fit_edges();
   std::size_t dir_index(int edge, int node) const;
   const Clv<double>& compute_dir(int edge, int node);
   void notify(task::KernelClass kind, int iters = 0);
-  BranchP branch_p(int edge) const;
+  /// The edge's matrices, rebuilt only when its branch length changed.
+  const BranchP& branch_p(int edge);
 
   const PatternAlignment* alignment_;
   const SubstModel* model_;
@@ -99,11 +113,13 @@ class LikelihoodEngine {
   TipClvs own_tips_;
   const TipClvs* tips_;
   std::vector<double> weights_;  ///< one per live pattern
-  std::vector<DirClv> dir_;
+  std::vector<DirClv> dir_;     ///< two per edge; never shrinks
+  std::vector<EdgeP> edge_p_;  ///< one per edge; never shrinks
   // Scratch outputs of the scoring and branch-length kernels.  Owning them
   // here keeps every kernel call allocation-free once they are sized.
   Clv<double> scratch_[2];
   std::vector<double> sumtable_;
+  std::vector<double> newton_scratch_;  ///< the sumtable, pattern-transposed
   std::vector<int> scale_sum_;
   std::uint64_t last_revision_ = 0;
   std::uint64_t kernel_calls_ = 0;

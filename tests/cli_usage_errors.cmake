@@ -23,6 +23,11 @@ function(expect_usage_error exe)
   if(NOT stderr MATCHES "usage:")
     message(FATAL_ERROR "${name} ${ARGN}: no usage line on stderr:\n${stderr}")
   endif()
+  # enforce_usage_or_exit prints the prefix itself; a usage text that
+  # starts with it too doubles it.
+  if(stderr MATCHES "usage: usage:")
+    message(FATAL_ERROR "${name} ${ARGN}: doubled usage prefix:\n${stderr}")
+  endif()
 endfunction()
 
 set(explorer "${BINDIR}/examples/cell_explorer")
@@ -76,6 +81,7 @@ expect_usage_error("${diff}" only-one-positional.json)
 set(top "${BINDIR}/tools/cell_top")
 expect_usage_error("${top}" --no-such-flag)
 expect_usage_error("${top}" --seed=notanumber)
+expect_usage_error("${top}")  # no FILE: its own usage path
 
 # Every flag-taking bench and the remaining examples reject the same classes
 # of bad input.

@@ -6,8 +6,10 @@
 #      crash hook's last act is dumping the recorder;
 #   2. the dump must exist, be a strict `# cbe-trace v1` stream with the
 #      `# flight-recorder reason=crash-clock` comment, and carry causal span
-#      tails (` s=`) for the job lifecycle events; it holds at most the
-#      ring's 256 events, and recorded - overwritten equals that count;
+#      tails (` s=`) for the job lifecycle events; the run records more
+#      events than the 64-event ring holds, so the dump has wrapped: it
+#      holds exactly 64 events, overwritten > 0, and recorded - overwritten
+#      equals the count;
 #   3. cell_profiler must refuse the mixed multi-job dump without --span,
 #      name the jobs it found, and analyze cleanly with --span=<job>;
 #   4. the statusz export of a healthy run must parse and render through
@@ -44,7 +46,7 @@ set(WORKLOAD --jobs=60 --blades=4 --blade-fail-rate=0.3 --seed=2026)
 
 # --- 1. crash mid-flight, expect the last-gasp dump --------------------------
 run(rc out err "${JOBSVC}" ${WORKLOAD}
-    --flight-recorder=256 --flight-dump=crash.trace --die-at-event=300)
+    --flight-recorder=64 --flight-dump=crash.trace --die-at-event=300)
 if(rc EQUAL 0)
   message(FATAL_ERROR "run with --die-at-event was supposed to be killed "
           "but exited cleanly:\n${out}")
@@ -65,15 +67,21 @@ endif()
 if(NOT dump MATCHES " s=[0-9]")
   message(FATAL_ERROR "dump carries no causal span tails")
 endif()
-# Loss accounting: the ring holds at most its 256 events, and the comment's
+# Loss accounting: about 87 events are recorded before the kill, so the
+# 64-event ring has wrapped and holds exactly its capacity; the comment's
 # counters explain every event that is not in the file.
 file(STRINGS "${WORKDIR}/crash.trace" event_lines REGEX "^[^#]")
 list(LENGTH event_lines n_events)
-if(n_events EQUAL 0 OR n_events GREATER 256)
-  message(FATAL_ERROR "dump holds ${n_events} events; the ring keeps 1..256")
+if(NOT n_events EQUAL 64)
+  message(FATAL_ERROR "dump holds ${n_events} events; a wrapped ring keeps "
+          "exactly its 64")
 endif()
 if(NOT dump MATCHES "recorded=([0-9]+) overwritten=([0-9]+)")
   message(FATAL_ERROR "dump lost its recorded=/overwritten= counters")
+endif()
+if(CMAKE_MATCH_2 EQUAL 0)
+  message(FATAL_ERROR "the ring never wrapped (overwritten=0): the crash "
+          "path's loss accounting went unexercised")
 endif()
 math(EXPR held "${CMAKE_MATCH_1} - ${CMAKE_MATCH_2}")
 if(NOT held EQUAL n_events)

@@ -704,6 +704,50 @@ TEST(CkptStreams, ResumeFromEveryPrefixMatchesSerialComposition) {
   }
 }
 
+// Under a corruption plan each replicate's replay draws its faults from its
+// own stream, salted by kIntegritySalt + its absolute index.  run_job's
+// committing thread replays the replicates, and must keep that seed byte
+// for byte: its report and checkpoint match the serial composition, from a
+// fresh start and from a resumed prefix.
+TEST(CkptStreams, CorruptionPlanReplayMatchesSerialComposition) {
+  for (const std::uint64_t seed : {77ull, 2026ull}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    BootstrapJob job = stream_job(seed, 6);
+    const std::string clean = [&] {
+      RunState st = make_fresh(job);
+      return run_from_clock(st, {}, true).to_text();
+    }();
+    job.fault_seed = 0xF00Dull + seed;
+    job.dma_bitflip_rate = 0.02;
+    job.result_corrupt_rate = 0.05;
+    job.verify_fraction = 0.5;
+
+    RunnerOptions opt;
+    opt.checkpoint_every = 2;
+    opt.checkpoint_path = temp_path("streams_corrupt_serial.ckpt");
+    RunState serial = make_fresh(job);
+    const std::string serial_text = run_from_clock(serial, opt, true).to_text();
+    const std::vector<std::uint8_t> serial_file =
+        to_image(load(opt.checkpoint_path)).serialize();
+    EXPECT_NE(serial_text, clean) << "the plan never touched a replay";
+
+    opt.checkpoint_path = temp_path("streams_corrupt_run_job.ckpt");
+    RunState streamed = make_fresh(job);
+    EXPECT_EQ(run_from_clock(streamed, opt, false).to_text(), serial_text);
+    EXPECT_EQ(to_image(streamed).serialize(), to_image(serial).serialize());
+    EXPECT_EQ(to_image(load(opt.checkpoint_path)).serialize(), serial_file);
+
+    RunState prefix = make_fresh(job);
+    prefix.job.bootstraps = 3;
+    run_from_clock(prefix, {}, false);
+    prefix.job.bootstraps = job.bootstraps;
+    RunState resumed = from_image(to_image(prefix));
+    EXPECT_EQ(run_from_clock(resumed, {}, false).to_text(), serial_text);
+    std::remove(opt.checkpoint_path.c_str());
+    std::remove(temp_path("streams_corrupt_serial.ckpt").c_str());
+  }
+}
+
 // Clears the replicate-failure hook even when an assertion throws.
 struct FailReplicateGuard {
   explicit FailReplicateGuard(int index) {

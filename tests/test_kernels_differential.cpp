@@ -5,10 +5,15 @@
 // hit first), random CLV contents, tip operands (which the vector kernels
 // read by their codes alone, through a per-call lookup table or the code's
 // block), and inputs tiny enough to force the 2^256 rescaling path.
+// Newton has no scalar twin in the library: its oracle is the per-pattern
+// loop below, which the vector kernel replaced.
 #include "phylo/kernels_simd.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstring>
 #include <random>
 #include <set>
@@ -187,9 +192,119 @@ TEST(KernelsDifferential, MakeSumtableBitIdenticalAcrossTails) {
   }
 }
 
+/// What the oracle saw: sites it raised to the 1e-300 floor and steps it
+/// took by the d2 >= 0 fallback, so a test can show it reached those paths.
+struct OracleStats {
+  int clamped = 0;
+  int fallbacks = 0;
+};
+
+/// The per-pattern scalar Newton that the vector newton_branch_length
+/// replaced, kept as its oracle: each pattern's three sums run over the 16
+/// (rate, state) terms, and the derivative sums add the patterns in order.
+double oracle_newton(const std::vector<double>& sumtable,
+                     const SubstModel& model,
+                     const std::vector<double>& weights, double t0,
+                     int max_iter, int* iterations_out,
+                     OracleStats* stats = nullptr) {
+  const auto patterns = static_cast<int>(weights.size());
+  const auto& lambda = model.eigenvalues();
+  const auto& rates = model.rates();
+  constexpr double kMinBranch = 1e-8;
+  constexpr double kMaxBranch = 50.0;
+
+  double t = std::clamp(t0, kMinBranch, kMaxBranch);
+  int iters = 0;
+  for (; iters < max_iter; ++iters) {
+    std::array<double, kRateCategories * kStates> e{}, lam{}, lam2{};
+    for (int r = 0; r < kRateCategories; ++r) {
+      for (int k = 0; k < kStates; ++k) {
+        const double l = lambda[static_cast<std::size_t>(k)] *
+                         rates[static_cast<std::size_t>(r)];
+        const auto idx = static_cast<std::size_t>(r * kStates + k);
+        e[idx] = std::exp(l * t);
+        lam[idx] = l;
+        lam2[idx] = l * l;
+      }
+    }
+    double d1 = 0.0, d2 = 0.0;
+    for (int p = 0; p < patterns; ++p) {
+      double site = 0.0, dsite = 0.0, d2site = 0.0;
+      for (int r = 0; r < kRateCategories; ++r) {
+        const std::size_t base =
+            (static_cast<std::size_t>(p) * kRateCategories +
+             static_cast<std::size_t>(r)) *
+            kStates;
+        for (int k = 0; k < kStates; ++k) {
+          const auto idx = static_cast<std::size_t>(r * kStates + k);
+          const double v = sumtable[base + static_cast<std::size_t>(k)] *
+                           e[idx];
+          site += v;
+          dsite += v * lam[idx];
+          d2site += v * lam2[idx];
+        }
+      }
+      if (stats != nullptr && site < 1e-300) ++stats->clamped;
+      site = std::max(site, 1e-300);
+      const double w = weights[static_cast<std::size_t>(p)];
+      const double ratio = dsite / site;
+      d1 += w * ratio;
+      d2 += w * (d2site / site - ratio * ratio);
+    }
+    if (std::fabs(d1) < 1e-10) break;
+    double step;
+    if (d2 < 0.0) {
+      step = d1 / d2;
+    } else {
+      if (stats != nullptr) ++stats->fallbacks;
+      step = d1 > 0.0 ? -0.5 * t : 0.5 * t;
+    }
+    double tn = t - step;
+    if (tn <= kMinBranch) tn = 0.5 * (t + kMinBranch);
+    if (tn >= kMaxBranch) tn = 0.5 * (t + kMaxBranch);
+    if (std::fabs(tn - t) < 1e-12) {
+      t = tn;
+      ++iters;
+      break;
+    }
+    t = tn;
+  }
+  if (iterations_out != nullptr) *iterations_out = iters;
+  return t;
+}
+
+/// newton_branch_length against the oracle: the same length bits and the
+/// same iteration count.
+void expect_newton_identical(const std::vector<double>& sumtable,
+                             const SubstModel& model,
+                             const std::vector<double>& weights, double t0,
+                             int max_iter, const std::string& what,
+                             OracleStats* stats = nullptr) {
+  int it_ref = -1, it_simd = -2;
+  const double t_ref =
+      oracle_newton(sumtable, model, weights, t0, max_iter, &it_ref, stats);
+  std::vector<double> scratch;
+  const double t_simd = newton_branch_length(sumtable, model, weights, t0,
+                                             scratch, max_iter, &it_simd);
+  ASSERT_TRUE(bits_equal(t_ref, t_simd))
+      << what << ": " << t_ref << " vs " << t_simd;
+  ASSERT_EQ(it_ref, it_simd) << what;
+}
+
+/// A sumtable of random CLVs over `patterns`, as makenewz builds it.
+std::vector<double> random_sumtable(int patterns, const SubstModel& model,
+                                    std::mt19937_64& rng) {
+  const Clv<double> a = random_clv(patterns, rng, 0.1);
+  const Clv<double> b = random_clv(patterns, rng, 0.1);
+  std::vector<double> sumtable;
+  make_sumtable(a, b, model, sumtable);
+  return sumtable;
+}
+
 TEST(KernelsDifferential, NewtonAgreesOnEitherSumtable) {
-  // End-to-end makenewz: identical sumtables must drive Newton to the
-  // bit-identical branch length in the same number of iterations.
+  // End-to-end makenewz: the scalar and vector sumtables are identical, and
+  // must drive Newton to the bit-identical branch length in the same number
+  // of iterations as the per-pattern oracle.
   std::mt19937_64 rng(99);
   for (int rep = 0; rep < 8; ++rep) {
     const SubstModel model = random_model(rng);
@@ -197,22 +312,98 @@ TEST(KernelsDifferential, NewtonAgreesOnEitherSumtable) {
     const Clv<double> a = random_clv(patterns, rng, 0.1);
     const Clv<double> b = random_clv(patterns, rng, 0.1);
     const std::vector<double> weights = random_weights(patterns, rng);
-    std::vector<int> scale_sum(static_cast<std::size_t>(patterns));
-    for (int p = 0; p < patterns; ++p) {
-      scale_sum[static_cast<std::size_t>(p)] =
-          a.scale[static_cast<std::size_t>(p)] +
-          b.scale[static_cast<std::size_t>(p)];
-    }
     std::vector<double> st_ref, st_simd;
     make_sumtable(a, b, model, st_ref);
     make_sumtable_simd(a, b, model, st_simd);
-    int it_ref = 0, it_simd = 0;
-    const double t_ref = newton_branch_length(st_ref, scale_sum, model,
-                                              weights, 0.1, 32, &it_ref);
-    const double t_simd = newton_branch_length(st_simd, scale_sum, model,
-                                               weights, 0.1, 32, &it_simd);
-    ASSERT_TRUE(bits_equal(t_ref, t_simd)) << "rep=" << rep;
-    ASSERT_EQ(it_ref, it_simd) << "rep=" << rep;
+    ASSERT_TRUE(bits_equal(st_ref, st_simd)) << "rep=" << rep;
+    expect_newton_identical(st_simd, model, weights, 0.1, 32,
+                            "rep=" + std::to_string(rep));
+  }
+}
+
+TEST(KernelsDifferential, NewtonMatchesPerPatternOracleAcrossTails) {
+  // Every lane-tail length up to two blocks, and the live pattern counts of
+  // a resampled and a full 42-taxon alignment.
+  std::mt19937_64 rng(0x4E77u);
+  for (int patterns : {1, 2, 3, 4, 5, 6, 7, 8, 9, 225, 335}) {
+    for (int rep = 0; rep < 4; ++rep) {
+      const SubstModel model = random_model(rng);
+      const std::vector<double> sumtable =
+          random_sumtable(patterns, model, rng);
+      const std::vector<double> weights = random_weights(patterns, rng);
+      std::uniform_real_distribution<double> start(0.001, 1.5);
+      expect_newton_identical(sumtable, model, weights, start(rng), 32,
+                              "patterns=" + std::to_string(patterns) +
+                                  " rep=" + std::to_string(rep));
+    }
+  }
+}
+
+TEST(KernelsDifferential, NewtonClampedSitesMatchOracle) {
+  // Patterns whose site likelihood sits below the 1e-300 floor (tiny or
+  // zero terms) are raised to it lane by lane, as std::max does.
+  std::mt19937_64 rng(0xC1A3u);
+  OracleStats stats;
+  for (int patterns : {1, 3, 5, 13, 64}) {
+    for (int rep = 0; rep < 3; ++rep) {
+      const SubstModel model = random_model(rng);
+      std::vector<double> sumtable = random_sumtable(patterns, model, rng);
+      std::bernoulli_distribution tiny(0.4);
+      constexpr std::size_t kTerms = kRateCategories * kStates;
+      for (int p = 0; p < patterns; ++p) {
+        if (!tiny(rng)) continue;
+        const double scale = rep == 0 ? 0.0 : 1e-310;
+        for (std::size_t i = 0; i < kTerms; ++i) {
+          sumtable[static_cast<std::size_t>(p) * kTerms + i] *= scale;
+        }
+      }
+      const std::vector<double> weights = random_weights(patterns, rng);
+      expect_newton_identical(sumtable, model, weights, 0.1, 32,
+                              "patterns=" + std::to_string(patterns) +
+                                  " rep=" + std::to_string(rep),
+                              &stats);
+    }
+  }
+  EXPECT_GT(stats.clamped, 0) << "no site hit the floor — test is vacuous";
+}
+
+TEST(KernelsDifferential, NewtonNonConcaveStartMatchesOracle) {
+  // Starts far out on the flat tail of lnL(t), where d2 >= 0 and Newton
+  // falls back to a halving step.
+  std::mt19937_64 rng(0xF1A7u);
+  OracleStats stats;
+  for (int rep = 0; rep < 6; ++rep) {
+    const SubstModel model = random_model(rng);
+    const int patterns = 21 + rep;
+    const std::vector<double> sumtable = random_sumtable(patterns, model, rng);
+    const std::vector<double> weights = random_weights(patterns, rng);
+    for (double t0 : {5.0, 20.0, 49.0}) {
+      expect_newton_identical(sumtable, model, weights, t0, 32,
+                              "rep=" + std::to_string(rep) +
+                                  " t0=" + std::to_string(t0),
+                              &stats);
+    }
+  }
+  EXPECT_GT(stats.fallbacks, 0) << "no d2 >= 0 step taken — test is vacuous";
+}
+
+TEST(KernelsDifferential, NewtonCappedIterationsMatchOracle) {
+  // A cap that stops Newton before it converges returns the length reached
+  // so far and the cap as the count.
+  std::mt19937_64 rng(0xCA9Du);
+  for (int rep = 0; rep < 4; ++rep) {
+    const SubstModel model = random_model(rng);
+    const int patterns = 37;
+    const std::vector<double> sumtable = random_sumtable(patterns, model, rng);
+    const std::vector<double> weights = random_weights(patterns, rng);
+    for (int max_iter : {0, 1, 2, 3}) {
+      int it = -1;
+      oracle_newton(sumtable, model, weights, 1.0, max_iter, &it);
+      EXPECT_EQ(it, max_iter) << "the cap did not bind";
+      expect_newton_identical(sumtable, model, weights, 1.0, max_iter,
+                              "rep=" + std::to_string(rep) +
+                                  " max_iter=" + std::to_string(max_iter));
+    }
   }
 }
 

@@ -4,8 +4,10 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <utility>
 
+#include "phylo/kernels_simd.hpp"
 #include "phylo/search.hpp"
 
 namespace cbe::phylo {
@@ -298,6 +300,46 @@ TEST_F(EngineTest, EveryEdgeMatchesScalarPruningBitForBit) {
   }
 }
 
+TEST_F(EngineTest, EdgeMatricesFollowLengthsChangedOutsideOptimize) {
+  // The engine keeps each edge's transition matrices across attaches, keyed
+  // by the branch length.  Lengths that change outside optimize_branch must
+  // never be scored with a matrix built for the old length: not when a tree
+  // with the same edge indices and new lengths is attached, not when a
+  // length is set on the attached tree, and not when a leaf insertion
+  // halves an edge and grows the edge count.
+  const std::vector<double>& weights = pa.weights();
+  util::Rng rng(21);
+  Tree t = Tree::random(pa.taxa(), rng);
+  engine.attach(t);
+  expect_every_edge_matches_scalar(engine, model, t, "attached", weights);
+
+  Tree stretched = t;
+  for (int e = 0; e < stretched.edge_count(); ++e) {
+    stretched.set_branch_length(e, stretched.branch_length(e) * 1.75 + 0.01);
+  }
+  engine.attach(stretched);
+  expect_every_edge_matches_scalar(engine, model, stretched, "re-attached",
+                                   weights);
+  engine.attach(t);
+  expect_every_edge_matches_scalar(engine, model, t, "attached again",
+                                   weights);
+  t.set_branch_length(3, 0.37);
+  expect_every_edge_matches_scalar(engine, model, t, "length set", weights);
+
+  // Grow a tree leaf by leaf; each insertion halves the edge it splits.
+  Tree grown(pa.taxa(), 0, 1, 2, 0.05);
+  engine.attach(grown);
+  expect_every_edge_matches_scalar(engine, model, grown, "3 taxa", weights);
+  for (int leaf = 3; leaf < pa.taxa(); ++leaf) {
+    const int edges = grown.edge_count();
+    grown.insert_leaf(leaf, leaf % edges, 0.02 * leaf);
+    ASSERT_EQ(grown.edge_count(), edges + 2);
+    expect_every_edge_matches_scalar(
+        engine, model, grown, ("leaf " + std::to_string(leaf)).c_str(),
+        weights);
+  }
+}
+
 /// Resampled weights with at least one pattern drawn zero times, so an
 /// engine built with them drops that pattern.
 std::vector<double> resampled_weights(const PatternAlignment& pa,
@@ -360,8 +402,9 @@ TEST_F(EngineTest, ResampledEngineNewtonMatchesFullPatternScalar) {
       for (std::size_t p = 0; p < scale_sum.size(); ++p) {
         scale_sum[p] = ca.scale[p] + cb.scale[p];
       }
-      const double want = newton_branch_length(sumtable, scale_sum, model,
-                                               weights, t.branch_length(e));
+      std::vector<double> scratch;
+      const double want = newton_branch_length(sumtable, model, weights,
+                                               t.branch_length(e), scratch);
       const double want_lnl =
           sumtable_loglik(sumtable, scale_sum, model, weights, want);
 

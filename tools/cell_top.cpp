@@ -171,7 +171,7 @@ int render_once(const std::string& path, bool as_json) {
 }
 
 constexpr char kUsage[] =
-    R"(usage: cell_top [--json] [--watch[=N]] [--interval=MS] FILE
+    R"(cell_top [--json] [--watch[=N]] [--interval=MS] FILE
 
 Renders a cbe-statusz-v1 snapshot (from cell_jobsvc --statusz=FILE).
   --json          re-emit canonical JSON instead of the text view
@@ -200,12 +200,12 @@ int main(int argc, char** argv) {
   cli.enforce_usage_or_exit(kUsage);
   if (path.empty()) {
     if (cli.positional().size() != 1) {
-      std::fputs(kUsage, stderr);
+      std::fprintf(stderr, "usage: %s", kUsage);
       return 2;
     }
     path = cli.positional()[0];
   } else if (!cli.positional().empty()) {
-    std::fputs(kUsage, stderr);
+    std::fprintf(stderr, "usage: %s", kUsage);
     return 2;
   }
   if (watch.empty()) return render_once(path, as_json);
