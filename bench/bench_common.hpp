@@ -24,8 +24,7 @@ namespace cbe::bench {
 /// registry to every RunConfig passed through attach() and writes the
 /// aggregated metrics JSON at scope exit (counters and histograms accumulate
 /// across runs; gauges keep the last run's value).  Without the flag,
-/// attach() is a no-op and nothing is written.  With CBE_TRACE=OFF builds
-/// the runtime ignores the registry and the JSON comes out empty.
+/// attach() is a no-op and nothing is written.
 class MetricsExport {
  public:
   explicit MetricsExport(const util::Cli& cli)

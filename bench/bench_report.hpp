@@ -185,7 +185,6 @@ class BenchReport {
 };
 
 /// Folds a representative traced run into the report's attribution summary.
-/// No-op when the build has CBE_TRACE=OFF (the sink stays empty).
 inline void report_attribution(BenchReport& r, const trace::TraceSink& sink) {
   if (!sink.empty()) {
     r.attribution(analysis::attribute_makespan(sink.events(), -1));

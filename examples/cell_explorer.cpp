@@ -179,6 +179,11 @@ int main(int argc, char** argv) {
   cli.enforce_usage_or_exit(kUsage);
 
   if (!checkpoint.empty() || !resume.empty()) {
+    if (const std::string why = ckpt::job_error(job); !why.empty()) {
+      std::fprintf(stderr, "cell_explorer: %s\nusage: %s\n", why.c_str(),
+                   kUsage);
+      return 2;
+    }
     return run_checkpointed_job(checkpoint, resume, checkpoint_every,
                                 die_at_event, strict_resume, job, out_path);
   }
@@ -278,7 +283,6 @@ int main(int argc, char** argv) {
     }
 
     if (!trace_json.empty() || !trace_text.empty() || !metrics_path.empty()) {
-#if CBE_TRACE_ENABLED
       // One traced MGPS run.  Unless the user picked their own fault rates,
       // inject a light default mix so the trace exercises the recovery
       // paths (watchdog fire, re-offload, PPE fallback), not just the happy
@@ -327,11 +331,6 @@ int main(int argc, char** argv) {
         }
       }
       if (!export_ok) return 1;
-#else
-      std::fprintf(stderr,
-                   "--trace/--metrics need a CBE_TRACE=ON build; this one "
-                   "compiled tracing out.\n");
-#endif
     }
   }
   return 0;

@@ -132,7 +132,6 @@ int main(int argc, char** argv) {
       return 1;
     }
   } else {
-#if CBE_TRACE_ENABLED
     // In-process profile of a fixed-seed MGPS run.  With --golden-faults
     // this is byte-for-byte the pinned golden-trace scenario: 2 bootstraps,
     // 20 tasks each, a scripted mid-run degrade on SPE 3 and a fail-stop of
@@ -154,12 +153,6 @@ int main(int argc, char** argv) {
     rt::MgpsPolicy mgps;
     rt::run_workload(wl, mgps, cfg);
     events = sink.events();
-#else
-    std::fprintf(stderr,
-                 "cell_profiler: in-process profiling needs a CBE_TRACE=ON "
-                 "build; pass --input=<trace> instead.\n");
-    return 1;
-#endif
   }
 
   const analysis::Analysis a = analysis::analyze(events);

@@ -63,25 +63,26 @@ int main(int argc, char** argv) {
   std::printf("best-known ML tree: lnL = %.4f\n%s\n\n", best,
               best_tree->newick().c_str());
 
-  // Bootstrap replicates (with trace capture for the scheduler replay).
+  // Bootstrap replicates: each one's tree feeds the support values and its
+  // kernel trace feeds the scheduler replay.
   std::printf("Running %d bootstrap replicates:\n", bootstraps);
-  task::Workload workload = phylo::make_phylo_workload(
-      patterns, model, bootstraps, seed + 1);
-  for (std::size_t b = 0; b < workload.bootstraps.size(); ++b) {
-    const auto& trace = workload.bootstraps[b];
-    std::printf("  replicate %zu: %zu off-loadable kernel calls, "
+  util::Rng master(seed + 1);
+  task::Workload workload;
+  std::vector<phylo::Tree> replicate_trees;
+  for (int b = 0; b < bootstraps; ++b) {
+    util::Rng boot_rng = master.split();
+    phylo::TraceGenerator gen;
+    replicate_trees.push_back(
+        phylo::run_bootstrap(patterns, model, boot_rng, {}, &gen).tree);
+    const task::ProcessTrace& trace =
+        workload.bootstraps.emplace_back(gen.take_trace());
+    std::printf("  replicate %d: %zu off-loadable kernel calls, "
                 "%.1f ms of SPE work\n", b + 1, trace.segments.size(),
                 trace.total_spe_cycles() / 3.2e6);
   }
 
   // Bootstrap support for the best tree's internal branches (what the
   // replicates are *for*, Section 3.1).
-  std::vector<phylo::Tree> replicate_trees;
-  util::Rng boot_rng(seed + 2);
-  for (int b = 0; b < bootstraps; ++b) {
-    replicate_trees.push_back(
-        phylo::run_bootstrap(patterns, model, boot_rng).tree);
-  }
   const auto support = phylo::branch_support(*best_tree, replicate_trees);
   const auto internal = best_tree->internal_edges();
   std::printf("\nbootstrap support of the best tree's internal branches:\n");

@@ -117,8 +117,7 @@ void CellMachine::degrade_spe(int spe_id, double factor) {
   ++fault_stats_.stragglers;
 }
 
-void CellMachine::quarantine_spe(int spe_id, [[maybe_unused]] int strikes,
-                                 [[maybe_unused]] int threshold) {
+void CellMachine::quarantine_spe(int spe_id, int strikes, int threshold) {
   require_faults("quarantine_spe");
   Spe& s = spe(spe_id);
   if (!s.usable()) return;
@@ -271,7 +270,6 @@ void CellMachine::start_dma(int spe_id, double bytes, int chunks, bool ok,
       std::max(tallies_[static_cast<std::size_t>(cell)].busy, 1);
   const sim::Time t = mfc_.transfer_time(bytes, chunks, congestion,
                                          /*cross_cell=*/false);
-#if CBE_TRACE_ENABLED
   const auto id = static_cast<std::int32_t>(dma_id_++);
   CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::DmaIssue,
                   spe_id, id, std::llround(bytes), chunks);
@@ -292,12 +290,6 @@ void CellMachine::start_dma(int spe_id, double bytes, int chunks, bool ok,
     if (!spe(spe_id).usable()) return;
     complete(cb, ok, corrupt);
   };
-#else
-  auto retire = [this, spe_id, ok, corrupt, cb = std::move(done)]() mutable {
-    if (!spe(spe_id).usable()) return;
-    complete(cb, ok, corrupt);
-  };
-#endif
   static_assert(sim::SmallFn::fits_inline<decltype(retire)>);
   eng_.schedule_after(t, std::move(retire));
 }

@@ -31,7 +31,7 @@ void Ppe::grant(int ctx, Waiter w) {
   p.context = ctx;
 
   const bool needs_switch = c.last_holder != -1 && c.last_holder != w.pid;
-  [[maybe_unused]] const int prev_holder = c.last_holder;
+  const int prev_holder = c.last_holder;
   c.last_holder = w.pid;
   if (needs_switch) {
     ++switches_;

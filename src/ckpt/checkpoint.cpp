@@ -1,5 +1,7 @@
 #include "ckpt/checkpoint.hpp"
 
+#include <stdexcept>
+
 namespace cbe::ckpt {
 
 namespace {
@@ -52,17 +54,7 @@ BootstrapJob decode_job(const Section& s) {
   j.result_corrupt_rate = r.f64();
   j.verify_fraction = r.f64();
   r.expect_end();
-  if (j.taxa < 3 || j.taxa > static_cast<int>(kMaxTaxa)) {
-    r.fail("taxon count " + std::to_string(j.taxa) + " out of range");
-  }
-  if (j.sites <= 0 || j.bootstraps <= 0) {
-    r.fail("non-positive site or bootstrap count");
-  }
-  auto bad01 = [](double v) { return !(v >= 0.0) || !(v <= 1.0); };
-  if (bad01(j.dma_bitflip_rate) || bad01(j.result_corrupt_rate) ||
-      bad01(j.verify_fraction)) {
-    r.fail("integrity rate outside [0, 1]");
-  }
+  if (const std::string why = job_error(j); !why.empty()) r.fail(why);
   return j;
 }
 
@@ -222,7 +214,25 @@ std::int64_t decode_fault(const Section& s, const BootstrapJob& job) {
 
 }  // namespace
 
+std::string job_error(const BootstrapJob& job) {
+  if (job.taxa < 3 || job.taxa > static_cast<int>(kMaxTaxa)) {
+    return "taxon count " + std::to_string(job.taxa) + " out of range";
+  }
+  if (job.sites <= 0 || job.bootstraps <= 0) {
+    return "non-positive site or bootstrap count";
+  }
+  auto bad01 = [](double v) { return !(v >= 0.0) || !(v <= 1.0); };
+  if (bad01(job.dma_bitflip_rate) || bad01(job.result_corrupt_rate) ||
+      bad01(job.verify_fraction)) {
+    return "integrity rate outside [0, 1]";
+  }
+  return {};
+}
+
 RunState make_fresh(const BootstrapJob& job) {
+  if (const std::string why = job_error(job); !why.empty()) {
+    throw std::invalid_argument("bootstrap job: " + why);
+  }
   RunState st;
   st.job = job;
   st.master = util::Rng(job.seed).state();
@@ -254,9 +264,8 @@ RunState from_image(const CheckpointImage& image) {
   return st;
 }
 
-int save(const std::string& path, const RunState& st,
-         const IoRetryPolicy& retry) {
-  return write_file_atomic_retry(path, to_image(st).serialize(), retry);
+int save(const std::string& path, const RunState& st) {
+  return write_file_atomic_retry(path, to_image(st).serialize());
 }
 
 RunState load(const std::string& path) {

@@ -75,15 +75,20 @@ struct RunState {
   std::int64_t crash_position = 0;  ///< crash-clock events consumed
 };
 
-/// Initial state for a cold start.
+/// Why `job` cannot run: a taxon, site or bootstrap count or an
+/// integrity rate out of range.  Empty for a valid job.  make_fresh and
+/// load both check it, so no job starts that its own checkpoint would fail.
+std::string job_error(const BootstrapJob& job);
+
+/// Initial state for a cold start; throws std::invalid_argument when
+/// job_error(job) is not empty.
 RunState make_fresh(const BootstrapJob& job);
 
 /// Serializes `st` and writes it crash-consistently (see format.hpp),
-/// retrying transient I/O failures per `retry`.  Returns the number of write
-/// attempts used (1 = clean write); throws CkptError once retries are
-/// exhausted or on a non-transient error.
-int save(const std::string& path, const RunState& st,
-         const IoRetryPolicy& retry = {});
+/// retrying transient I/O failures up to kMaxAttempts times.  Returns the
+/// number of write attempts used (1 = clean write); throws CkptError once
+/// retries are exhausted or on a non-transient error.
+int save(const std::string& path, const RunState& st);
 
 /// Parses and fully validates a checkpoint; throws CkptError with a
 /// distinct kind/section for every corruption mode.

@@ -367,26 +367,24 @@ void write_file_atomic(const std::string& path,
 }
 
 int write_file_atomic_retry(const std::string& path,
-                            const std::vector<std::uint8_t>& bytes,
-                            const IoRetryPolicy& policy) {
-  const int attempts = policy.max_attempts > 0 ? policy.max_attempts : 1;
-  double backoff = policy.base_backoff_s;
+                            const std::vector<std::uint8_t>& bytes) {
+  constexpr double kMaxBackoffS = 0.25;
+  double backoff = 0.01;
   for (int attempt = 1;; ++attempt) {
     try {
       write_file_atomic(path, bytes);
       return attempt;
     } catch (const CkptError& e) {
-      if (e.kind() != ErrorKind::Io || attempt >= attempts) throw;
+      if (e.kind() != ErrorKind::Io || attempt >= kMaxAttempts) throw;
     }
-    const double delay =
-        backoff < policy.max_backoff_s ? backoff : policy.max_backoff_s;
+    const double delay = backoff < kMaxBackoffS ? backoff : kMaxBackoffS;
     if (void (*sleeper)(double) =
             g_retry_sleeper.load(std::memory_order_relaxed)) {
       sleeper(delay);
     } else if (delay > 0.0) {
       std::this_thread::sleep_for(std::chrono::duration<double>(delay));
     }
-    backoff *= policy.multiplier;
+    backoff *= 2.0;
   }
 }
 

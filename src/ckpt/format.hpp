@@ -149,24 +149,18 @@ std::vector<std::uint8_t> read_file(const std::string& path);
 void write_file_atomic(const std::string& path,
                        const std::vector<std::uint8_t>& bytes);
 
-/// How transient I/O failures during a durable checkpoint write are retried
-/// before the error is surfaced to the caller.  Backoff for attempt k (from
-/// 1) sleeps min(max_backoff_s, base_backoff_s * multiplier^(k-1)).
-struct IoRetryPolicy {
-  int max_attempts = 5;
-  double base_backoff_s = 0.01;
-  double multiplier = 2.0;
-  double max_backoff_s = 0.25;
-};
+/// Attempts a durable checkpoint write makes before its CkptError{Io}
+/// reaches the caller.  After failed attempt k (from 1) the writer sleeps
+/// min(0.25 s, 0.01 s * 2^(k-1)).
+inline constexpr int kMaxAttempts = 5;
 
 /// write_file_atomic with retry-on-Io: a transient failure (full disk,
 /// EINTR'd fsync, NFS hiccup) no longer aborts a multi-hour run outright.
 /// Returns the number of attempts used (1 = no retry was needed); rethrows
-/// the final CkptError{Io} once the policy is exhausted.  Non-Io errors are
-/// never retried.
+/// the final CkptError{Io} after kMaxAttempts.  Non-Io errors are never
+/// retried.
 int write_file_atomic_retry(const std::string& path,
-                            const std::vector<std::uint8_t>& bytes,
-                            const IoRetryPolicy& policy = {});
+                            const std::vector<std::uint8_t>& bytes);
 
 namespace test_hooks {
 /// Makes the next `n` write_file_atomic calls fail with CkptError{Io}

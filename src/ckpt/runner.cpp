@@ -214,9 +214,8 @@ RunReport run_job(RunState& st, const RunnerOptions& opt) {
       // computed progress behind it: record the error in the report (the
       // run's result), keep going, and try again at the next boundary.
       try {
-        ckpt_io_retries += save(opt.checkpoint_path, st, opt.ckpt_retry) - 1;
+        ckpt_io_retries += save(opt.checkpoint_path, st) - 1;
       } catch (const CkptError& e) {
-        if (!opt.ckpt_best_effort) throw;
         ++ckpt_failed_snapshots;
         ckpt_error = std::string(error_kind_name(e.kind())) + ": " + e.what();
       }

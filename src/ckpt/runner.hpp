@@ -16,19 +16,14 @@
 
 namespace cbe::ckpt {
 
+/// A snapshot write that still fails after every retry does not abort the
+/// run: the job keeps computing, later boundaries try again, and the final
+/// error is surfaced through RunReport::ckpt_error.
 struct RunnerOptions {
   /// Where to write checkpoints; empty disables checkpointing.
   std::string checkpoint_path;
   /// Snapshot cadence in replicates (the last replicate always snapshots).
   int checkpoint_every = 1;
-  /// Transient-I/O retry policy for each snapshot write.
-  IoRetryPolicy ckpt_retry;
-  /// With best-effort checkpointing (the default) a snapshot write that
-  /// still fails after every retry no longer aborts the run: the job keeps
-  /// computing, later boundaries try again, and the final error is surfaced
-  /// through RunReport::ckpt_error.  Set false to rethrow instead (a caller
-  /// that would rather die than run unprotected).
-  bool ckpt_best_effort = true;
 };
 
 /// Deterministic end-of-job report.  to_text() is byte-stable across

@@ -142,7 +142,7 @@ class ServiceRun {
   }
 
   ServiceReport run() {
-    trace::ScopedTrace scoped(CBE_TRACE_ENABLED ? cfg_.trace : nullptr);
+    trace::ScopedTrace scoped(cfg_.trace);
     for (std::size_t j = 0; j < recs_.size(); ++j) {
       eng_.schedule_at(sim::Time::sec(recs_[j].spec.submit_s),
                        [this, j] { on_submit(j); });
@@ -373,7 +373,7 @@ class ServiceRun {
     try_dispatch();
   }
 
-  void reject(std::size_t j, [[maybe_unused]] RejectReason why) {
+  void reject(std::size_t j, RejectReason why) {
     Rec& rec = recs_[j];
     trace::ScopedSpan span(span_of(rec));
     CBE_TRACE_EVENT(now_ns(), trace::EventKind::JobReject, -1, jid(rec),
@@ -382,7 +382,7 @@ class ServiceRun {
     finish(rec, JobStatus::Rejected, /*tenant_admitted=*/false);
   }
 
-  void shed(std::size_t j, [[maybe_unused]] std::uint64_t displacing_id) {
+  void shed(std::size_t j, std::uint64_t displacing_id) {
     Rec& rec = recs_[j];
     trace::ScopedSpan span(span_of(rec));
     queue_.erase(std::find(queue_.begin(), queue_.end(), j));
@@ -646,7 +646,7 @@ class ServiceRun {
 
   /// Breaker bookkeeping for a failure attributed to `b`: a failed half-open
   /// probe re-opens immediately; a closed blade opens at the threshold.
-  void note_blade_failure([[maybe_unused]] int blade_idx, Blade& b) {
+  void note_blade_failure(int blade_idx, Blade& b) {
     ++b.consecutive_failures;
     const CircuitBreakerPolicy& p = cfg_.breaker;
     const bool reopen = b.breaker == BreakerState::HalfOpen;

@@ -96,21 +96,4 @@ task::ProcessTrace TraceGenerator::take_trace() {
   return std::exchange(trace_, {});
 }
 
-task::Workload make_phylo_workload(const PatternAlignment& alignment,
-                                   const SubstModel& model, int count,
-                                   std::uint64_t seed,
-                                   const SearchConfig& scfg,
-                                   const TraceGenConfig& tcfg) {
-  task::Workload wl;
-  const TipClvs tips = make_tip_clvs(alignment);
-  util::Rng master(seed);
-  for (int i = 0; i < count; ++i) {
-    util::Rng rng = master.split();
-    TraceGenerator gen(tcfg);
-    run_bootstrap(alignment, model, rng, scfg, &gen, &tips);
-    wl.bootstraps.push_back(gen.take_trace());
-  }
-  return wl;
-}
-
 }  // namespace cbe::phylo

@@ -79,13 +79,4 @@ class TraceGenerator final : public KernelObserver {
   task::ProcessTrace trace_;
 };
 
-/// Convenience: runs `count` bootstrap replicates of a real phylogenetic
-/// analysis and returns one ProcessTrace per replicate, a Workload that
-/// the phylogenetics example replays on the simulated Cell.
-task::Workload make_phylo_workload(const PatternAlignment& alignment,
-                                   const SubstModel& model, int count,
-                                   std::uint64_t seed,
-                                   const SearchConfig& scfg = {},
-                                   const TraceGenConfig& tcfg = {});
-
 }  // namespace cbe::phylo

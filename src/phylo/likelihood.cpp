@@ -88,7 +88,10 @@ void LikelihoodEngine::fit_edges() {
 }
 
 void LikelihoodEngine::sync(const Tree& tree) {
-  if (tree_ != &tree || last_revision_ != tree.revision()) attach(tree);
+  // A revision names one tree state in every Tree object, so another
+  // object with the same revision is the same tree and the CLVs hold.
+  tree_ = &tree;
+  if (last_revision_ != tree.revision()) attach(tree);
 }
 
 std::size_t LikelihoodEngine::dir_index(int edge, int node) const {

@@ -1,9 +1,16 @@
 #include "phylo/tree.hpp"
 
+#include <atomic>
 #include <sstream>
 #include <stdexcept>
 
 namespace cbe::phylo {
+
+std::uint64_t Tree::next_revision() noexcept {
+  // Starts at 1: an engine that has seen no tree holds revision 0.
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1);
+}
 
 Tree::Tree(int n_taxa, int t0, int t1, int t2, double initial_length)
     : n_taxa_(n_taxa) {
@@ -60,7 +67,7 @@ int Tree::insert_leaf(int leaf, int edge, double leaf_length) {
   replace_neighbor(b, a, x, e2);
 
   const int e3 = add_edge(x, leaf, leaf_length);
-  ++revision_;
+  revision_ = next_revision();
   return e3;
 }
 
@@ -130,7 +137,7 @@ void Tree::nni(int edge, int variant) {
   if (be.a == u) be.a = v; else if (be.b == u) be.b = v;
   Edge& ce = edges_[static_cast<std::size_t>(c_edge)];
   if (ce.a == v) ce.a = u; else if (ce.b == v) ce.b = u;
-  ++revision_;
+  revision_ = next_revision();
 }
 
 namespace {
@@ -269,7 +276,6 @@ Tree Tree::from_newick(const std::string& text,
     }
   }
   t.check_consistency();
-  ++t.revision_;
   return t;
 }
 
@@ -344,7 +350,6 @@ Tree Tree::from_flat(const Flat& flat) {
       }
     }
   }
-  t.revision_ = 0;
   try {
     t.check_consistency();
   } catch (const std::logic_error& e) {

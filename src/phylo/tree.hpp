@@ -45,10 +45,12 @@ class Tree {
   }
   void set_branch_length(int edge, double len) {
     edges_[static_cast<std::size_t>(edge)].length = len;
-    ++revision_;
+    revision_ = next_revision();
   }
-  /// Monotone counter bumped by every mutation; the likelihood engine uses
-  /// it to detect stale CLV caches automatically.
+  /// Names this tree's state across every Tree in the process: drawn from
+  /// one process-wide counter at construction and at every mutation, and
+  /// kept by a copy.  Two trees with equal revisions are equal; the
+  /// likelihood engine compares it to detect stale CLV caches.
   std::uint64_t revision() const noexcept { return revision_; }
   bool taxon_in_tree(int taxon) const {
     return !adj_[static_cast<std::size_t>(taxon)].empty();
@@ -107,9 +109,10 @@ class Tree {
   int add_edge(int a, int b, double length);
   void replace_neighbor(int node, int old_node, int new_node, int new_edge);
   Neighbor& find_neighbor(int node, int other);
+  static std::uint64_t next_revision() noexcept;
 
   int n_taxa_;
-  std::uint64_t revision_ = 0;
+  std::uint64_t revision_ = next_revision();
   std::vector<Edge> edges_;
   std::vector<std::vector<Neighbor>> adj_;
 };

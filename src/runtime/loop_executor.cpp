@@ -12,12 +12,8 @@
 namespace cbe::rt {
 
 void LoopExecutor::set_metrics(trace::MetricsRegistry* m) {
-#if CBE_TRACE_ENABLED
   imbalance_hist_ =
       m != nullptr ? &m->histogram("loop_imbalance_pct") : nullptr;
-#else
-  (void)m;
-#endif
 }
 
 void LoopBalancer::observe(double master_idle_us, double worker_wait_us,
@@ -134,28 +130,24 @@ void loop_finish_check(const LoopRef& st) {
     st->m->remove_fault_observer(st->observer);
     st->observer = -1;
   }
-#if CBE_TRACE_ENABLED
-  {
-    const std::int64_t m_idle_ns =
-        st->last_arrival > st->master_end
-            ? (st->last_arrival - st->master_end).nanoseconds()
-            : 0;
-    const std::int64_t w_wait_ns =
-        st->master_end > st->last_arrival
-            ? (st->master_end - st->last_arrival).nanoseconds()
-            : 0;
-    CBE_TRACE_EVENT(st->eng->now().nanoseconds(), trace::EventKind::LoopJoin,
-                    st->master, -1, m_idle_ns, w_wait_ns);
-    if (st->imbalance_hist != nullptr) {
-      const double span_us = (st->eng->now() - st->start).to_us();
-      if (span_us > 0.0) {
-        st->imbalance_hist->observe(
-            100.0 * (static_cast<double>(m_idle_ns + w_wait_ns) / 1000.0) /
-            span_us);
-      }
+  const std::int64_t m_idle_ns =
+      st->last_arrival > st->master_end
+          ? (st->last_arrival - st->master_end).nanoseconds()
+          : 0;
+  const std::int64_t w_wait_ns =
+      st->master_end > st->last_arrival
+          ? (st->master_end - st->last_arrival).nanoseconds()
+          : 0;
+  CBE_TRACE_EVENT(st->eng->now().nanoseconds(), trace::EventKind::LoopJoin,
+                  st->master, -1, m_idle_ns, w_wait_ns);
+  if (st->imbalance_hist != nullptr) {
+    const double span_us = (st->eng->now() - st->start).to_us();
+    if (span_us > 0.0) {
+      st->imbalance_hist->observe(
+          100.0 * (static_cast<double>(m_idle_ns + w_wait_ns) / 1000.0) /
+          span_us);
     }
   }
-#endif
   if (!st->faulted) {
     // Feed the balancer only with clean invocations: a reassigned chunk or
     // retried transfer distorts the master/worker timing signal.

@@ -102,7 +102,7 @@ class LoopExecutor {
 
   /// Streams each invocation's load imbalance (|master idle - worker wait|
   /// as a percentage of the loop span) into `m`'s "loop_imbalance_pct"
-  /// histogram.  Pass nullptr to detach; a no-op with CBE_TRACE=OFF.
+  /// histogram.  Pass nullptr to detach.
   void set_metrics(trace::MetricsRegistry* m);
 
  private:

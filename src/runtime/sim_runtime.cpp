@@ -56,12 +56,10 @@ class Driver {
         machine_(eng_, cfg.cell),
         loop_exec_(machine_) {
     for (auto& b : balancers_) b.set_adaptive(cfg.adaptive_balance);
-#if CBE_TRACE_ENABLED
     if (cfg_.metrics != nullptr) {
       latency_hist_ = &cfg_.metrics->histogram("offload_latency_us");
       loop_exec_.set_metrics(cfg_.metrics);
     }
-#endif
   }
 
   RunResult run();
@@ -241,7 +239,7 @@ class Driver {
 RunResult Driver::run() {
   // Ambient sink for every layer's CBE_TRACE_EVENT sites; restored on exit
   // so nested/sequential runs (run_cluster) compose.
-  trace::ScopedTrace scoped_trace(CBE_TRACE_ENABLED ? cfg_.trace : nullptr);
+  trace::ScopedTrace scoped_trace(cfg_.trace);
   const int b = static_cast<int>(wl_.size());
   if (b == 0) return res_;
   res_.bootstrap_completion_s.assign(static_cast<std::size_t>(b), 0.0);
@@ -300,7 +298,6 @@ RunResult Driver::run() {
 }
 
 void Driver::finalize_metrics() {
-#if CBE_TRACE_ENABLED
   trace::MetricsRegistry* m = cfg_.metrics;
   if (m == nullptr) return;
   m->gauge("run.makespan_s").set(res_.makespan_s);
@@ -333,7 +330,6 @@ void Driver::finalize_metrics() {
     m->counter("spe." + std::to_string(s) + ".tasks")
         .add(machine_.spe(s).tasks_served());
   }
-#endif
 }
 
 void Driver::setup_faults() {
@@ -510,7 +506,7 @@ void Driver::begin_offload(int pid, const std::vector<int>& idle,
   d = static_cast<int>(workers.size()) + 1;
   CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::TaskDispatch,
                   master, pid, p.bootstrap, d);
-  CBE_TRACE_ONLY(p.dispatch_at = eng_.now());
+  p.dispatch_at = eng_.now();
   machine_.spe(master).reserve(eng_.now());
   for (int w : workers) machine_.spe(w).reserve(eng_.now());
 
@@ -760,11 +756,9 @@ void Driver::on_task_done(int pid, std::uint64_t attempt_id) {
   commit_result(pid, poisoned);
   CBE_TRACE_EVENT(eng_.now().nanoseconds(), trace::EventKind::TaskComplete,
                   p.last_spe, pid, p.bootstrap, 0);
-#if CBE_TRACE_ENABLED
   if (latency_hist_ != nullptr) {
     latency_hist_->observe((eng_.now() - p.dispatch_at).to_us());
   }
-#endif
   policy_.on_departure(view(), pid);
   serve_wait_queue();
 

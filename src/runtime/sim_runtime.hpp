@@ -87,9 +87,8 @@ struct RunConfig {
   // -- Observability (see DESIGN.md "Observability") -----------------------
   /// Structured event sink installed for the duration of the run.  The
   /// simulator is single-threaded, so the captured stream is totally ordered
-  /// and bit-reproducible per seed.  Ignored (no events) when the build has
-  /// CBE_TRACE=OFF.  run_cluster runs its blades sequentially into the same
-  /// sink.
+  /// and bit-reproducible per seed.  run_cluster runs its blades
+  /// sequentially into the same sink.
   trace::TraceSink* trace = nullptr;
   /// Per-run metrics: offload-latency and loop-imbalance histograms recorded
   /// live, plus end-of-run counters and per-SPE utilization gauges.

@@ -12,20 +12,14 @@
 // always-on flight recorder, which a process can register for crash dumps
 // (install_flight_recorder below).
 //
-// Tracing compiles out entirely with -DCBE_TRACE=OFF: CBE_TRACE_EVENT
-// expands to nothing and the hot paths carry zero tracing code.  When
-// compiled in but no sink is installed, the cost is one thread-local load
-// and branch per site.
+// Trace sites are always compiled in.  With no sink installed, each costs
+// one thread-local load and branch.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
-
-#ifndef CBE_TRACE_ENABLED
-#define CBE_TRACE_ENABLED 1
-#endif
 
 namespace cbe::trace {
 
@@ -328,7 +322,6 @@ std::string flight_dump_text(const TraceSink& sink, std::size_t window,
 
 }  // namespace cbe::trace
 
-#if CBE_TRACE_ENABLED
 /// Records an event into the ambient sink, if one is installed.  `t_ns` is
 /// evaluated only when a sink is present.
 #define CBE_TRACE_EVENT(t_ns, kind, spe, pid, a, b)                       \
@@ -336,10 +329,3 @@ std::string flight_dump_text(const TraceSink& sink, std::size_t window,
     if (::cbe::trace::TraceSink* cbe_trace_sink_ = ::cbe::trace::current()) \
       cbe_trace_sink_->record((t_ns), (kind), (spe), (pid), (a), (b));    \
   } while (0)
-/// Compiles `stmt` in only when tracing is built; used for trace-only
-/// bookkeeping that should vanish from the hot path with CBE_TRACE=OFF.
-#define CBE_TRACE_ONLY(stmt) stmt
-#else
-#define CBE_TRACE_EVENT(t_ns, kind, spe, pid, a, b) ((void)0)
-#define CBE_TRACE_ONLY(stmt) ((void)0)
-#endif

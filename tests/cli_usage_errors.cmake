@@ -40,6 +40,10 @@ expect_usage_error("${explorer}" --seed)
 expect_usage_error("${explorer}" --checkpoint-every=1.5x)
 expect_usage_error("${explorer}" --fault-bitflip-rate=lots)
 expect_usage_error("${explorer}" --verify-fraction=half)
+# A bootstrap job recipe its own checkpoint would reject.
+expect_usage_error("${explorer}" --checkpoint=unused.ckpt --taxa=2)
+expect_usage_error("${explorer}" --checkpoint=unused.ckpt --bootstraps=-3)
+expect_usage_error("${explorer}" --checkpoint=unused.ckpt --sites=0)
 
 # The profiler adds a value-validated enum flag on top of the usual classes.
 set(profiler "${BINDIR}/examples/cell_profiler")

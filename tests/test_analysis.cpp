@@ -51,15 +51,6 @@ std::vector<trace::Event> run_events(int bootstraps, int tasks,
   return sink.events();
 }
 
-class AnalysisTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (!CBE_TRACE_ENABLED) {
-      GTEST_SKIP() << "tracing compiled out (CBE_TRACE=OFF)";
-    }
-  }
-};
-
 TEST(EventNameTest, RoundTripsEveryKind) {
   for (int i = 0; i < static_cast<int>(trace::EventKind::kCount); ++i) {
     const auto k = static_cast<trace::EventKind>(i);
@@ -70,7 +61,7 @@ TEST(EventNameTest, RoundTripsEveryKind) {
   EXPECT_STREQ(trace::event_name(trace::EventKind::kCount), "unknown");
 }
 
-TEST_F(AnalysisTest, TextTraceParsesBackToTheSameEvents) {
+TEST(AnalysisTest, TextTraceParsesBackToTheSameEvents) {
   const std::vector<trace::Event> events = run_events(2, 20, true);
   ASSERT_FALSE(events.empty());
   const std::string text = trace::to_text(events);
@@ -102,7 +93,7 @@ TEST(TraceParseTest, RejectsMalformedInput) {
   EXPECT_TRUE(out.empty());
 }
 
-TEST_F(AnalysisTest, BusyAndIdleTileTheRunExactly) {
+TEST(AnalysisTest, BusyAndIdleTileTheRunExactly) {
   for (const bool faults : {false, true}) {
     const std::vector<trace::Event> events = run_events(3, 30, faults);
     const Analysis a = analyze(events);
@@ -127,7 +118,7 @@ TEST_F(AnalysisTest, BusyAndIdleTileTheRunExactly) {
   }
 }
 
-TEST_F(AnalysisTest, AttributionSumsToMakespanExactly) {
+TEST(AnalysisTest, AttributionSumsToMakespanExactly) {
   for (const bool faults : {false, true}) {
     const std::vector<trace::Event> events = run_events(3, 30, faults);
     const Analysis a = analyze(events);
@@ -142,7 +133,7 @@ TEST_F(AnalysisTest, AttributionSumsToMakespanExactly) {
   }
 }
 
-TEST_F(AnalysisTest, CriticalPathNeverExceedsMakespanAndChains) {
+TEST(AnalysisTest, CriticalPathNeverExceedsMakespanAndChains) {
   for (const bool faults : {false, true}) {
     const std::vector<trace::Event> events = run_events(3, 30, faults);
     const Analysis a = analyze(events);
@@ -165,7 +156,7 @@ TEST_F(AnalysisTest, CriticalPathNeverExceedsMakespanAndChains) {
   }
 }
 
-TEST_F(AnalysisTest, TaskAccountingIsConsistent) {
+TEST(AnalysisTest, TaskAccountingIsConsistent) {
   const std::vector<trace::Event> events = run_events(2, 20, true);
   const Analysis a = analyze(events);
   EXPECT_EQ(a.tasks.size(), a.completes);
@@ -178,7 +169,7 @@ TEST_F(AnalysisTest, TaskAccountingIsConsistent) {
   }
 }
 
-TEST_F(AnalysisTest, AuditSeesEveryDegreeChange) {
+TEST(AnalysisTest, AuditSeesEveryDegreeChange) {
   const std::vector<trace::Event> events = run_events(2, 20, true);
   const Analysis a = analyze(events);
   std::size_t changes = 0;
@@ -199,14 +190,14 @@ TEST_F(AnalysisTest, AuditSeesEveryDegreeChange) {
   EXPECT_GT(watchdogs, 0u);  // the pinned scenario exercises recovery
 }
 
-TEST_F(AnalysisTest, ReportsAreDeterministic) {
+TEST(AnalysisTest, ReportsAreDeterministic) {
   const std::vector<trace::Event> a = run_events(2, 20, true);
   const std::vector<trace::Event> b = run_events(2, 20, true);
   EXPECT_EQ(to_json(analyze(a)), to_json(analyze(b)));
   EXPECT_EQ(to_text(analyze(a)), to_text(analyze(b)));
 }
 
-TEST_F(AnalysisTest, GoldenProfileJsonMatchesFixture) {
+TEST(AnalysisTest, GoldenProfileJsonMatchesFixture) {
   const std::string path =
       std::string(CBE_GOLDEN_DIR) + "/mgps_small_profile.json";
   const std::string got = to_json(analyze(run_events(2, 20, true)));

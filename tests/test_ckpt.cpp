@@ -351,6 +351,33 @@ TEST(CkptResume, EveryPrefixLengthResumesIdentically) {
   }
 }
 
+// The writer never starts a job its own reader would refuse: make_fresh and
+// the job section's decoder apply one range check.
+TEST(CkptState, MakeFreshRefusesWhatLoadRejects) {
+  BootstrapJob few_taxa = tiny_job();
+  few_taxa.taxa = 2;
+  BootstrapJob no_sites = tiny_job();
+  no_sites.sites = 0;
+  BootstrapJob negative = tiny_job();
+  negative.bootstraps = -3;
+  for (const BootstrapJob& job : {few_taxa, no_sites, negative}) {
+    const std::string why = job_error(job);
+    EXPECT_FALSE(why.empty());
+    EXPECT_THROW(make_fresh(job), std::invalid_argument);
+    RunState st = make_fresh(tiny_job());
+    st.job = job;
+    try {
+      (void)from_image(to_image(st));
+      ADD_FAILURE() << why << ": the reader accepted the job";
+    } catch (const CkptError& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::Malformed);
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_TRUE(job_error(tiny_job()).empty());
+}
+
 TEST(CkptRunner, ReportIsDeterministic) {
   RunState a = make_fresh(tiny_job());
   RunState b = make_fresh(tiny_job());
@@ -390,9 +417,7 @@ TEST(CkptRetry, TransientWriteFailuresAreRetriedAway) {
   const std::string path = temp_path("retry_ok.ckpt");
   const RunState st = sample_state();
   test_hooks::fail_next_atomic_writes(2);
-  IoRetryPolicy policy;
-  policy.max_attempts = 5;
-  const int attempts = save(path, st, policy);
+  const int attempts = save(path, st);
   EXPECT_EQ(attempts, 3);  // two injected failures, then success
   const RunState back = load(path);
   EXPECT_EQ(to_image(back).serialize(), to_image(st).serialize());
@@ -403,15 +428,16 @@ TEST(CkptRetry, ExhaustedRetriesSurfaceTheIoError) {
   RetryHooksGuard guard;
   const std::string path = temp_path("retry_fail.ckpt");
   const RunState st = sample_state();
-  test_hooks::fail_next_atomic_writes(100);
-  IoRetryPolicy policy;
-  policy.max_attempts = 3;
+  test_hooks::fail_next_atomic_writes(kMaxAttempts);
   try {
-    save(path, st, policy);
+    save(path, st);
     FAIL() << "save() should have thrown after exhausting retries";
   } catch (const CkptError& e) {
     EXPECT_EQ(e.kind(), ErrorKind::Io);
   }
+  // The budget is exactly kMaxAttempts: the next save writes first time.
+  EXPECT_EQ(save(path, st), 1);
+  std::remove(path.c_str());
 }
 
 // A run whose snapshots keep failing still completes and reports the same
@@ -426,7 +452,6 @@ TEST(CkptRetry, RunnerBestEffortSurvivesPersistentWriteFailure) {
   RunnerOptions opt;
   opt.checkpoint_path = path;
   opt.checkpoint_every = 1;
-  opt.ckpt_retry.max_attempts = 2;
   test_hooks::fail_next_atomic_writes(1000000);
   RunState st = make_fresh(tiny_job());
   const RunReport rep = run_job(st, opt);
@@ -436,20 +461,6 @@ TEST(CkptRetry, RunnerBestEffortSurvivesPersistentWriteFailure) {
   EXPECT_NE(rep.ckpt_error.find("io:"), std::string::npos) << rep.ckpt_error;
   // The report text ignores I/O weather entirely.
   EXPECT_EQ(rep.to_text(), clean_rep.to_text());
-}
-
-TEST(CkptRetry, RunnerStrictModeRethrows) {
-  RetryHooksGuard guard;
-  const std::string path = temp_path("retry_strict.ckpt");
-  RunnerOptions opt;
-  opt.checkpoint_path = path;
-  opt.checkpoint_every = 1;
-  opt.ckpt_retry.max_attempts = 2;
-  opt.ckpt_best_effort = false;
-  test_hooks::fail_next_atomic_writes(1000000);
-  RunState st = make_fresh(tiny_job());
-  EXPECT_THROW(run_job(st, opt), CkptError);
-  test_hooks::fail_next_atomic_writes(0);
 }
 
 // -- data integrity x checkpointing (DESIGN.md section 11) -------------------
@@ -470,8 +481,11 @@ TEST(CkptIntegrity, KnobsRoundTripBitExact) {
 TEST(CkptIntegrity, OutOfRangeRateIsRejected) {
   BootstrapJob job = tiny_job();
   job.dma_bitflip_rate = 1.5;  // not a probability
-  const std::vector<std::uint8_t> bytes =
-      to_image(make_fresh(job)).serialize();
+  EXPECT_THROW(make_fresh(job), std::invalid_argument);
+  // Written past make_fresh, the reader still refuses it.
+  RunState st = make_fresh(tiny_job());
+  st.job = job;
+  const std::vector<std::uint8_t> bytes = to_image(st).serialize();
   try {
     (void)from_image(CheckpointImage::parse(bytes));
     FAIL() << "a rate outside [0, 1] should not validate";
@@ -540,7 +554,6 @@ TEST(CkptRetry, RunnerCountsRetriesThatSucceeded) {
   RunnerOptions opt;
   opt.checkpoint_path = path;
   opt.checkpoint_every = 1;
-  opt.ckpt_retry.max_attempts = 4;
   test_hooks::fail_next_atomic_writes(2);  // first snapshot needs 3 attempts
   RunState st = make_fresh(tiny_job());
   const RunReport rep = run_job(st, opt);
@@ -618,7 +631,7 @@ RunReport serial_run_job(RunState& st, const RunnerOptions& opt) {
     st.crash_position = sim::crash_clock_position();
     if (!opt.checkpoint_path.empty() &&
         ((i + 1) % every == 0 || i + 1 == job.bootstraps)) {
-      save(opt.checkpoint_path, st, opt.ckpt_retry);
+      save(opt.checkpoint_path, st);
       st.crash_position = sim::crash_clock_position();
     }
   }
@@ -693,7 +706,8 @@ TEST(CkptStreams, ResumeFromEveryPrefixMatchesSerialComposition) {
         SCOPED_TRACE(testing::Message() << "seed " << seed << ", "
                                         << bootstraps << " replicates, prefix "
                                         << k);
-        RunState prefix = make_fresh(stream_job(seed, k));
+        RunState prefix = make_fresh(stream_job(seed, bootstraps));
+        prefix.job.bootstraps = k;
         if (k > 0) run_from_clock(prefix, {}, false);
         prefix.job.bootstraps = bootstraps;
         RunState resumed = from_image(to_image(prefix));
@@ -790,19 +804,27 @@ TEST(CkptStreams, ThrowingReplicateRethrowsOnTheCaller) {
   std::remove(path.c_str());
 }
 
-// A strict snapshot failure at the first boundary rethrows on the caller
-// while later replicates are still queued or running; they are abandoned,
-// and nothing they touch outlives run_job.
-TEST(CkptStreams, StrictSaveFailureRethrowsOnTheCaller) {
+// A snapshot given up on at the first boundary, while later replicates are
+// still queued or running, costs that snapshot only: the streams carry on,
+// the next boundary's snapshot lands, and the report is the clean run's.
+TEST(CkptStreams, AbandonedSnapshotLeavesLaterReplicatesRunning) {
   RetryHooksGuard guard;
+  const BootstrapJob job = stream_job(77, 7);
+  RunState clean = make_fresh(job);
+  const std::string expect = run_job(clean, {}).to_text();
+  const std::string path = temp_path("streams_abandoned.ckpt");
+  std::remove(path.c_str());
   RunnerOptions opt;
-  opt.checkpoint_path = temp_path("streams_strict.ckpt");
-  opt.ckpt_retry.max_attempts = 1;
-  opt.ckpt_best_effort = false;
-  test_hooks::fail_next_atomic_writes(1);
-  RunState st = make_fresh(stream_job(77, 7));
-  EXPECT_THROW(run_job(st, opt), CkptError);
-  EXPECT_EQ(st.done.size(), 1u);
+  opt.checkpoint_path = path;
+  test_hooks::fail_next_atomic_writes(kMaxAttempts);
+  RunState st = make_fresh(job);
+  const RunReport rep = run_job(st, opt);
+  EXPECT_EQ(rep.ckpt_failed_snapshots, 1);
+  EXPECT_EQ(rep.ckpt_io_retries, 0);
+  EXPECT_EQ(rep.to_text(), expect);
+  EXPECT_EQ(load(path).done.size(),
+            static_cast<std::size_t>(job.bootstraps));
+  std::remove(path.c_str());
 }
 
 }  // namespace

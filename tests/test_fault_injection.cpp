@@ -279,7 +279,6 @@ TEST(FaultInjection, RetryBudgetExhaustionFallsBackToPpe) {
   EXPECT_EQ(r.bootstrap_digests, clean.bootstrap_digests);
 }
 
-#if CBE_TRACE_ENABLED
 // Recovery actions must appear in the trace, in causal order: the fault is
 // recorded before the watchdog that detects it, the watchdog before the
 // re-offload it triggers, and a fault-path PPE fallback only after the pool
@@ -349,7 +348,6 @@ TEST(FaultInjection, PpeFallbackTracedAfterWholePoolLost) {
   }
   EXPECT_EQ(fault_fallbacks, r.fault_ppe_fallbacks);
 }
-#endif  // CBE_TRACE_ENABLED
 
 TEST(FaultInjection, ClusterReplaysBitIdentically) {
   const task::Workload wl = task::make_synthetic(12, small_workload());

@@ -22,8 +22,14 @@ struct Integration : ::testing::Test {
     patterns = new phylo::PatternAlignment(*alignment);
     model = new phylo::SubstModel(
         phylo::GtrParams::hky(2.5, patterns->base_frequencies()), 0.8);
-    workload = new task::Workload(
-        phylo::make_phylo_workload(*patterns, *model, 8, 77));
+    workload = new task::Workload;
+    util::Rng master(77);
+    for (int i = 0; i < 8; ++i) {
+      util::Rng rng = master.split();
+      phylo::TraceGenerator gen;
+      phylo::run_bootstrap(*patterns, *model, rng, {}, &gen);
+      workload->bootstraps.push_back(gen.take_trace());
+    }
   }
   static void TearDownTestSuite() {
     delete workload;

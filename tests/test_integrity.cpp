@@ -177,10 +177,8 @@ TEST(IntegrityQuarantine, RepeatedCorruptionRemovesTheSpe) {
   const rt::RunResult r = run_mgps(wl, cfg);
   EXPECT_GE(r.corrupt_detected, 2u);
   EXPECT_EQ(r.quarantined_spes, 1u) << "SPE 0 should be quarantined once";
-  if (CBE_TRACE_ENABLED) {
-    EXPECT_GE(sink.count(trace::EventKind::Quarantine), 1u);
-    EXPECT_GE(sink.count(trace::EventKind::DmaCorrupt), 2u);
-  }
+  EXPECT_GE(sink.count(trace::EventKind::Quarantine), 1u);
+  EXPECT_GE(sink.count(trace::EventKind::DmaCorrupt), 2u);
   // The run still finishes every bootstrap with clean results.
   EXPECT_EQ(r.bootstrap_digests, clean.bootstrap_digests);
   for (double c : r.bootstrap_completion_s) EXPECT_GT(c, 0.0);
@@ -286,10 +284,8 @@ TEST(JobsvcIntegrity, RepeatedCorruptionQuarantinesBlades) {
   cfg.trace = &sink;
   const jobsvc::ServiceReport rep = jobsvc::Service(cfg).run(jobsvc_mix(48));
   EXPECT_GT(rep.quarantined_blades, 0u);
-  if (CBE_TRACE_ENABLED) {
-    EXPECT_GE(sink.count(trace::EventKind::Quarantine),
-              rep.quarantined_blades);
-  }
+  EXPECT_GE(sink.count(trace::EventKind::Quarantine),
+            rep.quarantined_blades);
   // Quarantine is deterministic: same config, same quarantines.
   const jobsvc::ServiceReport again =
       jobsvc::Service(cfg).run(jobsvc_mix(48));

@@ -201,13 +201,11 @@ TEST(Retry, ExponentialBackoffScheduleIsExact) {
   EXPECT_EQ(rep.jobs.at(0).status, JobStatus::Failed);
   EXPECT_EQ(rep.jobs.at(0).failures, 4);
 
-  if (CBE_TRACE_ENABLED) {
-    const auto retries = events_of_kind(sink, trace::EventKind::JobRetry);
-    ASSERT_EQ(retries.size(), 3u);  // 4th failure is terminal, no retry
-    EXPECT_EQ(retries[0].b, 50000000);
-    EXPECT_EQ(retries[1].b, 100000000);
-    EXPECT_EQ(retries[2].b, 200000000);
-  }
+  const auto retries = events_of_kind(sink, trace::EventKind::JobRetry);
+  ASSERT_EQ(retries.size(), 3u);  // 4th failure is terminal, no retry
+  EXPECT_EQ(retries[0].b, 50000000);
+  EXPECT_EQ(retries[1].b, 100000000);
+  EXPECT_EQ(retries[2].b, 200000000);
 }
 
 // Two identical chaos runs must emit byte-identical traces: the whole
@@ -224,10 +222,8 @@ TEST(Retry, ChaosScheduleDeterministicAcrossRuns) {
   const ServiceReport ra = run_with(cfg, jobs, &a);
   const ServiceReport rb = run_with(cfg, jobs, &b);
   EXPECT_GT(ra.retries, 0u);
-  if (CBE_TRACE_ENABLED) {
-    ASSERT_FALSE(a.empty());
-    EXPECT_EQ(trace::to_text(a.events()), trace::to_text(b.events()));
-  }
+  ASSERT_FALSE(a.empty());
+  EXPECT_EQ(trace::to_text(a.events()), trace::to_text(b.events()));
   EXPECT_EQ(ra.results_text(), rb.results_text());
   EXPECT_EQ(ra.to_text(), rb.to_text());
 }
@@ -289,9 +285,7 @@ TEST(Admission, OverloadShedsLowestPriorityForHigherArrival) {
   EXPECT_EQ(rep.jobs.at(2).status, JobStatus::Shed);
   EXPECT_EQ(rep.jobs.at(3).status, JobStatus::Completed);
   EXPECT_EQ(rep.shed, 1u);
-  if (CBE_TRACE_ENABLED) {
-    EXPECT_EQ(events_of_kind(sink, trace::EventKind::JobShed).size(), 1u);
-  }
+  EXPECT_EQ(events_of_kind(sink, trace::EventKind::JobShed).size(), 1u);
 
   // With shedding disabled the same arrival is rejected instead.
   ServiceConfig no_shed = cfg;
@@ -336,8 +330,6 @@ TEST(Admission, DispatchInterleavesTenants) {
   trace::TraceSink sink;
   const ServiceReport rep = run_with(cfg, jobs, &sink);
   ASSERT_EQ(rep.completed, jobs.size());
-  if (!CBE_TRACE_ENABLED)
-    GTEST_SKIP() << "dispatch order is observed via trace events";
   // The first dispatches fill straight from arrival order (tenant 0's
   // burst), but as soon as the scheduler picks from a real queue it must
   // balance: tenant 1 appears well before tenant 0's burst drains.
@@ -390,9 +382,7 @@ TEST(Watchdog, StragglerBladeIsDetectedAndBrokenOut) {
   EXPECT_EQ(rep.blade_degrades, 1u);
   EXPECT_EQ(rep.completed, jobs.size());
   EXPECT_EQ(rep.results_text(), golden.results_text());
-  if (CBE_TRACE_ENABLED) {
-    EXPECT_FALSE(events_of_kind(sink, trace::EventKind::BreakerOpen).empty());
-  }
+  EXPECT_FALSE(events_of_kind(sink, trace::EventKind::BreakerOpen).empty());
 }
 
 TEST(Watchdog, SustainedChurnKeepsEngineQueueBounded) {
@@ -535,8 +525,6 @@ TEST(Statusz, StarvedServiceStillTerminates) {
 // Every job-lifecycle trace event carries a span whose job field matches
 // the event's own pid, so a cross-component trace groups cleanly per job.
 TEST(Spans, JobLifecycleEventsCarryTheirJobsSpan) {
-  if (!CBE_TRACE_ENABLED)
-    GTEST_SKIP() << "tracing compiled out (CBE_TRACE=OFF)";
   const auto jobs = small_mix(24);
   ServiceConfig cfg;
   cfg.fleet = platform::BladeFleetConfig::uniform(4);
@@ -574,8 +562,6 @@ TEST(Spans, JobLifecycleEventsCarryTheirJobsSpan) {
 // A migrated job's span records the hop generation: the migration event's
 // span hop field must exceed a never-migrated job's.
 TEST(Spans, MigrationHopsAdvanceTheSpanGeneration) {
-  if (!CBE_TRACE_ENABLED)
-    GTEST_SKIP() << "tracing compiled out (CBE_TRACE=OFF)";
   const auto jobs = small_mix(16);
   ServiceConfig cfg;
   cfg.fleet = platform::BladeFleetConfig::uniform(4);

@@ -102,6 +102,25 @@ TEST_F(EngineTest, SyncDetectsTopologyChange) {
   EXPECT_NEAR(after, fresh.loglik(), 1e-9 * std::fabs(after));
 }
 
+// A tree rebuilt from a checkpoint record and assigned into the attached
+// object shares that object's address, and used to share its revision too:
+// the engine kept scoring the old topology from its cached CLVs.
+TEST_F(EngineTest, SyncDetectsATreeAssignedIntoTheAttachedObject) {
+  util::Rng rng(5);
+  const Tree::Flat a = Tree::random(10, rng).to_flat();
+  const Tree::Flat b = Tree::random(10, rng).to_flat();
+  Tree t = Tree::from_flat(a);
+  engine.attach(t);
+  const double before = engine.loglik();
+  t = Tree::from_flat(b);
+  const double after = engine.loglik();
+  const Tree tb = Tree::from_flat(b);
+  LikelihoodEngine fresh(pa, model);
+  fresh.attach(tb);
+  EXPECT_NE(before, fresh.loglik());
+  EXPECT_EQ(after, fresh.loglik());
+}
+
 TEST_F(EngineTest, OptimizeBranchImprovesLoglik) {
   util::Rng rng(5);
   Tree t = Tree::random(10, rng);

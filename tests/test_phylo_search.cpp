@@ -202,11 +202,22 @@ TEST_F(SearchTest, DeferredTraceMatchesEagerRendering) {
 }
 
 TEST_F(SearchTest, PhyloWorkloadHasOneTracePerBootstrap) {
-  task::Workload wl = make_phylo_workload(pa, model, 3, 99);
+  auto traced_replicates = [this] {
+    task::Workload wl;
+    util::Rng master(99);
+    for (int i = 0; i < 3; ++i) {
+      util::Rng rng = master.split();
+      TraceGenerator gen;
+      run_bootstrap(pa, model, rng, {}, &gen);
+      wl.bootstraps.push_back(gen.take_trace());
+    }
+    return wl;
+  };
+  const task::Workload wl = traced_replicates();
   ASSERT_EQ(wl.size(), 3u);
   for (const auto& b : wl.bootstraps) EXPECT_GT(b.segments.size(), 50u);
   // Same seed reproduces the workload exactly.
-  task::Workload wl2 = make_phylo_workload(pa, model, 3, 99);
+  const task::Workload wl2 = traced_replicates();
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_DOUBLE_EQ(wl.bootstraps[i].total_spe_cycles(),
                      wl2.bootstraps[i].total_spe_cycles());

@@ -153,6 +153,21 @@ TEST(Tree, RevisionBumpsOnMutations) {
   EXPECT_GT(t.revision(), r1);
 }
 
+TEST(Tree, RevisionNamesOneStateAcrossTrees) {
+  util::Rng rng(11);
+  const Tree t = Tree::random(6, rng);
+  Tree copy = t;
+  EXPECT_EQ(copy.revision(), t.revision());
+  copy.set_branch_length(0, 0.5);
+  EXPECT_NE(copy.revision(), t.revision());
+  // Every rebuilt tree is a new state, even from the same record.
+  const Tree::Flat flat = t.to_flat();
+  const Tree a = Tree::from_flat(flat);
+  const Tree b = Tree::from_flat(flat);
+  EXPECT_NE(a.revision(), b.revision());
+  EXPECT_NE(a.revision(), t.revision());
+}
+
 TEST(Tree, BranchLengthsRoundtrip) {
   Tree t(3, 0, 1, 2, 0.1);
   t.set_branch_length(1, 0.777);

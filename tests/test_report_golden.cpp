@@ -6,8 +6,8 @@
 //   gap columns, so the fixture covers the kernels' tip and gap handling
 //   inside real searches.
 // - A seeded job-service chaos run: per-job results, the summary, the final
-//   statusz snapshot, the metrics export and (when tracing is compiled in)
-//   the event trace, with every recovery path of the service in it.
+//   statusz snapshot, the metrics export and the event trace, with every
+//   recovery path of the service in it.
 //
 // Regenerate the fixtures only after an intentional behaviour change:
 //
@@ -132,15 +132,13 @@ TEST(ReportGolden, JobServiceChaosMatchesFixture) {
                           std::to_string(rep.statusz_snapshots) + "\n" +
                           rep.statusz_json + metrics.to_json();
 
-  if (CBE_TRACE_ENABLED) {
-    const std::string trace_text = trace::to_text(sink.events());
-    for (const char* kind :
-         {" job_migrate ", " watchdog_fire ", " breaker_open ", " job_retry ",
-          " quarantine ", " job_shed ", " job_reject "}) {
-      EXPECT_NE(trace_text.find(kind), std::string::npos) << kind;
-    }
-    expect_matches_fixture("jobsvc_chaos.trace", trace_text);
+  const std::string trace_text = trace::to_text(sink.events());
+  for (const char* kind :
+       {" job_migrate ", " watchdog_fire ", " breaker_open ", " job_retry ",
+        " quarantine ", " job_shed ", " job_reject "}) {
+    EXPECT_NE(trace_text.find(kind), std::string::npos) << kind;
   }
+  expect_matches_fixture("jobsvc_chaos.trace", trace_text);
   expect_matches_fixture("jobsvc_chaos.txt", got);
 }
 

@@ -90,16 +90,7 @@ std::string read_file(const std::string& path) {
   return ss.str();
 }
 
-class TraceGoldenTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (!CBE_TRACE_ENABLED) {
-      GTEST_SKIP() << "tracing compiled out (CBE_TRACE=OFF)";
-    }
-  }
-};
-
-TEST_F(TraceGoldenTest, SameSeedSameConfigIsBitIdentical) {
+TEST(TraceGoldenTest, SameSeedSameConfigIsBitIdentical) {
   const std::string a = golden_trace_text();
   const std::string b = golden_trace_text();
   EXPECT_GT(a.size(), 0u);
@@ -138,17 +129,17 @@ void expect_matches_fixture(const std::string& name, const std::string& got) {
   }
 }
 
-TEST_F(TraceGoldenTest, MatchesCheckedInFixture) {
+TEST(TraceGoldenTest, MatchesCheckedInFixture) {
   expect_matches_fixture("mgps_small.trace", golden_trace_text());
 }
 
-TEST_F(TraceGoldenTest, FaultScenarioMatchesCheckedInFixture) {
+TEST(TraceGoldenTest, FaultScenarioMatchesCheckedInFixture) {
   const std::string got = fault_golden_trace_text();
   EXPECT_EQ(got, fault_golden_trace_text());
   expect_matches_fixture("mgps_faults.trace", got);
 }
 
-TEST_F(TraceGoldenTest, FaultScenarioExercisesEveryRecoveryPath) {
+TEST(TraceGoldenTest, FaultScenarioExercisesEveryRecoveryPath) {
   const std::string text = fault_golden_trace_text();
   for (const char* kind :
        {" loop_fork ", " fault_failstop ", " chunk_reassign ", " dma_fault ",
@@ -167,7 +158,7 @@ TEST_F(TraceGoldenTest, FaultScenarioExercisesEveryRecoveryPath) {
   EXPECT_GT(count(" loop_fork "), count(" loop_join "));
 }
 
-TEST_F(TraceGoldenTest, RecoveryMachineryAppearsInTheStream) {
+TEST(TraceGoldenTest, RecoveryMachineryAppearsInTheStream) {
   // The pinned scenario's scripted faults must actually exercise recovery,
   // otherwise the fixture pins only the happy path.
   const std::string text = golden_trace_text();
@@ -177,7 +168,7 @@ TEST_F(TraceGoldenTest, RecoveryMachineryAppearsInTheStream) {
   EXPECT_NE(text.find(" reoffload "), std::string::npos);
 }
 
-TEST_F(TraceGoldenTest, TextFormatIsWellFormed) {
+TEST(TraceGoldenTest, TextFormatIsWellFormed) {
   const std::string text = golden_trace_text();
   std::istringstream ss(text);
   std::string line;
@@ -202,7 +193,7 @@ TEST_F(TraceGoldenTest, TextFormatIsWellFormed) {
   EXPECT_GT(n, 100);  // the scenario is non-trivial
 }
 
-TEST_F(TraceGoldenTest, ChromeExportIsDeterministicJson) {
+TEST(TraceGoldenTest, ChromeExportIsDeterministicJson) {
   task::SyntheticConfig scfg;
   scfg.tasks_per_bootstrap = 20;
   const task::Workload wl = task::make_synthetic(2, scfg);

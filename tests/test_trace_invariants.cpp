@@ -36,16 +36,7 @@ TracedRun traced_mgps_run(int bootstraps, RunConfig cfg = {}) {
   return out;
 }
 
-class TraceInvariantsTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (!CBE_TRACE_ENABLED) {
-      GTEST_SKIP() << "tracing compiled out (CBE_TRACE=OFF)";
-    }
-  }
-};
-
-TEST_F(TraceInvariantsTest, TimestampsAreMonotoneAndInsideTheRun) {
+TEST(TraceInvariantsTest, TimestampsAreMonotoneAndInsideTheRun) {
   const TracedRun run = traced_mgps_run(4);
   ASSERT_FALSE(run.sink.empty());
   const auto makespan_ns =
@@ -58,7 +49,7 @@ TEST_F(TraceInvariantsTest, TimestampsAreMonotoneAndInsideTheRun) {
   }
 }
 
-TEST_F(TraceInvariantsTest, EveryDispatchHasAMatchingComplete) {
+TEST(TraceInvariantsTest, EveryDispatchHasAMatchingComplete) {
   const TracedRun run = traced_mgps_run(4);
   // Fault-free: dispatches and completions pair up exactly, globally and
   // per process, and completions never precede their dispatch.
@@ -83,7 +74,7 @@ TEST_F(TraceInvariantsTest, EveryDispatchHasAMatchingComplete) {
   }
 }
 
-TEST_F(TraceInvariantsTest, BusyIdleSpansAlternateAndFitTheMakespan) {
+TEST(TraceInvariantsTest, BusyIdleSpansAlternateAndFitTheMakespan) {
   const TracedRun run = traced_mgps_run(4);
   const auto makespan_ns =
       static_cast<std::int64_t>(std::llround(run.result.makespan_s * 1e9));
@@ -114,7 +105,7 @@ TEST_F(TraceInvariantsTest, BusyIdleSpansAlternateAndFitTheMakespan) {
   EXPECT_NEAR(util_traced, run.result.mean_spe_utilization, 1e-6);
 }
 
-TEST_F(TraceInvariantsTest, DmaEventsMatchTheMachineCounters) {
+TEST(TraceInvariantsTest, DmaEventsMatchTheMachineCounters) {
   const TracedRun run = traced_mgps_run(4);
   std::uint64_t issues = 0;
   std::uint64_t retires = 0;
@@ -139,7 +130,7 @@ TEST_F(TraceInvariantsTest, DmaEventsMatchTheMachineCounters) {
               static_cast<double>(issues));
 }
 
-TEST_F(TraceInvariantsTest, LoopForkAndJoinPairUpFaultFree) {
+TEST(TraceInvariantsTest, LoopForkAndJoinPairUpFaultFree) {
   const TracedRun run = traced_mgps_run(2);
   const std::uint64_t forks = run.sink.count(trace::EventKind::LoopFork);
   const std::uint64_t joins = run.sink.count(trace::EventKind::LoopJoin);
@@ -147,7 +138,7 @@ TEST_F(TraceInvariantsTest, LoopForkAndJoinPairUpFaultFree) {
   EXPECT_EQ(forks, run.result.loop_splits);
 }
 
-TEST_F(TraceInvariantsTest, FaultyRunStillBalancesDmaIssueAndRetire) {
+TEST(TraceInvariantsTest, FaultyRunStillBalancesDmaIssueAndRetire) {
   RunConfig cfg;
   cfg.fault.seed = 99;
   cfg.fault.spe_fail_rate = 0.25;
@@ -163,7 +154,7 @@ TEST_F(TraceInvariantsTest, FaultyRunStillBalancesDmaIssueAndRetire) {
             run.result.spe_failures);
 }
 
-TEST_F(TraceInvariantsTest, SinkRestoredAfterRun) {
+TEST(TraceInvariantsTest, SinkRestoredAfterRun) {
   // run_workload installs the sink only for the run's duration.
   EXPECT_EQ(trace::current(), nullptr);
   const TracedRun run = traced_mgps_run(1);
