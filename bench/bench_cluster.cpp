@@ -5,11 +5,13 @@
 // Spreading a fixed 100-bootstrap analysis over more blades shrinks each
 // blade's share; once a blade serves few enough bootstraps, task-level
 // parallelism alone cannot fill its 16 SPEs and MGPS's loop-level layer
-// starts paying again.
+// starts paying again.  Our MGPS also wins the within-blade tail, so it
+// never loses outright.  Shape checks: the cluster.* claims in
+// paper_table.cpp, which assume the default 100 bootstraps.
 #include <cstdio>
-#include <memory>
 
 #include "bench_common.hpp"
+#include "paper_table.hpp"
 
 int main(int argc, char** argv) {
   using namespace cbe;
@@ -23,38 +25,24 @@ int main(int argc, char** argv) {
       bench::common_usage("bench_cluster", "[--bootstraps=N] [--json[=F]]"));
   bench::report_common_config(report, scfg, blade_cfg);
   report.config("bootstraps", static_cast<long long>(bootstraps));
-  const task::Workload wl = task::make_synthetic(bootstraps, scfg);
 
   util::Table table("Section 5.5: " + std::to_string(bootstraps) +
                     " bootstraps over a cluster of dual-Cell blades");
   table.header({"blades", "bootstraps/blade", "EDTLP", "MGPS", "winner",
                 "MGPS gain"});
-  double gain_first = 0.0, gain_last = 0.0;
-  for (int blades : {1, 2, 4, 8, 16, 25}) {
-    const auto edtlp = rt::run_cluster(
-        wl, [] { return std::make_unique<rt::EdtlpPolicy>(); }, blades,
-        blade_cfg);
-    const auto mgps = rt::run_cluster(
-        wl, [] { return std::make_unique<rt::MgpsPolicy>(); }, blades,
-        blade_cfg);
-    report.add_sample("edtlp/" + std::to_string(blades), edtlp.makespan_s);
-    report.add_sample("mgps/" + std::to_string(blades), mgps.makespan_s);
-    const bool mgps_wins = mgps.makespan_s < edtlp.makespan_s * 0.999;
-    const double gain = edtlp.makespan_s / mgps.makespan_s;
-    if (blades == 1) gain_first = gain;
-    gain_last = gain;
-    table.row({std::to_string(blades),
-               std::to_string((bootstraps + blades - 1) / blades),
-               util::Table::seconds(edtlp.makespan_s),
-               util::Table::seconds(mgps.makespan_s),
-               mgps_wins ? "MGPS" : "tie/EDTLP",
-               util::Table::num(edtlp.makespan_s / mgps.makespan_s)});
+  const auto points = bench::run_cluster_sweep(bootstraps, scfg, blade_cfg);
+  for (const auto& p : points) {
+    const double te = p.edtlp.makespan_s, tm = p.mgps.makespan_s;
+    report.add_sample("edtlp/" + std::to_string(p.blades), te);
+    report.add_sample("mgps/" + std::to_string(p.blades), tm);
+    table.row({std::to_string(p.blades),
+               std::to_string((bootstraps + p.blades - 1) / p.blades),
+               util::Table::seconds(te), util::Table::seconds(tm),
+               tm < te * 0.999 ? "MGPS" : "tie/EDTLP",
+               util::Table::num(te / tm)});
   }
   table.print();
-  std::printf("\nshape check: MGPS gain grows as blades dilute the "
-              "per-blade bootstrap count: %.2fx at 1 blade -> %.2fx at 25 "
-              "blades (the paper's Section 5.5 argument; our MGPS also "
-              "wins the within-blade tail, so it never loses outright)\n",
-              gain_first, gain_last);
+  std::printf("\n");
+  bench::print_claims(bench::cluster_claims(points));
   return report.write() ? 0 : 1;
 }

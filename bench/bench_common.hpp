@@ -115,14 +115,4 @@ inline rt::RunResult run_bootstraps(int bootstraps,
   return rt::run_workload(wl, policy, rcfg);
 }
 
-/// Normalizes a measured series to its first element, for paper-shape
-/// comparison independent of the task-count scaling.
-inline std::vector<double> normalized(const std::vector<double>& v) {
-  std::vector<double> out;
-  out.reserve(v.size());
-  const double base = v.empty() || v.front() == 0.0 ? 1.0 : v.front();
-  for (double x : v) out.push_back(x / base);
-  return out;
-}
-
 }  // namespace cbe::bench

@@ -7,14 +7,11 @@
 // task count shortens absolute times but preserves ratios).  Xeon and Power5
 // come from the SMT queueing models with calibration documented in
 // src/platform/smp.hpp.
-//
-// Shape targets: the Cell beats the dual Xeon by ~4x throughout; the Power5
-// wins slightly below 8 bootstraps (fewer, faster cores) and loses by 5-10%
-// from 8 bootstraps on.
+// Shape checks: the fig10.* claims in paper_table.cpp.
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "platform/smp.hpp"
+#include "paper_table.hpp"
 
 int main(int argc, char** argv) {
   using namespace cbe;
@@ -26,59 +23,29 @@ int main(int argc, char** argv) {
       bench::common_usage("bench_fig10", "[--json[=F]]"));
   bench::report_common_config(report, scfg, rcfg);
 
-  // Anchor: simulated single-bootstrap EDTLP time -> paper's 28.46 s.
-  double sim_t1;
-  {
-    rt::EdtlpPolicy edtlp;
-    sim_t1 = bench::run_bootstraps(1, edtlp, scfg, rcfg).makespan_s;
-  }
-  const double cell_scale = 28.46 / sim_t1;
-
-  const auto xeon = platform::SmtMachineConfig::xeon();
-  const auto power5 = platform::SmtMachineConfig::power5();
-
-  const std::vector<int> small = {1, 2, 3, 4, 5, 6, 7, 8,
-                                  9, 10, 11, 12, 13, 14, 15, 16};
-  const std::vector<int> large = {1, 2, 4, 8, 12, 16, 24, 32,
-                                  48, 64, 96, 128};
-
-  double cell_128 = 0.0, xeon_128 = 0.0, p5_128 = 0.0, p5_8 = 0.0,
-         cell_8 = 0.0;
-  for (const auto& [name, points] :
-       {std::pair{std::string("Figure 10a (1-16 bootstraps)"), small},
-        std::pair{std::string("Figure 10b (1-128 bootstraps)"), large}}) {
-    util::Table table(name + ": Cell (MGPS) vs Xeon vs Power5");
+  const bench::Sweep anchor = bench::run_sweep(bench::kFig10Anchor, scfg, rcfg);
+  const bench::Sweep sweep = bench::run_sweep(bench::kFig10, scfg, rcfg);
+  const char* names[] = {"Figure 10a (1-16 bootstraps)",
+                         "Figure 10b (1-128 bootstraps)"};
+  for (std::size_t i = 0; i < sweep.panels.size(); ++i) {
+    util::Table table(std::string(names[i]) +
+                      ": Cell (MGPS) vs Xeon vs Power5");
     table.header({"bootstraps", "Xeon", "Power5", "Cell+MGPS",
                   "Xeon/Cell", "Power5/Cell"});
-    for (int b : points) {
-      rt::MgpsPolicy mgps;
-      const double cell =
-          bench::run_bootstraps(b, mgps, scfg, rcfg).makespan_s * cell_scale;
-      const double tx = platform::run_bootstraps(xeon, b);
-      const double tp = platform::run_bootstraps(power5, b);
-      report.add_sample("cell/" + std::to_string(b), cell);
-      report.add_sample("xeon/" + std::to_string(b), tx);
-      report.add_sample("power5/" + std::to_string(b), tp);
-      table.row({std::to_string(b), util::Table::seconds(tx),
-                 util::Table::seconds(tp), util::Table::seconds(cell),
-                 util::Table::num(tx / cell), util::Table::num(tp / cell)});
-      if (b == 128) {
-        cell_128 = cell;
-        xeon_128 = tx;
-        p5_128 = tp;
-      }
-      if (b == 8) {
-        cell_8 = cell;
-        p5_8 = tp;
-      }
+    for (const auto& p : sweep.panels[i]) {
+      const int b = p.bootstraps;
+      const bench::PlatformPoint t = bench::fig10_point(sweep, anchor, b);
+      report.add_sample("cell/" + std::to_string(b), t.cell);
+      report.add_sample("xeon/" + std::to_string(b), t.xeon);
+      report.add_sample("power5/" + std::to_string(b), t.power5);
+      table.row({std::to_string(b), util::Table::seconds(t.xeon),
+                 util::Table::seconds(t.power5), util::Table::seconds(t.cell),
+                 util::Table::num(t.xeon / t.cell),
+                 util::Table::num(t.power5 / t.cell)});
     }
     table.print();
     std::printf("\n");
   }
-
-  std::printf("shape checks: Xeon/Cell at 128 = %.2f (paper ~4x), "
-              "Power5/Cell at 128 = %.2f (paper 1.05-1.10), "
-              "Power5/Cell at 8 = %.2f (paper: Cell edges ahead from 8 on)\n",
-              xeon_128 / cell_128, p5_128 / cell_128, p5_8 / cell_8);
+  bench::print_claims(bench::fig10_claims(sweep, anchor));
   return report.write() ? 0 : 1;
 }

@@ -1,16 +1,10 @@
 // Reproduces Figure 7 of the paper: static EDTLP-LLP (2 and 4 SPEs per
 // parallel loop) vs pure EDTLP, for (a) 1-16 and (b) 1-128 bootstraps.
-//
-// Shape targets from the paper:
-//   - EDTLP-LLP beats EDTLP for <= 4 bootstraps (only the hybrid can use
-//     more than 4 SPEs there);
-//   - EDTLP wins from 5 bootstraps on, with a staircase of period 8 (its
-//     makespan is flat while bootstraps <= 8, then doubles, ...);
-//   - at many bootstraps EDTLP dominates and the gap grows, because LLP's
-//     sublinear loop speedup wastes SPEs that TLP could use at ~100%.
+// Shape checks: the fig7.* claims in paper_table.cpp.
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "paper_table.hpp"
 
 int main(int argc, char** argv) {
   using namespace cbe;
@@ -23,33 +17,26 @@ int main(int argc, char** argv) {
   cli.enforce_usage_or_exit(
       bench::common_usage("bench_fig7", "[--metrics=F] [--json[=F]]"));
   bench::report_common_config(report, scfg, rcfg);
+
+  // Trace one mid-size EDTLP point as the attribution representative.
   trace::TraceSink sink;
-
-  const std::vector<int> small = {1, 2, 3, 4, 5, 6, 7, 8,
-                                  9, 10, 11, 12, 13, 14, 15, 16};
-  const std::vector<int> large = {1, 2, 4, 8, 12, 16, 24, 32,
-                                  48, 64, 96, 128};
-
-  for (const auto& [name, points] :
-       {std::pair{std::string("Figure 7a (1-16 bootstraps)"), small},
-        std::pair{std::string("Figure 7b (1-128 bootstraps)"), large}}) {
+  const bench::Sweep sweep = bench::run_sweep(
+      bench::kFig7, scfg, rcfg,
+      {report.enabled() ? &sink : nullptr, bench::kEdtlp, 16});
+  const char* names[] = {"Figure 7a (1-16 bootstraps)",
+                         "Figure 7b (1-128 bootstraps)"};
+  for (std::size_t i = 0; i < sweep.panels.size(); ++i) {
+    const std::string name = names[i];
     util::Table table(name + ": static EDTLP-LLP vs EDTLP");
     table.header({"bootstraps", "EDTLP-LLP(2)", "EDTLP-LLP(4)", "EDTLP",
                   "best"});
     util::AsciiChart chart(name, "bootstraps", "seconds");
     std::vector<double> xs, llp2_v, llp4_v, edtlp_v;
-    for (int b : points) {
-      rt::StaticHybridPolicy llp2(2), llp4(4);
-      rt::EdtlpPolicy edtlp;
-      auto traced = rcfg;
-      // Trace one mid-size EDTLP point as the attribution representative.
-      if (report.enabled() && sink.empty() && b == 16) traced.trace = &sink;
-      const double t2 =
-          bench::run_bootstraps(b, llp2, scfg, rcfg).makespan_s;
-      const double t4 =
-          bench::run_bootstraps(b, llp4, scfg, rcfg).makespan_s;
-      const double te =
-          bench::run_bootstraps(b, edtlp, scfg, traced).makespan_s;
+    for (const auto& p : sweep.panels[i]) {
+      const int b = p.bootstraps;
+      const double t2 = sweep.seconds(bench::llp(2), p);
+      const double t4 = sweep.seconds(bench::llp(4), p);
+      const double te = sweep.seconds(bench::kEdtlp, p);
       report.add_sample("llp2/" + std::to_string(b), t2);
       report.add_sample("llp4/" + std::to_string(b), t4);
       report.add_sample("edtlp/" + std::to_string(b), te);
@@ -70,6 +57,7 @@ int main(int argc, char** argv) {
     chart.print();
     std::printf("\n");
   }
+  bench::print_claims(bench::fig7_claims(sweep));
   bench::report_attribution(report, sink);
   int rc = 0;
   if (!report.write()) rc = 1;

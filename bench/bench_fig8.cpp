@@ -1,15 +1,10 @@
 // Reproduces Figure 8 of the paper: the adaptive MGPS scheduler vs the
 // static EDTLP-LLP schemes and pure EDTLP, (a) 1-16 and (b) 1-128 bootstraps.
-//
-// Shape targets:
-//   - MGPS tracks the best static configuration across the whole range
-//     (hybrid-like for <= 4 bootstraps, EDTLP-like beyond ~28);
-//   - MGPS and EDTLP curves overlap completely at many bootstraps (the
-//     paper notes the 1-128 curves coincide);
-//   - the static hybrids fall increasingly behind as bootstraps grow.
+// Shape checks: the fig8.* claims in paper_table.cpp.
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "paper_table.hpp"
 
 int main(int argc, char** argv) {
   using namespace cbe;
@@ -20,34 +15,24 @@ int main(int argc, char** argv) {
   cli.enforce_usage_or_exit(
       bench::common_usage("bench_fig8", "[--json[=F]]"));
   bench::report_common_config(report, scfg, rcfg);
+
+  // Trace one mid-size MGPS point as the attribution representative.
   trace::TraceSink sink;
-
-  const std::vector<int> small = {1, 2, 3, 4, 5, 6, 7, 8,
-                                  9, 10, 11, 12, 13, 14, 15, 16};
-  const std::vector<int> large = {1, 2, 4, 8, 12, 16, 24, 32,
-                                  48, 64, 96, 128};
-
-  double mgps_128 = 0.0, edtlp_128 = 0.0;
-  for (const auto& [name, points] :
-       {std::pair{std::string("Figure 8a (1-16 bootstraps)"), small},
-        std::pair{std::string("Figure 8b (1-128 bootstraps)"), large}}) {
-    util::Table table(name + ": MGPS vs static schemes");
+  const bench::Sweep sweep = bench::run_sweep(
+      bench::kFig8, scfg, rcfg,
+      {report.enabled() ? &sink : nullptr, bench::kMgps, 16});
+  const char* names[] = {"Figure 8a (1-16 bootstraps)",
+                         "Figure 8b (1-128 bootstraps)"};
+  for (std::size_t i = 0; i < sweep.panels.size(); ++i) {
+    util::Table table(std::string(names[i]) + ": MGPS vs static schemes");
     table.header({"bootstraps", "MGPS", "EDTLP-LLP(2)", "EDTLP-LLP(4)",
                   "EDTLP", "MGPS degree", "MGPS/best-static"});
-    for (int b : points) {
-      rt::MgpsPolicy mgps;
-      rt::StaticHybridPolicy llp2(2), llp4(4);
-      rt::EdtlpPolicy edtlp;
-      auto traced = rcfg;
-      // Trace one mid-size MGPS point as the attribution representative.
-      if (report.enabled() && sink.empty() && b == 16) traced.trace = &sink;
-      const auto rm = bench::run_bootstraps(b, mgps, scfg, traced);
-      const double t2 =
-          bench::run_bootstraps(b, llp2, scfg, rcfg).makespan_s;
-      const double t4 =
-          bench::run_bootstraps(b, llp4, scfg, rcfg).makespan_s;
-      const double te =
-          bench::run_bootstraps(b, edtlp, scfg, rcfg).makespan_s;
+    for (const auto& p : sweep.panels[i]) {
+      const int b = p.bootstraps;
+      const auto& rm = sweep.at(bench::kMgps, p);
+      const double t2 = sweep.seconds(bench::llp(2), p);
+      const double t4 = sweep.seconds(bench::llp(4), p);
+      const double te = sweep.seconds(bench::kEdtlp, p);
       const double best = std::min({t2, t4, te});
       report.add_sample("mgps/" + std::to_string(b), rm.makespan_s);
       report.add_sample("edtlp/" + std::to_string(b), te);
@@ -56,17 +41,11 @@ int main(int argc, char** argv) {
                  util::Table::seconds(te),
                  util::Table::num(rm.mean_loop_degree),
                  util::Table::num(rm.makespan_s / best)});
-      if (b == 128) {
-        mgps_128 = rm.makespan_s;
-        edtlp_128 = te;
-      }
     }
     table.print();
     std::printf("\n");
   }
-  std::printf("shape check: MGPS(128)/EDTLP(128) = %.3f "
-              "(paper: curves overlap completely, ratio ~1.0)\n",
-              mgps_128 / edtlp_128);
+  bench::print_claims(bench::fig8_claims(sweep));
   bench::report_attribution(report, sink);
   return report.write() ? 0 : 1;
 }

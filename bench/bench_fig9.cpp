@@ -1,57 +1,40 @@
 // Reproduces Figure 9 of the paper: MGPS vs EDTLP-LLP vs EDTLP on a blade
 // with TWO Cell processors (16 SPEs, 2 PPEs), (a) 1-16 and (b) 1-128
 // bootstraps.
-//
-// Shape targets:
-//   - qualitatively identical to the one-Cell results, shifted: the hybrid
-//     wins up to 8 bootstraps (8 extra SPEs are available for LLP);
-//   - beyond 8 bootstraps task-level parallelism dominates and EDTLP wins;
-//   - MGPS matches or beats both everywhere;
-//   - for a fixed bootstrap count, two Cells deliver almost twice the
-//     performance of one Cell (Section 5.5).
+// Shape checks: the fig9.* claims in paper_table.cpp, two Cells against one
+// at fixed work (Section 5.5).
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "paper_table.hpp"
 
 int main(int argc, char** argv) {
   using namespace cbe;
   util::Cli cli(argc, argv);
   const auto scfg = bench::synthetic_config(cli);
-  const auto rcfg1 = bench::run_config(cli, /*cells=*/1);
-  const auto rcfg2 = bench::run_config(cli, /*cells=*/2);
+  const auto rcfg = bench::run_config(cli);
   bench::BenchReport report(cli, "fig9");
   cli.enforce_usage_or_exit(
       bench::common_usage("bench_fig9", "[--json[=F]]"));
-  bench::report_common_config(report, scfg, rcfg2);
+  bench::report_common_config(report, scfg, rcfg);
   report.config("cells", 2);
+
   trace::TraceSink sink;
-
-  const std::vector<int> small = {1, 2, 3, 4, 5, 6, 7, 8,
-                                  9, 10, 11, 12, 13, 14, 15, 16};
-  const std::vector<int> large = {1, 2, 4, 8, 12, 16, 24, 32,
-                                  48, 64, 96, 128};
-
-  for (const auto& [name, points] :
-       {std::pair{std::string("Figure 9a (1-16 bootstraps, 2 Cells)"), small},
-        std::pair{std::string("Figure 9b (1-128 bootstraps, 2 Cells)"),
-                  large}}) {
-    util::Table table(name);
+  const bench::Sweep sweep = bench::run_sweep(
+      bench::kFig9, scfg, rcfg,
+      {report.enabled() ? &sink : nullptr, bench::kMgps, 16});
+  const char* names[] = {"Figure 9a (1-16 bootstraps, 2 Cells)",
+                         "Figure 9b (1-128 bootstraps, 2 Cells)"};
+  for (std::size_t i = 0; i < sweep.panels.size(); ++i) {
+    util::Table table(names[i]);
     table.header({"bootstraps", "MGPS", "EDTLP-LLP(2)", "EDTLP-LLP(4)",
                   "EDTLP", "best"});
-    for (int b : points) {
-      rt::MgpsPolicy mgps;
-      rt::StaticHybridPolicy llp2(2), llp4(4);
-      rt::EdtlpPolicy edtlp;
-      auto traced = rcfg2;
-      if (report.enabled() && sink.empty() && b == 16) traced.trace = &sink;
-      const double tm =
-          bench::run_bootstraps(b, mgps, scfg, traced).makespan_s;
-      const double t2 =
-          bench::run_bootstraps(b, llp2, scfg, rcfg2).makespan_s;
-      const double t4 =
-          bench::run_bootstraps(b, llp4, scfg, rcfg2).makespan_s;
-      const double te =
-          bench::run_bootstraps(b, edtlp, scfg, rcfg2).makespan_s;
+    for (const auto& p : sweep.panels[i]) {
+      const int b = p.bootstraps;
+      const double tm = sweep.seconds(bench::kMgps, p);
+      const double t2 = sweep.seconds(bench::llp(2), p);
+      const double t4 = sweep.seconds(bench::llp(4), p);
+      const double te = sweep.seconds(bench::kEdtlp, p);
       const char* best = tm <= t2 && tm <= t4 && tm <= te ? "MGPS"
                          : t2 <= t4 && t2 <= te            ? "LLP(2)"
                          : t4 <= te                        ? "LLP(4)"
@@ -66,16 +49,8 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  // Section 5.5 scaling check: two Cells vs one Cell at fixed work.
-  for (int b : {16, 64, 128}) {
-    rt::EdtlpPolicy e1, e2;
-    const double one =
-        bench::run_bootstraps(b, e1, scfg, rcfg1).makespan_s;
-    const double two =
-        bench::run_bootstraps(b, e2, scfg, rcfg2).makespan_s;
-    std::printf("scaling check: EDTLP %3d bootstraps, 1-Cell/2-Cell = %.2f "
-                "(paper: ~2x)\n", b, one / two);
-  }
+  bench::print_claims(bench::fig9_claims(
+      sweep, bench::run_sweep(bench::kFig9OneCell, scfg, rcfg)));
   bench::report_attribution(report, sink);
   return report.write() ? 0 : 1;
 }

@@ -8,146 +8,44 @@
 // vector ops, aggregated DMA transfers, and SDK math approximations.
 //
 // Here the kernel stream of a real (synthetic-alignment) bootstrap search is
-// costed through the SPU pipeline model under each optimization level; DMA
-// time uses the MFC model (naive = one small transfer per loop iteration).
+// costed through the SPU pipeline model under each optimization level
+// (bench::run_ladder); shape checks are the opt_ladder.* claims in
+// paper_table.cpp.
 #include <cstdio>
-#include <vector>
 
 #include "bench_report.hpp"
-#include "cellsim/mfc.hpp"
-#include "phylo/bootstrap.hpp"
-#include "util/cli.hpp"
+#include "paper_table.hpp"
 #include "util/table.hpp"
-
-namespace {
-
-struct KernelCall {
-  cbe::task::KernelClass kind;
-  int patterns;
-  int iters;
-};
-
-class CallRecorder final : public cbe::phylo::KernelObserver {
- public:
-  void on_kernel(cbe::task::KernelClass kind, int patterns,
-                 int newton_iters) override {
-    calls.push_back({kind, patterns, newton_iters});
-  }
-  std::vector<KernelCall> calls;
-};
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace cbe;
   util::Cli cli(argc, argv);
-
-  // One real bootstrap search over the 42_SC-like alignment.
   phylo::SyntheticAlignmentConfig acfg;
   acfg.taxa = static_cast<int>(cli.get_int("taxa", acfg.taxa));
   acfg.sites = static_cast<int>(cli.get_int("sites", acfg.sites));
-  phylo::Alignment a = phylo::make_synthetic_alignment(acfg);
-  phylo::PatternAlignment pa(a);
-  phylo::SubstModel model(
-      phylo::GtrParams::hky(2.5, pa.base_frequencies()), 0.8);
-  util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 7)));
+  const auto seed = static_cast<std::uint64_t>(
+      cli.get_int("seed", static_cast<long long>(bench::kLadderSeed)));
   bench::BenchReport report(cli, "opt_ladder");
   cli.enforce_usage_or_exit(
       "bench_opt_ladder [--taxa=N] [--sites=N] [--seed=S] [--json[=F]]");
   report.config("taxa", static_cast<long long>(acfg.taxa));
   report.config("sites", static_cast<long long>(acfg.sites));
-  report.config("seed", static_cast<long long>(cli.get_int("seed", 7)));
-  CallRecorder rec;
-  phylo::run_bootstrap(pa, model, rng, {}, &rec);
+  report.config("seed", static_cast<long long>(seed));
 
-  const cell::CellParams cp;
-  const cell::Mfc mfc(cp);
-  const double clock = cp.clock_ghz;
-  const double burst_us = 11.0;  // paper: mean PPE time between off-loads
-
-  auto bootstrap_seconds = [&](const spu::OptFlags* flags) {
-    phylo::TraceGenConfig tc;
-    double total_us = 0.0;
-    for (const auto& c : rec.calls) {
-      total_us += burst_us;
-      if (flags == nullptr) {
-        // PPE-only: the kernel runs on the PPE, no off-load machinery.
-        tc.spe_opt = spu::OptFlags::naive();
-        const auto t = phylo::TraceGenerator(tc).describe(
-            c.kind, c.patterns, c.iters);
-        total_us += t.ppe_cycles / (clock * 1e3);
-        continue;
-      }
-      tc.spe_opt = *flags;
-      const auto t = phylo::TraceGenerator(tc).describe(
-          c.kind, c.patterns, c.iters);
-      total_us += t.spe_cycles_total() / (clock * 1e3);
-      const int chunks_in =
-          flags->dma_aggregated
-              ? cell::MfcRules::list_entries(
-                    static_cast<std::size_t>(t.dma_in_bytes), cp)
-              : cell::MfcRules::naive_chunks(
-                    static_cast<std::size_t>(t.dma_in_bytes));
-      const int chunks_out =
-          flags->dma_aggregated
-              ? cell::MfcRules::list_entries(
-                    static_cast<std::size_t>(t.dma_out_bytes), cp)
-              : cell::MfcRules::naive_chunks(
-                    static_cast<std::size_t>(t.dma_out_bytes));
-      total_us +=
-          mfc.transfer_time(t.dma_in_bytes, chunks_in, 1, false).to_us();
-      total_us +=
-          mfc.transfer_time(t.dma_out_bytes, chunks_out, 1, false).to_us();
-      total_us += 2.0 * cp.mailbox_latency.to_us();
-    }
-    return total_us * 1e-6;
-  };
-
-  spu::OptFlags naive = spu::OptFlags::naive();
-  spu::OptFlags vec = naive;
-  vec.vectorized = true;
-  spu::OptFlags vec_br = vec;
-  vec_br.branch_free = true;
-  spu::OptFlags vec_br_math = vec_br;
-  vec_br_math.fast_math = true;
-  spu::OptFlags full = spu::OptFlags::optimized();
-
-  const double t_ppe = bootstrap_seconds(nullptr);
-  struct Step {
-    const char* name;
-    double seconds;
-    double paper_ratio;  // vs PPE-only; 0 = not reported
-  };
-  const std::vector<Step> steps = {
-      {"PPE only (no off-loading)", t_ppe, 1.0},
-      {"naive SPE off-load", bootstrap_seconds(&naive), 50.38 / 38.23},
-      {"+ vectorized ML loops", bootstrap_seconds(&vec), 0.0},
-      {"+ vectorized conditionals", bootstrap_seconds(&vec_br), 0.0},
-      {"+ SDK math approximations", bootstrap_seconds(&vec_br_math), 0.0},
-      {"+ aggregated DMA (fully optimized)", bootstrap_seconds(&full),
-       28.82 / 38.23},
-  };
-  const char* step_keys[] = {"ppe_only", "naive", "vectorized", "branch_free",
-                             "fast_math", "optimized"};
-  for (std::size_t i = 0; i < steps.size(); ++i) {
-    report.add_sample(step_keys[i], steps[i].seconds);
-  }
-
+  const bench::Ladder ladder = bench::run_ladder(acfg, seed);
+  const double t_ppe = ladder.steps.front().seconds;
   util::Table table("Section 5.1: SPE optimization ladder (one bootstrap, "
                     "1 PPE thread + 1 SPE)");
   table.header({"configuration", "model", "vs PPE-only", "paper"});
-  for (const auto& s : steps) {
+  for (const auto& s : ladder.steps) {
+    report.add_sample(s.key, s.seconds);
     table.row({s.name, util::Table::seconds(s.seconds),
                util::Table::num(s.seconds / t_ppe),
                s.paper_ratio > 0.0 ? util::Table::num(s.paper_ratio) : "-"});
   }
   table.print();
   std::printf("\nkernel stream: %zu off-loads from a real bootstrap search "
-              "(%d patterns)\n", rec.calls.size(), pa.patterns());
-  std::printf("shape checks: naive/PPE = %.2f (paper 1.32), "
-              "optimized/PPE = %.2f (paper 0.75), naive/optimized = %.2f "
-              "(paper 1.75)\n",
-              steps[1].seconds / t_ppe, steps[5].seconds / t_ppe,
-              steps[1].seconds / steps[5].seconds);
+              "(%d patterns)\n", ladder.offloads, ladder.patterns);
+  bench::print_claims(bench::ladder_claims(ladder));
   return report.write() ? 0 : 1;
 }

@@ -6,11 +6,11 @@
 //   workers:        1      2      3      4      5      6      7      8
 //   EDTLP:      28.46  29.36  32.54  33.12  37.27  38.66  41.87  43.32
 //   Linux:      28.42  29.23  56.95  57.38  85.88  86.43 114.92 115.51
-// Shape targets: Linux grows in ceil(N/2) waves; EDTLP stays within ~1.5x of
-// one bootstrap; EDTLP/Linux reaches ~2.6x at 7-8 workers.
+// Shape checks: the table1.* claims in paper_table.cpp.
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "paper_table.hpp"
 
 int main(int argc, char** argv) {
   using namespace cbe;
@@ -34,41 +34,29 @@ int main(int argc, char** argv) {
   table.header({"workers", "EDTLP(sim)", "Linux(sim)", "Linux/EDTLP",
                 "EDTLP(norm)", "paper", "Linux(norm)", "paper"});
 
-  std::vector<double> edtlp_s, linux_s;
   trace::TraceSink sink;
-  for (int n = 1; n <= 8; ++n) {
-    rt::EdtlpPolicy edtlp;
-    rt::LinuxPolicy linux_pol;
-    auto traced = rcfg;
-    // Trace the largest EDTLP point as the attribution representative.
-    if (report.enabled() && n == 8) traced.trace = &sink;
-    edtlp_s.push_back(
-        bench::run_bootstraps(n, edtlp, scfg, traced).makespan_s);
-    linux_s.push_back(
-        bench::run_bootstraps(n, linux_pol, scfg, rcfg).makespan_s);
-    report.add_sample("edtlp/" + std::to_string(n), edtlp_s.back());
-    report.add_sample("linux/" + std::to_string(n), linux_s.back());
-  }
+  const bench::Sweep sweep = bench::run_sweep(
+      bench::kTable1, scfg, rcfg,
+      {report.enabled() ? &sink : nullptr, bench::kEdtlp, 8});
   bench::report_attribution(report, sink);
-  const auto edtlp_n = bench::normalized(edtlp_s);
-  const auto linux_n = bench::normalized(linux_s);
-
+  const double edtlp1 = sweep.seconds(bench::kEdtlp, 1);
+  const double linux1 = sweep.seconds(bench::kLinux, 1);
   for (int n = 1; n <= 8; ++n) {
-    const auto i = static_cast<std::size_t>(n - 1);
-    table.row({std::to_string(n), util::Table::seconds(edtlp_s[i]),
-               util::Table::seconds(linux_s[i]),
-               util::Table::num(linux_s[i] / edtlp_s[i]),
-               util::Table::num(edtlp_n[i]),
-               util::Table::num(paper_edtlp[i] / paper_edtlp[0]),
-               util::Table::num(linux_n[i]),
-               util::Table::num(paper_linux[i] / paper_linux[0])});
+    const double e = sweep.seconds(bench::kEdtlp, n);
+    const double l = sweep.seconds(bench::kLinux, n);
+    report.add_sample("edtlp/" + std::to_string(n), e);
+    report.add_sample("linux/" + std::to_string(n), l);
+    table.row({std::to_string(n), util::Table::seconds(e),
+               util::Table::seconds(l), util::Table::num(l / e),
+               util::Table::num(e / edtlp1),
+               util::Table::num(paper_edtlp[n - 1] / paper_edtlp[0]),
+               util::Table::num(l / linux1),
+               util::Table::num(paper_linux[n - 1] / paper_linux[0])});
   }
   table.print();
 
-  std::printf("\nshape checks: Linux(8)/EDTLP(8) = %.2f (paper 2.67), "
-              "EDTLP(8)/EDTLP(1) = %.2f (paper 1.52), "
-              "Linux(8)/Linux(1) = %.2f (paper 4.06)\n",
-              linux_s[7] / edtlp_s[7], edtlp_n[7], linux_n[7]);
+  std::printf("\n");
+  bench::print_claims(bench::table1_claims(sweep));
   int rc = 0;
   if (!report.write()) rc = 1;
   if (!metrics.finish()) rc = 1;

@@ -3,12 +3,12 @@
 //
 // Paper anchors (42_SC, seconds): 28.71 (no LLP), 20.83 (2), 19.37 (3),
 // 18.28 (4), 18.10 (5), 20.52 (6), 18.27 (7), 24.4 (8).
-// Shape targets: speedup rises to ~1.58 around 4-5 SPEs, then degrades as
-// per-worker overheads outgrow the shrinking chunks (the 6-vs-7 wobble in
-// the paper is hardware noise; the model saturates smoothly).
+// Shape checks: the table2.* claims in paper_table.cpp.  The paper's 6-vs-7
+// wobble is hardware noise; the model saturates smoothly.
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "paper_table.hpp"
 
 int main(int argc, char** argv) {
   using namespace cbe;
@@ -26,34 +26,22 @@ int main(int argc, char** argv) {
   util::Table table("Table 2: LLP degree sweep, 1 worker, 1 bootstrap");
   table.header({"SPEs/loop", "sim", "speedup(sim)", "speedup(paper)"});
 
-  std::vector<double> secs;
   trace::TraceSink sink;
+  const bench::Sweep sweep = bench::run_sweep(
+      bench::kTable2, scfg, rcfg,
+      {report.enabled() ? &sink : nullptr, bench::llp(4), 1});
+  const double base = sweep.seconds(bench::llp(1), 1);
   for (int d = 1; d <= 8; ++d) {
-    rt::StaticHybridPolicy pol(d);
-    auto traced = rcfg;
-    if (report.enabled() && d == 4) traced.trace = &sink;
-    secs.push_back(bench::run_bootstraps(1, pol, scfg, traced).makespan_s);
-    report.add_sample("llp/" + std::to_string(d), secs.back());
+    const double t = sweep.seconds(bench::llp(d), 1);
+    report.add_sample("llp/" + std::to_string(d), t);
+    table.row({std::to_string(d), util::Table::seconds(t),
+               util::Table::num(base / t),
+               util::Table::num(paper[0] / paper[d - 1])});
   }
   bench::report_attribution(report, sink);
-  for (int d = 1; d <= 8; ++d) {
-    const auto i = static_cast<std::size_t>(d - 1);
-    table.row({std::to_string(d), util::Table::seconds(secs[i]),
-               util::Table::num(secs[0] / secs[i]),
-               util::Table::num(paper[0] / paper[i])});
-  }
   table.print();
 
-  double best = 0.0;
-  int best_d = 1;
-  for (int d = 1; d <= 8; ++d) {
-    const double sp = secs[0] / secs[static_cast<std::size_t>(d - 1)];
-    if (sp > best) {
-      best = sp;
-      best_d = d;
-    }
-  }
-  std::printf("\nshape checks: best speedup %.2f at %d SPEs "
-              "(paper: 1.59 at 5 SPEs)\n", best, best_d);
+  std::printf("\n");
+  bench::print_claims(bench::table2_claims(sweep));
   return report.write() ? 0 : 1;
 }

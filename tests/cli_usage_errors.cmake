@@ -92,7 +92,7 @@ expect_usage_error("${top}")  # no FILE: its own usage path
 foreach(b bench/bench_table1 bench/bench_table2 bench/bench_fig7
         bench/bench_fig8 bench/bench_fig9 bench/bench_fig10
         bench/bench_ablation bench/bench_cluster bench/bench_faults
-        bench/bench_opt_ladder bench/bench_ckpt bench/bench_jobs
+        bench/bench_opt_ladder bench/bench_jobs
         bench/bench_engine bench/bench_trace examples/quickstart
         examples/phylogenetics examples/adaptive_offload)
   expect_usage_error("${BINDIR}/${b}" --no-such-flag)

@@ -4,6 +4,7 @@
 // workload.
 #include <gtest/gtest.h>
 
+#include "paper_table.hpp"
 #include "phylo/bootstrap.hpp"
 #include "platform/smp.hpp"
 #include "runtime/mgps.hpp"
@@ -113,22 +114,23 @@ TEST_F(Integration, BladeScalesRealWorkload) {
   EXPECT_GT(t1 / t2, 1.4);  // 8 bootstraps over 16 SPEs: ~2x minus tails
 }
 
-TEST_F(Integration, CellBeatsCommodityPlatformsOnThroughput) {
-  // Scale the simulated Cell time to the paper anchor and compare with the
-  // platform models, Figure 10 style.
+TEST_F(Integration, Figure10XeonOverCellOnRealTraces) {
+  // Figure 10's Cell time at 8 bootstraps, anchored as bench_fig10 anchors
+  // it: one EDTLP bootstrap reads as the paper's 28.46 s.  These kernels
+  // are finer than 42_SC's, so 8 bootstraps dilate ~4.0x over one on the
+  // Cell (1.47x on the calibrated workload) and its lead over the Xeon
+  // shrinks from fig10's ~4.2x to 1.53 here.  The Cell must still lead.
+  task::Workload one;
+  one.bootstraps = {workload->bootstraps[0]};
   rt::EdtlpPolicy edtlp;
-  const double cell =
-      rt::run_workload(*workload, edtlp).makespan_s;
-  // Convert: one real bootstrap of this workload corresponds to its total
-  // kernel seconds; use relative throughput instead of absolute seconds.
-  const double xeon = platform::run_bootstraps(
-      platform::SmtMachineConfig::xeon(), 8);
-  const double p5 = platform::run_bootstraps(
-      platform::SmtMachineConfig::power5(), 8);
-  // The simulated Cell runs 8 bootstraps in ~1 bootstrap time; platforms
-  // need 2+ waves of much slower bootstraps.  Compare shapes loosely.
-  EXPECT_GT(xeon, p5);
-  EXPECT_GT(xeon / 28.46, cell / (cell + 1.0));  // sanity: positive scales
+  rt::MgpsPolicy mgps;
+  const double cell = bench::anchor_to_paper(
+      rt::run_workload(*workload, mgps).makespan_s,
+      rt::run_workload(one, edtlp).makespan_s);
+  const double xeon =
+      platform::run_bootstraps(platform::SmtMachineConfig::xeon(), 8);
+  EXPECT_GT(xeon / cell, 1.3);
+  EXPECT_LT(xeon / cell, 1.8);
 }
 
 }  // namespace

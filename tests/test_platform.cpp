@@ -70,15 +70,5 @@ TEST(Platform, PublishedConfigsAreConsistent) {
   EXPECT_LT(p5.bootstrap_seconds, xeon.bootstrap_seconds);
 }
 
-TEST(Platform, Figure10Endpoints) {
-  // The Figure 10 calibration: at 128 bootstraps the Xeon should take
-  // roughly 4x the paper-anchored Cell time (~693 s), the Power5 ~1.05-1.1x.
-  const double cell_128 = 43.32 / 28.46 * 28.46 * 16;  // 16 waves of 43.32s
-  const double xeon = run_bootstraps(SmtMachineConfig::xeon(), 128);
-  const double p5 = run_bootstraps(SmtMachineConfig::power5(), 128);
-  EXPECT_NEAR(xeon / cell_128, 4.0, 0.4);
-  EXPECT_NEAR(p5 / cell_128, 1.07, 0.12);
-}
-
 }  // namespace
 }  // namespace cbe::platform

@@ -54,21 +54,6 @@ TEST(SimRuntime, DeterministicAcrossRuns) {
   EXPECT_EQ(a.events, b.events);
 }
 
-TEST(SimRuntime, LinuxWavesFollowCeilOfHalf) {
-  // Table 1's third column: makespan ~= ceil(N/2) x single-bootstrap time.
-  const task::SyntheticConfig cfg = small_workload();
-  LinuxPolicy p1;
-  const double t1 =
-      run_workload(task::make_synthetic(1, cfg), p1).makespan_s;
-  for (int n : {2, 3, 5, 8}) {
-    LinuxPolicy pol;
-    const double tn =
-        run_workload(task::make_synthetic(n, cfg), pol).makespan_s;
-    const double expected_waves = (n + 1) / 2;
-    EXPECT_NEAR(tn / t1, expected_waves, 0.35) << "n=" << n;
-  }
-}
-
 TEST(SimRuntime, EdtlpBeatsLinuxBeyondTwoWorkers) {
   const task::SyntheticConfig cfg = small_workload();
   for (int n : {3, 5, 8}) {
@@ -123,41 +108,6 @@ TEST(SimRuntime, EdtlpBeatsHybridAtHighTaskParallelism) {
   EdtlpPolicy edtlp;
   EXPECT_LT(run_workload(wl, edtlp).makespan_s,
             run_workload(wl, hybrid).makespan_s);
-}
-
-TEST(SimRuntime, MgpsTracksBestStaticChoice) {
-  const task::SyntheticConfig cfg = small_workload();
-  for (int b : {1, 2, 8, 16}) {
-    const task::Workload wl = task::make_synthetic(b, cfg);
-    MgpsPolicy mgps;
-    StaticHybridPolicy h2(2), h4(4);
-    EdtlpPolicy edtlp;
-    const double tm = run_workload(wl, mgps).makespan_s;
-    const double best =
-        std::min({run_workload(wl, h2).makespan_s,
-                  run_workload(wl, h4).makespan_s,
-                  run_workload(wl, edtlp).makespan_s});
-    EXPECT_LT(tm, best * 1.25) << "bootstraps=" << b;
-  }
-}
-
-TEST(SimRuntime, MgpsConvergesToEdtlpAtScale) {
-  const task::Workload wl = task::make_synthetic(32, small_workload());
-  MgpsPolicy mgps;
-  EdtlpPolicy edtlp;
-  const double tm = run_workload(wl, mgps).makespan_s;
-  const double te = run_workload(wl, edtlp).makespan_s;
-  EXPECT_NEAR(tm / te, 1.0, 0.02);
-}
-
-TEST(SimRuntime, TwoCellsDoubleThroughput) {
-  const task::Workload wl = task::make_synthetic(32, small_workload());
-  EdtlpPolicy p1, p2;
-  RunConfig one, two;
-  two.cell.num_cells = 2;
-  const double t1 = run_workload(wl, p1, one).makespan_s;
-  const double t2 = run_workload(wl, p2, two).makespan_s;
-  EXPECT_NEAR(t1 / t2, 2.0, 0.15);
 }
 
 TEST(SimRuntime, GranularityTestDemotesCoarseTasks) {
